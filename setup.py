@@ -1,22 +1,14 @@
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [
-            Extension(
-                "cliffsys._wedge_cy",
-                ["src/cliffsys/_wedge_cy.pyx"],
-                language="c++",
-                extra_compile_args=["-O2"],
-                optional=True,
-            )
-        ],
-        language_level=3,
-    )
-except ImportError:
-    # pure-Python install; cliffsys.kernel falls back to _wedge_py
-    ext_modules = []
-
-setup(ext_modules=ext_modules)
+# The compiled wedge kernel is optional: without a C compiler the build
+# skips it and cliffsys.kernel uses the pure-Python twin, _wedge_py.
+setup(
+    ext_modules=[
+        Extension(
+            "cliffsys._wedge_c",
+            ["src/cliffsys/_wedge_c.c"],
+            extra_compile_args=["-O2"],
+            optional=True,
+        )
+    ]
+)

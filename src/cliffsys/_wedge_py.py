@@ -1,8 +1,10 @@
 """Pure-Python wedge accumulation kernel.
 
 Monomials are bitmasks (bit i-1 set means index i is present), coefficients
-exact ints or Fractions.  A compiled twin with the same interface lives in
-_wedge_cy; `kernel` picks one at import time.
+exact ints or Fractions.  A compiled twin with the same interface, for
+bounded integer coefficients, lives in the C extension _wedge_c; `kernel`
+picks one at import time.  This module is also the reference the compiled
+kernel is tested against.
 """
 
 from __future__ import annotations
@@ -83,12 +85,6 @@ class Accumulator:
                 key = ma | mb
                 v = ca2 * cb
                 acc[key] = get(key, 0) - v if s else get(key, 0) + v
-
-    def add_terms(self, pairs) -> None:
-        acc = self._acc
-        get = acc.get
-        for m, c in pairs:
-            acc[m] = get(m, 0) + c
 
     def items(self):
         return [(m, c) for m, c in self._acc.items() if c]

@@ -28,7 +28,7 @@ from .clifford import (
 from .algebras import algebra_table, left_mult, right_mult
 from .evencliff import classify as classify_rank, psi_d, tau4_psi_d
 from .exactmat import matrix_to_json
-from .forms import canonical_form, form_to_json, form_to_text, psi_matrix, tau
+from .forms import canonical_form, form_to_json_text, form_to_text, psi_matrix, tau
 from .liealg import MatrixSpan, triple_span_decomposition
 from .spheres import hurwitz_radon, max_vector_fields, random_unit_points, verify_pointwise
 
@@ -141,7 +141,7 @@ def parse_config(argv) -> RunConfig:
 def _form_payload(form, fmt):
     if fmt == "text":
         return form_to_text(form) + "\n"
-    return _json(form_to_json(form))
+    return form_to_json_text(form)
 
 
 def _coeff_str(c) -> str:
@@ -196,7 +196,11 @@ def _cmd_gen(config: RunConfig) -> int:
 
 def _cmd_verify(config: RunConfig) -> int:
     with open(config.params["path"]) as fh:
-        system = system_from_json(json.load(fh))
+        data = json.load(fh)
+    try:
+        system = system_from_json(data)
+    except ValueError as exc:
+        raise VerificationFailure(f"ill-formed system: {exc}")
     report = verify(system)
     _emit(config, _json(report.to_json()))
     return EXIT_OK if report.all_ok() else EXIT_VERIFY
@@ -382,6 +386,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except VerificationFailure as exc:
+        print(f"verification failure: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     except Exception as exc:  # computation failure: JSON error body, code 3
         print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}), file=sys.stderr)
         return EXIT_INTERNAL

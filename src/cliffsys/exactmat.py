@@ -263,11 +263,21 @@ def matrix_to_json(m: "SignedPermMatrix | RationalMatrix") -> dict:
 
 
 def matrix_from_json(data: dict) -> SignedPermMatrix:
+    """Inverse of `matrix_to_json`; raises ValueError on anything that is not
+    exactly n entries [row, col, +-1] with integer indices in 1..n."""
     n = data["n"]
+    if type(n) is not int or n < 1:
+        raise ValueError("signed-perm JSON order must be a positive integer")
+    entries = data["entries"]
+    if len(entries) != n:
+        raise ValueError(f"signed-perm JSON needs exactly {n} entries, got {len(entries)}")
     perm = [-1] * n
     signs = [0] * n
-    for row, col, value in data["entries"]:
-        if value not in (1, -1):
+    for row, col, value in entries:
+        for index in (row, col):
+            if type(index) is not int or not 1 <= index <= n:
+                raise ValueError(f"signed-perm JSON index {index!r} outside 1..{n}")
+        if type(value) is not int or value not in (1, -1):
             raise ValueError("signed-perm JSON entries must be +-1")
         if perm[col - 1] != -1:
             raise ValueError("duplicate column in JSON entries")

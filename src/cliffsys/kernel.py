@@ -1,9 +1,11 @@
-"""Wedge-kernel selection: compiled extension when built, pure Python otherwise.
+"""Wedge-kernel selection: the C extension `_wedge_c` when built, pure
+Python (`_wedge_py`) otherwise.
 
-Set CLIFFSYS_PURE=1 to force the pure backend (used by the benchmark and the
-backend-equivalence tests).  The compiled kernel handles masks up to 64 bits
-and coefficients up to 31 bits; callers pass an `ints` flag and fall back to
-the pure twin on OverflowError.
+Set CLIFFSYS_PURE=1 to force the pure backend.  The C kernel takes integer
+coefficients with |c| < 2^31, masks below 2^64 and accumulated values with
+|acc| < 2^62; outside that range it raises OverflowError.
+Callers pass an `ints` flag, and every OverflowError restarts the call on
+the pure twin, so results are exact on both backends.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ if os.environ.get("CLIFFSYS_PURE"):
     _impl = _wedge_py
 else:
     try:
-        from . import _wedge_cy as _impl  # type: ignore[no-redef]
+        from . import _wedge_c as _impl  # type: ignore[no-redef]
     except ImportError:
         _impl = _wedge_py
 

@@ -9,6 +9,8 @@ import pytest
 
 from cliffsys.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 
+from test_exactmat import ILL_FORMED_MATRIX_JSON
+
 
 def run_cli(argv, capsys):
     code = main(argv)
@@ -52,6 +54,19 @@ def test_verify_detects_corruption(tmp_path, capsys):
     code, out, _ = run_cli(["verify", "--in", str(path)], capsys)
     assert code == EXIT_VERIFY
     assert json.loads(out)["anticommuting"] is False
+
+
+@pytest.mark.parametrize("bad", ILL_FORMED_MATRIX_JSON)
+def test_verify_rejects_ill_formed_system(tmp_path, capsys, bad):
+    path = tmp_path / "c1.json"
+    main(["--out", str(path), "gen", "--m", "1"])
+    data = json.loads(path.read_text())
+    data["generators"][0] = bad
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(["verify", "--in", str(path)], capsys)
+    assert code == EXIT_VERIFY
+    assert out == ""
+    assert "ill-formed system" in err
 
 
 def test_gen_tilde_and_minus(capsys):

@@ -156,6 +156,26 @@ def test_json_is_one_based():
     assert data == {"n": 2, "entries": [[1, 2, -1], [2, 1, 1]]}
 
 
+ILL_FORMED_MATRIX_JSON = [
+    pytest.param({"n": 2, "entries": [[1, 0, 1], [2, 1, 1]]}, id="column-0"),
+    pytest.param({"n": 2, "entries": [[0, 1, 1], [2, 2, 1]]}, id="row-0"),
+    pytest.param({"n": 2, "entries": [[1, 3, 1], [2, 1, 1]]}, id="column-past-n"),
+    pytest.param({"n": 2, "entries": [[3, 1, 1], [2, 2, 1]]}, id="row-past-n"),
+    pytest.param({"n": 2, "entries": [[1, -1, 1], [2, 1, 1]]}, id="negative-column"),
+    pytest.param({"n": 2, "entries": [[2, True, 1], [1, 2, 1]]}, id="bool-column"),
+    pytest.param({"n": 2, "entries": [[2, 1.0, 1], [1, 2, 1]]}, id="float-column"),
+    pytest.param({"n": 2, "entries": [["2", 1, 1], [1, 2, 1]]}, id="string-row"),
+    pytest.param({"n": 2, "entries": [[1, 1, 1]]}, id="too-few-entries"),
+    pytest.param({"n": 2, "entries": [[1, 1, 1], [2, 2, 1], [2, 2, 1]]}, id="too-many-entries"),
+]
+
+
+@pytest.mark.parametrize("data", ILL_FORMED_MATRIX_JSON)
+def test_json_rejects_ill_formed_entries(data):
+    with pytest.raises(ValueError):
+        matrix_from_json(data)
+
+
 def test_rational_matrix_basics():
     a = RationalMatrix.from_rows([[1, 2], [3, 4]])
     b = RationalMatrix.from_rows([[0, 1], [1, 0]])

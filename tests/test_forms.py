@@ -315,6 +315,29 @@ def test_form_json_round_trip():
     assert form_from_json(form_to_json(spin9)) == spin9
 
 
+@pytest.mark.parametrize(
+    "form",
+    [
+        pytest.param(lambda: canonical_form("Spin9"), id="Spin9"),
+        pytest.param(lambda: canonical_form("Spin8"), id="Spin8"),
+        pytest.param(lambda: canonical_form("Spin7Delta"), id="Spin7Delta"),
+        pytest.param(lambda: canonical_form("OmegaL"), id="OmegaL"),
+        pytest.param(lambda: KForm.zero(16, 8), id="zero"),
+        pytest.param(lambda: KForm(3, 0, {0: Fraction(-5, 2)}), id="degree-0"),
+        pytest.param(
+            lambda: random_form(random.Random(52), 12, 3).scale(Fraction(-2, 3)), id="random"
+        ),
+    ],
+)
+def test_form_json_text_matches_json_dumps(form):
+    import json
+
+    from cliffsys.forms import form_to_json, form_to_json_text
+
+    a = form()
+    assert form_to_json_text(a) == json.dumps(form_to_json(a), indent=2) + "\n"
+
+
 def test_scalar_arithmetic_and_content():
     a = KForm.from_terms(4, 2, [((1, 2), 4), ((3, 4), -6)])
     assert a.content() == 2
