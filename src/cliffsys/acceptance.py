@@ -69,6 +69,9 @@ def _run(name: str, fn: Callable[[], str], expect_failure: bool = False) -> Chec
         else:
             status = FAIL
             detail = str(exc) or "assertion failed"
+    except Exception as exc:  # a check that crashes fails; it does not abort the suite
+        status = XFAIL if expect_failure else FAIL
+        detail = f"{type(exc).__name__}: {exc}"
     return CheckResult(name, status, detail, time.time() - t0)
 
 

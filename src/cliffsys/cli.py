@@ -28,7 +28,7 @@ from .clifford import (
 from .algebras import algebra_table, left_mult, right_mult
 from .evencliff import classify as classify_rank, psi_d, tau4_psi_d
 from .exactmat import matrix_to_json
-from .forms import canonical_form, form_to_json_text, form_to_text, psi_matrix, tau
+from .forms import canonical_form, form_to_json, form_to_json_text, form_to_text, psi_matrix, tau
 from .liealg import MatrixSpan, triple_span_decomposition
 from .spheres import hurwitz_radon, max_vector_fields, random_unit_points, verify_pointwise
 
@@ -142,12 +142,6 @@ def _form_payload(form, fmt):
     if fmt == "text":
         return form_to_text(form) + "\n"
     return form_to_json_text(form)
-
-
-def _coeff_str(c) -> str:
-    from fractions import Fraction
-
-    return str(Fraction(c))
 
 
 def _json(obj) -> str:
@@ -298,10 +292,9 @@ def _cmd_evencliff(config: RunConfig) -> int:
         _emit(config, _form_payload(tau4_psi_d(jobs=config.jobs), config.format))
         return EXIT_OK
     matrix = psi_d()
-    entries = []
-    for (i, j), form in matrix.upper_items():
-        terms = [{"idx": list(idx), "c": _coeff_str(c)} for idx, c in form.terms()]
-        entries.append({"row": i, "col": j, "form": {"N": form.n, "k": 2, "terms": terms}})
+    entries = [
+        {"row": i, "col": j, "form": form_to_json(form)} for (i, j), form in matrix.upper_items()
+    ]
     _emit(config, _json({"size": matrix.size, "N": matrix.n, "entries": entries}))
     return EXIT_OK
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Iterator, Sequence
 
 SYMMETRIC_INVOLUTION = "symmetric-involution"
@@ -394,15 +395,9 @@ class RationalMatrix:
             lcm = 1
             for v in row:
                 d = Fraction(v).denominator
-                lcm = lcm * d // _gcd(lcm, d)
+                lcm = lcm * d // gcd(lcm, d)
             out.append([int(v * lcm) for v in row])
         return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def integer_rank(rows: Iterable[Sequence[int]]) -> int:

@@ -9,9 +9,12 @@ block of eight.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
+from functools import lru_cache, reduce
+from itertools import chain, combinations
+from math import gcd
+from operator import getitem, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import kernel
@@ -77,6 +80,15 @@ class KForm:
         self._terms = clean
         self._ints = ints
 
+    @classmethod
+    def _trusted(cls, n: int, k: int, terms: dict[int, object], ints: bool) -> "KForm":
+        """A form that takes `terms` as they are, unchecked: masks of k bits
+        below 2^n mapped to nonzero ints (all of them when `ints`) or
+        non-integral Fractions.  For kernel outputs and validated input."""
+        form = object.__new__(cls)
+        form.n, form.k, form._terms, form._ints = n, k, terms, ints
+        return form
+
     # -- constructors --------------------------------------------------------
 
     @staticmethod
@@ -101,10 +113,7 @@ class KForm:
 
     def terms(self) -> Iterator[tuple[tuple[int, ...], object]]:
         """Terms as (indices, coeff), sorted lexicographically by indices."""
-        items = sorted(
-            (_indices_from_mask(mask), c) for mask, c in self._terms.items()
-        )
-        return iter(items)
+        return ((sum(indices, ()), c) for indices, c in _rendered_terms(self, _byte_indices))
 
     def mask_items(self) -> list[tuple[int, object]]:
         return list(self._terms.items())
@@ -120,12 +129,9 @@ class KForm:
 
     def content(self) -> int:
         """gcd of the coefficients; requires them integral, 0 for the zero form."""
-        g = 0
-        for c in self._terms.values():
-            if not isinstance(c, int):
-                raise ValueError("content needs integer coefficients")
-            g = _gcd(g, abs(c))
-        return g
+        if not self._ints:
+            raise ValueError("content needs integer coefficients")
+        return gcd(*self._terms.values())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, KForm):
@@ -185,18 +191,19 @@ class KForm:
         k = self.k + other.k
         if k > self.n:
             return KForm.zero(self.n, k)
-        pairs = kernel.wedge_terms(
-            self.mask_items(), other.mask_items(), self._ints and other._ints
-        )
-        return KForm(self.n, k, dict(pairs))
+        ints = self._ints and other._ints
+        pairs = kernel.wedge_terms(self.mask_items(), other.mask_items(), ints)
+        return _kernel_form(self.n, k, pairs, ints)
 
     def wedge_square(self) -> "KForm":
         """self ^ self, using the even-degree shortcut (zero for odd degree)."""
         k = 2 * self.k
         if self.k % 2 == 1 or k > self.n:
             return KForm.zero(self.n, k)
+        if k == 0:  # the shortcut skips squares of monomials, nonzero only in degree 0
+            return self.wedge(self)
         pairs = kernel.square_terms(self.mask_items(), self._ints)
-        return KForm(self.n, k, dict(pairs))
+        return _kernel_form(self.n, k, pairs, self._ints)
 
     def restrict(self, indices: Sequence[int]) -> "KForm":
         """Pull back along the inclusion of the span of e_i, i in `indices`
@@ -217,10 +224,13 @@ class KForm:
         return KForm(len(idx), self.k, acc)
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+def _kernel_form(n: int, k: int, pairs, ints: bool) -> KForm:
+    """The form over kernel output `pairs`: nonzero terms of degree k.  With
+    integer inputs they are clean ints; Fraction inputs may give Fraction(p, 1),
+    which the checking constructor normalises."""
+    if ints:
+        return KForm._trusted(n, k, dict(pairs), True)
+    return KForm(n, k, dict(pairs))
 
 
 def _as_fraction_dict(terms: Mapping[int, object]) -> dict[int, Fraction]:
@@ -344,36 +354,41 @@ def tau(psi: FormMatrix, k: int, jobs: int = 1) -> KForm:
 
     Entries commute (even degree), so each minor is an honest determinant;
     for skew matrices it equals the square of the minor's Pfaffian, which
-    is the evaluation path used here.  Partial sums over minor subsets may
-    be evaluated in parallel; exact arithmetic makes the merge
+    is the evaluation path used here.  tau_0 is the constant 1, the
+    determinant of the one empty minor.  Partial sums over minor subsets
+    may be evaluated in parallel; exact arithmetic makes the merge
     order-independent.
     """
     if k % 2 == 1:
         raise ValueError("tau is zero/undefined for odd k; need even k")
     if k > psi.size:
         raise ValueError("k exceeds matrix size")
+    if k == 0:
+        return KForm(psi.n, 0, {0: 1})
     subsets = list(combinations(range(psi.size), k))
     if jobs > 1 and len(subsets) >= 2 * jobs:
         return _tau_parallel(psi, k, subsets, jobs)
-    return KForm(psi.n, 2 * k, dict(_tau_terms(psi, subsets)))
+    return _kernel_form(psi.n, 2 * k, _tau_terms(psi, subsets), _psi_ints(psi))
 
 
-def _psi_all_ints(psi: FormMatrix) -> bool:
-    return psi.n <= 64 and all(form._ints for _, form in psi.upper_items())
+def _psi_ints(psi: FormMatrix) -> bool:
+    return all(form._ints for _, form in psi.upper_items())
 
 
 def _tau_terms(psi: FormMatrix, subsets) -> list[tuple[int, object]]:
-    ints = _psi_all_ints(psi)
-    try:
+    """Terms of the sum of the squared Pfaffians over `subsets`.  A compiled
+    accumulator that leaves its range raises OverflowError, and the sum
+    restarts on the pure one."""
+    choices = (True, False) if _psi_ints(psi) and psi.n <= 64 else (False,)
+    for ints in choices:
         acc = kernel.new_accumulator(ints)
-        for rows in subsets:
-            acc.add_square(_pfaffian_terms(psi, rows).mask_items())
-        return acc.items()
-    except OverflowError:
-        acc = kernel.new_accumulator(False)
-        for rows in subsets:
-            acc.add_square(_pfaffian_terms(psi, rows).mask_items())
-        return acc.items()
+        try:
+            for rows in subsets:
+                acc.add_square(_pfaffian_terms(psi, rows).mask_items())
+            return acc.items()
+        except OverflowError:
+            if not ints:  # only a compiled accumulator has a range to leave
+                raise
 
 
 def _tau_worker(args):
@@ -393,7 +408,8 @@ def _tau_parallel(psi: FormMatrix, k: int, subsets, jobs: int) -> KForm:
         for part in pool.map(_tau_worker, args):
             for mask, c in part:
                 acc[mask] = acc.get(mask, 0) + c
-    return KForm(psi.n, 2 * k, acc)
+    # partial sums may cancel across chunks
+    return _kernel_form(psi.n, 2 * k, [(m, c) for m, c in acc.items() if c], _psi_ints(psi))
 
 
 def lie_action(x, a: KForm) -> KForm:
@@ -406,7 +422,7 @@ def lie_action(x, a: KForm) -> KForm:
         pairs = kernel.signed_perm_action(
             a.mask_items(), inv.perm, inv.signs, a._ints
         )
-        return KForm(a.n, a.k, dict(pairs))
+        return _kernel_form(a.n, a.k, pairs, a._ints)
     if isinstance(x, RationalMatrix):
         if x.nrows != x.ncols or x.nrows != a.n:
             raise ValueError("shape mismatch")
@@ -477,41 +493,152 @@ def canonical_form(name: str) -> KForm:
     return form
 
 
+# -- term order ---------------------------------------------------------------
+
+_BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _sorted_masks(masks: Iterable[int], width: int) -> list[int]:
+    """`masks` of one degree, each below 2^(8 width), in lexicographic order
+    of their index tuples.
+
+    For one degree that order is the descending order of the masks with
+    their bits reversed.  The little-endian bytes of a mask, each byte
+    bit-reversed, spell that reversal big-endian over whole bytes, which
+    shifts it but keeps the order."""
+    return sorted(
+        masks,
+        key=lambda m: m.to_bytes(width, "little").translate(_BIT_REVERSED),
+        reverse=True,
+    )
+
+
+def _rendered_terms(a: KForm, table) -> Iterator[tuple[Iterator, object]]:
+    """(pieces, coefficient) per term of `a` in lexicographic order.  The
+    pieces are `table(p)[b]` for each byte p of the mask whose value b is
+    nonzero, so a table renders the indices 8p+1..8p+8 that b holds."""
+    terms = a._terms
+    used = reduce(or_, terms, 0)
+    width = (used.bit_length() + 7) // 8
+    # tables only for the byte positions some mask uses, so that a sparse form
+    # on a large R^n builds few; an unused position only ever looks up entry 0
+    tables = [table(p) if b else ("",) for p, b in enumerate(used.to_bytes(width, "little"))]
+    for m in _sorted_masks(terms, width):
+        yield filter(None, map(getitem, tables, m.to_bytes(width, "little"))), terms[m]
+
+
+@lru_cache(maxsize=64)
+def _byte_indices(p: int) -> tuple[tuple[int, ...], ...]:
+    """Entry b: the indices that value b of byte p of a mask holds."""
+    return tuple(tuple(8 * p + j + 1 for j in range(8) if b >> j & 1) for b in range(256))
+
+
+@lru_cache(maxsize=64)
+def _json_index_lines(p: int) -> tuple[str, ...]:
+    return tuple(",\n".join(f"        {i}" for i in idx) for idx in _byte_indices(p))
+
+
+@lru_cache(maxsize=64)
+def _index_tokens(p: int) -> tuple[str, ...]:
+    return tuple("".join(_index_token(i) for i in idx) for idx in _byte_indices(p))
+
+
 # -- wire format -------------------------------------------------------------
 
 
 def form_to_json(a: KForm) -> dict:
     """{"N": n, "k": k, "terms": [{"idx": [...], "c": "p/q"}, ...]},
     sorted lexicographically by index tuple."""
-    terms = [
-        {"idx": list(idx), "c": str(Fraction(c))} for idx, c in a.terms()
-    ]
+    terms = [{"idx": list(idx), "c": str(c)} for idx, c in a.terms()]
     return {"N": a.n, "k": a.k, "terms": terms}
 
 
 def form_to_json_text(a: KForm) -> str:
     """The text of `json.dumps(form_to_json(a), indent=2) + "\\n"`, byte for
-    byte, rendered straight from the terms.  It skips the intermediate dict
+    byte, rendered straight from the masks.  It skips the intermediate dict
     and the pure-Python encoder that `indent` selects, which for the
     234,364-term rank-10 form cost seconds and doubled the peak memory."""
     head = f'{{\n  "N": {a.n},\n  "k": {a.k},\n  "terms": '
     if a.is_zero():
         return head + "[]\n}\n"
-    index_lines = [f"        {i}" for i in range(a.n + 1)]
     chunks = []
-    for idx, c in a.terms():
-        c = str(c) if type(c) is int else str(Fraction(c))
-        if idx:
-            idx_text = "[\n" + ",\n".join([index_lines[i] for i in idx]) + "\n      ]"
-        else:
-            idx_text = "[]"
-        chunks.append(f'    {{\n      "idx": {idx_text},\n      "c": "{c}"\n    }}')
+    for lines, c in _rendered_terms(a, _json_index_lines):
+        idx = ",\n".join(lines)
+        idx_text = f"[\n{idx}\n      ]" if idx else "[]"
+        chunks.append(f'    {{\n      "idx": {idx_text},\n      "c": "{c!s}"\n    }}')
     return head + "[\n" + ",\n".join(chunks) + "\n  ]\n}\n"
 
 
+_RATIO = r"(-?[1-9][0-9]*)/([1-9][0-9]*)"  # compiled on first use, not at import
+
+
+def _ratio_from_text(c) -> Fraction:
+    """The value of a canonical "p/q" literal: p, q coprime, q >= 2."""
+    match = re.fullmatch(_RATIO, c) if type(c) is str else None
+    if match is not None:
+        p, q = int(match[1]), int(match[2])
+        if q > 1 and gcd(p, q) == 1:
+            return Fraction(p, q)
+    raise ValueError(f"coefficient {c!r} is not a canonical literal")
+
+
 def form_from_json(data: dict) -> KForm:
-    pairs = [(tuple(t["idx"]), Fraction(t["c"])) for t in data["terms"]]
-    return KForm.from_terms(data["N"], data["k"], pairs)
+    """The form written by `form_to_json`.
+
+    Input contract, ValueError otherwise: `N` is an int >= 1 and `k` an int
+    >= 0 (not bools); every term is {"idx": [...], "c": "..."} where idx is
+    a list of k strictly increasing int indices in 1..N (no bool or float)
+    and no idx occurs twice; c is a canonical literal string, an integer
+    as `str(int)` writes it or "p/q" with q >= 2 and p, q coprime (no
+    decimals, exponents, whitespace, "+", "_", leading zeros or "-0").
+    Terms may come in any order; terms with c = "0" are dropped.
+    """
+    try:
+        n, k, items = data["N"], data["k"], data["terms"]
+    except (KeyError, TypeError):
+        raise ValueError("form JSON needs N, k and terms") from None
+    if type(n) is not int or type(k) is not int or n < 1 or k < 0:
+        raise ValueError("N must be an int >= 1 and k an int >= 0")
+    if type(items) is not list:
+        raise ValueError("terms must be a list")
+    try:
+        index_lists = [t["idx"] for t in items]
+        coeffs = [t["c"] for t in items]
+    except (KeyError, TypeError):
+        raise ValueError('every term needs "idx" and "c"') from None
+    bit = _bit_table(n, index_lists)
+    terms: dict[int, object] = {}
+    ints = True
+    for idx, c in zip(index_lists, coeffs):
+        mask = sum(map(bit.__getitem__, idx))
+        if len(idx) != k or mask.bit_count() != k or idx != sorted(idx):
+            raise ValueError(f"idx {idx}: need {k} strictly increasing indices")
+        try:
+            v = int(c)
+            if str(v) != c:
+                raise ValueError
+        except (TypeError, ValueError):
+            v = _ratio_from_text(c)
+            ints = False
+        terms[mask] = v
+    if len(terms) != len(items):
+        raise ValueError("an idx occurs twice")
+    if 0 in terms.values():
+        terms = {m: v for m, v in terms.items() if v}
+    return KForm._trusted(n, k, terms, ints)
+
+
+def _bit_table(n: int, index_lists: list) -> dict[int, int]:
+    """{i: 1 << (i - 1)} for the indices in `index_lists`, which must be
+    lists of ints in 1..n."""
+    if not set(map(type, index_lists)) <= {list}:
+        raise ValueError("every idx must be a list")
+    if not set(map(type, chain.from_iterable(index_lists))) <= {int}:
+        raise ValueError("indices must be ints")
+    seen = set(chain.from_iterable(index_lists))
+    if seen and not 1 <= min(seen) <= max(seen) <= n:
+        raise ValueError(f"index outside 1..{n}")
+    return {i: 1 << (i - 1) for i in seen}
 
 
 # -- short 's' notation ----------------------------------------------------------
@@ -550,11 +677,9 @@ def form_to_text(a: KForm) -> str:
     if a.is_zero():
         return "0"
     parts = []
-    for indices, c in a.terms():
-        c = Fraction(c)
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
+    for tokens, c in _rendered_terms(a, _index_tokens):
+        sign, mag = ("-", -c) if c < 0 else ("+", c)
         coeff = "" if mag == 1 else f"{mag}*"
-        parts.append(f"{sign} {coeff}{monomial_token(indices)}")
+        parts.append(f"{sign} {coeff}s{''.join(tokens)}")
     text = " ".join(parts)
     return text[2:] if text.startswith("+ ") else text

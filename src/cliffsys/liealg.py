@@ -8,6 +8,7 @@ elimination with content reduction, deterministic pivoting).
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Sequence
 
 from .exactmat import SignedPermMatrix
@@ -66,9 +67,7 @@ class _SparseEchelon:
                 new[k] = new.get(k, 0) - b * v
             row = {k: v for k, v in new.items() if v}
             if row:
-                g = 0
-                for v in row.values():
-                    g = _gcd(g, abs(v))
+                g = gcd(*row.values())
                 if g > 1:
                     row = {k: v // g for k, v in row.items()}
         return row
@@ -83,12 +82,6 @@ class _SparseEchelon:
             row = {k: -v for k, v in row.items()}
         self.pivots[lead] = row
         return True
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 class MatrixSpan:

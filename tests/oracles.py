@@ -11,6 +11,14 @@ from itertools import permutations
 from cliffsys.forms import KForm
 
 
+def assert_clean(form):
+    """`form` holds exactly what the checking constructor `KForm.__init__`
+    makes of its terms: no zero, no Fraction(p, 1), the right `_ints` flag."""
+    checked = KForm(form.n, form.k, form._terms)
+    assert checked._terms == form._terms and checked._ints == form._ints
+    assert list(map(type, checked._terms.values())) == list(map(type, form._terms.values()))
+
+
 def dense_mul(a, b):
     n = len(a)
     return [

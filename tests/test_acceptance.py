@@ -87,6 +87,19 @@ def test_criterion_10_rank10_suite():
     _check(lambda: acceptance.check_e10_suite(), "criterion 10 rank-10 suite")
 
 
+@pytest.mark.parametrize(
+    "expect_failure, status", [(False, acceptance.FAIL), (True, acceptance.XFAIL)]
+)
+def test_a_check_that_raises_is_reported(expect_failure, status):
+    def check():
+        raise ValueError("empty minor")
+
+    result = acceptance._run("raising check", check, expect_failure=expect_failure)
+    assert result.status == status
+    assert result.detail == "ValueError: empty minor"
+    assert result.line().startswith(f"{status:5s} raising check: ValueError: empty minor [")
+
+
 def test_run_all_reports_ok_statuses():
     results = acceptance.run_all(slow=False)
     assert all(r.ok for r in results)

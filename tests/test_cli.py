@@ -105,6 +105,12 @@ def test_form_tau_zero(capsys):
     assert json.loads(out)["terms"] == []
 
 
+def test_form_tau_0_is_the_constant_one(capsys):
+    code, out, _ = run_cli(["form", "--tau", "0", "--psi", "C"], capsys)
+    assert code == EXIT_OK
+    assert json.loads(out) == {"N": 16, "k": 0, "terms": [{"idx": [], "c": "1"}]}
+
+
 def test_usage_errors_exit_one(capsys):
     assert run_cli(["gen", "--m", "40"], capsys)[0] == EXIT_USAGE
     assert run_cli(["form"], capsys)[0] == EXIT_USAGE

@@ -1,15 +1,22 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cliffsys.clifford import build
 from cliffsys.exactmat import RationalMatrix, SignedPermMatrix, block_diag, swap
 from cliffsys.forms import (
     FormMatrix,
     KForm,
+    _indices_from_mask,
+    _sorted_masks,
     canonical_form,
+    form_from_json,
+    form_to_json,
+    form_to_json_text,
     form_to_text,
     hodge_star,
     kaehler_form,
@@ -22,7 +29,7 @@ from cliffsys.forms import (
     wedge,
 )
 
-from oracles import brute_wedge_forms, perm_expansion_det
+from oracles import assert_clean, brute_wedge_forms, perm_expansion_det
 
 
 def random_form(rng, n, k, terms=5, lo=-9, hi=9):
@@ -99,6 +106,8 @@ def test_wedge_square_matches_wedge():
         n = rng.randint(4, 12)
         a = random_form(rng, n, 2)
         assert a.wedge_square() == wedge(a, a)
+    constant = KForm(5, 0, {0: Fraction(-5, 2)})
+    assert constant.wedge_square() == wedge(constant, constant) == KForm(5, 0, {0: Fraction(25, 4)})
 
 
 def test_kaehler_sign_convention_resolution():
@@ -134,6 +143,14 @@ def test_tau_of_size_two_matrix_is_entry_square():
     phi = random_form(rng, 6, 2)
     psi = FormMatrix(2, 6, {(0, 1): phi})
     assert tau(psi, 2) == wedge(phi, phi)
+
+
+def test_tau_zero_is_the_constant_one():
+    # the sum over the one empty minor, whose determinant is 1
+    rng = random.Random(53)
+    psi = FormMatrix(3, 6, {(0, 1): random_form(rng, 6, 2), (1, 2): random_form(rng, 6, 2)})
+    for matrix in (psi_matrix("C"), psi, FormMatrix(2, 4, {})):
+        assert tau(matrix, 0) == KForm(matrix.n, 0, {0: 1})
 
 
 def test_tau_rejects_odd_or_oversized_k():
@@ -174,7 +191,9 @@ def test_tau4_pfaffian_path_matches_permutation_expansion():
 
 def test_tau_parallel_matches_serial():
     psi_c = psi_matrix("C")
-    assert tau(psi_c, 4, jobs=2) == tau(psi_c, 4)
+    parallel = tau(psi_c, 4, jobs=2)
+    assert parallel == tau(psi_c, 4)
+    assert_clean(parallel)  # the merge drops the terms that cancel across chunks
 
 
 def test_hodge_star_basics():
@@ -302,8 +321,6 @@ def test_short_notation_round_trip():
 
 
 def test_form_json_round_trip():
-    from cliffsys.forms import form_from_json, form_to_json
-
     rng = random.Random(51)
     for _ in range(25):
         n = rng.randint(3, 12)
@@ -330,12 +347,104 @@ def test_form_json_round_trip():
     ],
 )
 def test_form_json_text_matches_json_dumps(form):
-    import json
-
-    from cliffsys.forms import form_to_json, form_to_json_text
-
     a = form()
     assert form_to_json_text(a) == json.dumps(form_to_json(a), indent=2) + "\n"
+
+
+def wire(terms, n=4, k=2):
+    return {"N": n, "k": k, "terms": [{"idx": idx, "c": c} for idx, c in terms]}
+
+
+ILL_FORMED_FORM_JSON = [
+    pytest.param(wire([([1, 2], "1"), ([1, 2], "2")]), id="duplicate-idx"),
+    pytest.param(wire([([1, 2], "1"), ([1, 2], "0")]), id="duplicate-idx-zero"),
+    *(
+        pytest.param(wire([([1, 2], c)]), id=f"coefficient-{c!r}")
+        for c in (
+            "1.5", "2.0", ".5", "1e3", "1E3", " 3", "3 ", "\t3", "+3", "1_000", "03", "-0",
+            "\u0663", "6/4", "3/1", "-3/1", "0/5", "3/-4", "-3/-4", "3/04", "03/4",
+            "3 /4", "3/ 4", "+3/4", "1/0", "3/", "/4", "", "-", "abc", "1/2/3",
+            3, 1.5, None, True, [1],
+        )
+    ),
+    pytest.param(wire([([True, 2], "1")]), id="bool-index"),
+    pytest.param(wire([([1.0, 2], "1")]), id="float-index"),
+    pytest.param(wire([(["1", 2], "1")]), id="string-index"),
+    pytest.param(wire([([None, 2], "1")]), id="null-index"),
+    pytest.param(wire([([[1], 2], "1")]), id="list-index"),
+    pytest.param(wire([([0, 2], "1")]), id="index-0"),
+    pytest.param(wire([([1, 5], "1")]), id="index-past-N"),
+    pytest.param(wire([([-1, 2], "1")]), id="negative-index"),
+    pytest.param(wire([([2, 1], "1")]), id="decreasing"),
+    pytest.param(wire([([2, 2], "1")]), id="repeated-index"),
+    pytest.param(wire([([1, 2, 3], "1")]), id="wrong-degree"),
+    pytest.param(wire([((1, 2), "1")]), id="idx-not-a-list"),
+    pytest.param(wire([("12", "1")]), id="idx-a-string"),
+    pytest.param({"N": 4, "k": 2, "terms": [{"idx": [1, 2]}]}, id="no-c"),
+    pytest.param({"N": 4, "k": 2, "terms": [{"c": "1"}]}, id="no-idx"),
+    pytest.param({"N": 4, "k": 2, "terms": [[[1, 2], "1"]]}, id="term-not-an-object"),
+    pytest.param({"N": 4, "k": 2, "terms": {}}, id="terms-not-a-list"),
+    pytest.param({"N": 4, "k": 2}, id="no-terms"),
+    pytest.param({"k": 2, "terms": []}, id="no-N"),
+    pytest.param([4, 2, []], id="not-an-object"),
+    *(
+        pytest.param(wire([], n=n, k=k), id=f"N={n!r}-k={k!r}")
+        for n, k in (
+            (4.0, 2), ("4", 2), (True, 0), (None, 2), (0, 0), (-4, 2),
+            (4, 2.0), (4, "2"), (4, True), (4, None), (4, -2),
+        )
+    ),
+]
+
+
+@pytest.mark.parametrize("data", ILL_FORMED_FORM_JSON)
+def test_form_from_json_rejects_ill_formed_input(data):
+    with pytest.raises(ValueError):
+        form_from_json(data)
+
+
+def test_form_from_json_accepts_canonical_input():
+    data = wire([([2, 4], "-3/4"), ([1, 2], "12"), ([1, 3], "0"), ([3, 4], "-1")])
+    form = form_from_json(data)
+    assert form == KForm.from_terms(4, 2, [((1, 2), 12), ((2, 4), Fraction(-3, 4)), ((3, 4), -1)])
+    assert form_from_json(wire([], n=3, k=5)) == KForm.zero(3, 5)
+    assert form_from_json(wire([([], "7")], n=1, k=0)) == KForm(1, 0, {0: 7})
+
+
+@st.composite
+def forms(draw):
+    """Forms on R^n, n up to 70 so that masks pass 64 bits, of any degree
+    with integer or rational coefficients; empty ones included."""
+    n = draw(st.integers(1, 70))
+    k = draw(st.integers(0, min(n, 6)))
+    coefficient = st.one_of(
+        st.integers(-(10**30), 10**30),
+        st.fractions(max_denominator=10**12),
+    )
+    monomial = st.frozensets(st.integers(1, n), min_size=k, max_size=k)
+    terms = draw(st.dictionaries(monomial, coefficient, max_size=12))
+    return KForm(n, k, {sum(1 << (i - 1) for i in s): c for s, c in terms.items()})
+
+
+@settings(max_examples=200, deadline=None)
+@given(forms())
+def test_form_wire_format_property(a):
+    text = form_to_json_text(a)
+    assert text == json.dumps(form_to_json(a), indent=2) + "\n"
+    back = form_from_json(json.loads(text))
+    assert back == a
+    assert_clean(back)
+
+
+@settings(max_examples=200, deadline=None)
+@given(forms())
+def test_sorted_masks_are_in_lexicographic_order(a):
+    masks = list(a._terms)
+    width = (a.n + 7) // 8
+    by_tuple = sorted(masks, key=_indices_from_mask)
+    assert _sorted_masks(masks, width) == by_tuple
+    assert [idx for idx, _ in a.terms()] == [_indices_from_mask(m) for m in by_tuple]
+    assert [c for _, c in a.terms()] == [a._terms[m] for m in by_tuple]
 
 
 def test_scalar_arithmetic_and_content():

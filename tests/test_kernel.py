@@ -19,7 +19,10 @@ from hypothesis import given, settings, strategies as st
 
 from cliffsys import _wedge_py
 from cliffsys import kernel
-from cliffsys.forms import FormMatrix, KForm, _pfaffian_terms, tau
+from cliffsys.exactmat import SignedPermMatrix
+from cliffsys.forms import FormMatrix, KForm, _pfaffian_terms, lie_action, tau
+
+from oracles import assert_clean
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "cliffsys" / "_wedge_c.c"
 C_MAX = (1 << 31) - 1  # largest coefficient the C kernel takes
@@ -284,6 +287,39 @@ def test_compiled_matches_pure_property(wc, ta, tb):
         assert sorted(kernel.signed_perm_action(ta, perm, signs, True)) == sorted(
             _wedge_py.signed_perm_action(ta, perm, signs)
         )
+
+
+# -- property: forms built from kernel output unchecked are clean ------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_trusted_forms_equal_checked_ones(wc, data):
+    n = data.draw(st.integers(4, 70), label="n")  # masks past 64 bits go pure
+    value = coeffs
+    if data.draw(st.booleans(), label="rational"):
+        value = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    monomial = st.frozensets(st.integers(0, n - 1), min_size=2, max_size=2)
+
+    def two_form(label):
+        terms = data.draw(st.dictionaries(monomial, value, max_size=6), label=label)
+        return KForm(n, 2, {sum(1 << b for b in s): c for s, c in terms.items()})
+
+    psi = FormMatrix(4, n, {(i, j): two_form(f"psi{i}{j}") for i in range(4) for j in range(i + 1, 4)})
+    a, b = two_form("a"), two_form("b")
+    x = SignedPermMatrix(
+        n,
+        tuple(data.draw(st.permutations(range(n)), label="perm")),
+        tuple(data.draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n), label="signs")),
+    )
+    results = []
+    for module in (wc, _wedge_py):
+        with dispatch_to(module):
+            forms = [a.wedge(b), a.wedge_square(), tau(psi, 2), tau(psi, 4), lie_action(x, a)]
+        for form in forms:
+            assert_clean(form)
+        results.append(forms)
+    assert results[0] == results[1]
 
 
 # -- dispatcher: an OverflowError restarts the computation on the pure kernel ------
