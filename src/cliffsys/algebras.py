@@ -81,9 +81,6 @@ class AlgebraTable:
         """Index/sign of e_a * e_b (0-based indices)."""
         return self.table[(a, b)]
 
-    def conj_sign(self, a: int) -> int:
-        return 1 if a == 0 else -1
-
     def text_grid(self) -> str:
         """Multiplication table as a text grid, rows = left factor."""
         width = 3

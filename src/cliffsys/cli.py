@@ -74,7 +74,9 @@ def _build_parser() -> _Parser:
     parser.add_argument(
         "--jobs",
         type=int,
-        default=int(os.environ.get("CLIFFSYS_JOBS", "1")),
+        # a string default goes through `type` like a command-line value, so a
+        # non-integer CLIFFSYS_JOBS is a usage error, and only when --jobs is absent
+        default=os.environ.get("CLIFFSYS_JOBS", "1"),
         help="parallelism degree (env CLIFFSYS_JOBS)",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -189,8 +191,12 @@ def _cmd_gen(config: RunConfig) -> int:
 
 
 def _cmd_verify(config: RunConfig) -> int:
-    with open(config.params["path"]) as fh:
-        data = json.load(fh)
+    path = config.params["path"]
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
+        raise UsageError(f"cannot read {path}: {exc}")
     try:
         system = system_from_json(data)
     except ValueError as exc:
@@ -301,6 +307,8 @@ def _cmd_evencliff(config: RunConfig) -> int:
 
 def _cmd_sphere_fields(config: RunConfig) -> int:
     n = config.params["n"]
+    if config.params["points"] < 0:
+        raise UsageError("--points must be >= 0")
     try:
         system = max_vector_fields(n)
     except ValueError as exc:

@@ -84,7 +84,8 @@ class KForm:
     def _trusted(cls, n: int, k: int, terms: dict[int, object], ints: bool) -> "KForm":
         """A form that takes `terms` as they are, unchecked: masks of k bits
         below 2^n mapped to nonzero ints (all of them when `ints`) or
-        non-integral Fractions.  For kernel outputs and validated input."""
+        non-integral Fractions.  For kernel outputs, sums and multiples of
+        integer forms, and validated input."""
         form = object.__new__(cls)
         form.n, form.k, form._terms, form._ints = n, k, terms, ints
         return form
@@ -139,7 +140,7 @@ class KForm:
         return (
             self.n == other.n
             and self.k == other.k
-            and _as_fraction_dict(self._terms) == _as_fraction_dict(other._terms)
+            and self._terms == other._terms
         )
 
     def __repr__(self) -> str:
@@ -152,13 +153,20 @@ class KForm:
         acc = dict(self._terms)
         for mask, c in other._terms.items():
             acc[mask] = acc.get(mask, 0) + c
-        return KForm(self.n, self.k, acc)
+        return self._sum_form(other, acc)
 
     def __sub__(self, other: "KForm") -> "KForm":
         self._need_match(other)
         acc = dict(self._terms)
         for mask, c in other._terms.items():
             acc[mask] = acc.get(mask, 0) - c
+        return self._sum_form(other, acc)
+
+    def _sum_form(self, other: "KForm", acc: dict[int, object]) -> "KForm":
+        """The form over `acc`, a sum or difference of the terms of self and
+        other; integer operands give integer terms, of which only zeros drop."""
+        if self._ints and other._ints:
+            return KForm._trusted(self.n, self.k, {m: c for m, c in acc.items() if c}, True)
         return KForm(self.n, self.k, acc)
 
     def __neg__(self) -> "KForm":
@@ -168,7 +176,10 @@ class KForm:
         c = _norm_coeff(Fraction(c)) if not isinstance(c, int) else c
         if not c:
             return KForm.zero(self.n, self.k)
-        return KForm(self.n, self.k, {m: v * c for m, v in self._terms.items()})
+        terms = {m: v * c for m, v in self._terms.items()}
+        if self._ints and isinstance(c, int):
+            return KForm._trusted(self.n, self.k, terms, True)
+        return KForm(self.n, self.k, terms)
 
     def __mul__(self, c):
         if isinstance(c, (int, Fraction)):
@@ -231,10 +242,6 @@ def _kernel_form(n: int, k: int, pairs, ints: bool) -> KForm:
     if ints:
         return KForm._trusted(n, k, dict(pairs), True)
     return KForm(n, k, dict(pairs))
-
-
-def _as_fraction_dict(terms: Mapping[int, object]) -> dict[int, Fraction]:
-    return {m: Fraction(c) for m, c in terms.items()}
 
 
 def wedge(a: KForm, b: KForm) -> KForm:

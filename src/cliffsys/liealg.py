@@ -175,6 +175,7 @@ def commutant_dim(matrices: Sequence[SignedPermMatrix]) -> int:
     ech = _SparseEchelon()
     for p in matrices:
         inv = p.transpose()
+        seen: set = set()
         for i in range(n):
             for j in range(n):
                 row: dict[int, int] = {}
@@ -182,9 +183,25 @@ def commutant_dim(matrices: Sequence[SignedPermMatrix]) -> int:
                 _add_skew_entry(row, idx, i, p.perm[j], p.signs[j])
                 # (PX)_ij = signs[inv(i)] X_{inv(i), j}
                 _add_skew_entry(row, idx, inv.perm[i], j, -inv.signs[i])
-                if row:
-                    ech.insert(row)
+                _insert_new(ech, seen, row)
     return nvars - ech.rank
+
+
+def _insert_new(ech: _SparseEchelon, seen: set, row: dict[int, int]) -> None:
+    """Insert a nonzero constraint row unless `seen` holds it up to sign.
+
+    Rows repeat up to sign within one generator (for a symmetric P, the
+    (i, j) and (j, i) entries of [X, P] give one row), so `seen` is kept
+    per generator: it holds at most N^2 rows, whatever the generator count."""
+    items = sorted((k, v) for k, v in row.items() if v)
+    if not items:
+        return
+    if items[0][1] < 0:
+        items = [(k, -v) for k, v in items]
+    key = tuple(items)
+    if key not in seen:
+        seen.add(key)
+        ech.insert(row)
 
 
 def _add_skew_entry(row: dict[int, int], idx, a: int, b: int, coeff: int):
@@ -215,6 +232,7 @@ def normalizer_dim(matrices: Sequence[SignedPermMatrix]) -> int:
     ech = _SparseEchelon()
     for a_idx, p in enumerate(matrices):
         inv = p.transpose()
+        seen: set = set()
         for i in range(n):
             for j in range(n):
                 row: dict[int, int] = {}
@@ -224,6 +242,5 @@ def normalizer_dim(matrices: Sequence[SignedPermMatrix]) -> int:
                     if q.perm[j] == i:
                         key = nx + a_idx * count + b_idx
                         row[key] = row.get(key, 0) - q.signs[j]
-                if row:
-                    ech.insert(row)
+                _insert_new(ech, seen, row)
     return nvars - ech.rank

@@ -11,6 +11,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .clifford import build, to_representation
@@ -78,26 +80,34 @@ def max_vector_fields(n: int) -> VectorFieldSystem:
 
 
 def verify_pointwise(system: VectorFieldSystem, points: Sequence[Sequence]) -> bool:
-    """Exact check that {J_a x} is orthonormal and tangent at each unit x."""
+    """Exact check that {J_a x} is orthonormal and tangent at each unit x.
+
+    Each x is scaled by the lcm d of its denominators to the integer vector
+    v = d x, so every test runs on ints: |v|^2 = d^2, <J_a v, v> = 0 and
+    <J_a v, J_b v> = d^2 delta_ab.
+    """
     for x in points:
         x = [Fraction(c) for c in x]
         if len(x) != system.n:
             raise ValueError("point dimension mismatch")
-        if sum(c * c for c in x) != 1:
+        d = lcm(*(c.denominator for c in x))
+        v = [c.numerator * (d // c.denominator) for c in x]
+        d2 = d * d
+        if _dot(v, v) != d2:
             raise ValueError("point is not a unit vector")
-        images = [j.apply_vector(x) for j in system.structures]
+        images = [j.apply_vector(v) for j in system.structures]
         for a, ja in enumerate(images):
-            if _dot(ja, x) != 0:
+            if _dot(ja, v) != 0:
                 return False
             for b in range(a, len(images)):
-                expected = 1 if a == b else 0
+                expected = d2 if a == b else 0
                 if _dot(ja, images[b]) != expected:
                     return False
     return True
 
 
 def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def random_unit_points(n: int, count: int, seed: int = 0) -> list[tuple[Fraction, ...]]:

@@ -2,7 +2,7 @@
 
 Everything here is deliberately naive: dense integer matrix products,
 permutation-sign wedge products, determinants expanded over permutations,
-and rational Gaussian elimination.
+rational Gaussian elimination, and sphere-field checks in Fractions.
 """
 
 from fractions import Fraction
@@ -85,20 +85,87 @@ def naive_span_dim(mats):
     vectors = []
     for m in mats:
         dense = m.dense() if hasattr(m, "dense") else m
-        vectors.append(
-            [Fraction(dense[a][b]) for a in range(n) for b in range(a + 1, n)]
-        )
+        vectors.append([dense[a][b] for a in range(n) for b in range(a + 1, n)])
+    return naive_rank(vectors)
+
+
+def naive_rank(vectors):
+    """Rank over Q by dense rational row reduction."""
     rank = 0
-    cols = len(vectors[0])
     pivot_rows = []
     for vec in vectors:
-        vec = vec[:]
+        vec = [Fraction(v) for v in vec]
         for prow, pcol in pivot_rows:
             if vec[pcol]:
                 f = vec[pcol] / prow[pcol]
                 vec = [v - f * p for v, p in zip(vec, prow)]
-        lead = next((c for c in range(cols) if vec[c]), None)
+        lead = next((c for c, v in enumerate(vec) if v), None)
         if lead is not None:
             pivot_rows.append((vec, lead))
             rank += 1
     return rank
+
+
+def _skew_basis(n):
+    """E_ab - E_ba for a < b, dense."""
+    for a in range(n):
+        for b in range(a + 1, n):
+            x = [[0] * n for _ in range(n)]
+            x[a][b], x[b][a] = 1, -1
+            yield x
+
+
+def _flat_commutator(x, p):
+    xp, px = dense_mul(x, p), dense_mul(p, x)
+    return [u - v for ru, rv in zip(xp, px) for u, v in zip(ru, rv)]
+
+
+def _commutator_images(dense):
+    """For each basis matrix X of so(N), the flattened [X, P] over all P."""
+    return [
+        [v for p in dense for v in _flat_commutator(x, p)]
+        for x in _skew_basis(len(dense[0]))
+    ]
+
+
+def naive_commutant_dim(mats):
+    """dim {X skew: XP = PX for all P}: the nullity of X -> ([X, P])_P,
+    one image vector per basis matrix of so(N), ranked densely."""
+    images = _commutator_images([m.dense() for m in mats])
+    return len(images) - naive_rank(images)
+
+
+def naive_normalizer_dim(mats):
+    """Nullity of (X, c) -> ([X, P_a] - sum_b c_ab P_b)_a over skew X and
+    rational c, one image vector per unknown, ranked densely."""
+    dense = [m.dense() for m in mats]
+    n, count = len(dense[0]), len(dense)
+    images = _commutator_images(dense)
+    for a in range(count):
+        for q in dense:
+            image = [0] * (count * n * n)
+            image[a * n * n:(a + 1) * n * n] = [-v for row in q for v in row]
+            images.append(image)
+    return len(images) - naive_rank(images)
+
+
+def fraction_verify_pointwise(system, points):
+    """The sphere-field check in Fraction arithmetic: at each unit x, J_a x is
+    tangent to x and the J_a x are orthonormal; False at the first failure."""
+    def dot(u, v):
+        return sum(a * b for a, b in zip(u, v))
+
+    for x in points:
+        x = [Fraction(c) for c in x]
+        if len(x) != system.n:
+            raise ValueError("point dimension mismatch")
+        if dot(x, x) != 1:
+            raise ValueError("point is not a unit vector")
+        images = [j.apply_vector(x) for j in system.structures]
+        for a, ja in enumerate(images):
+            if dot(ja, x) != 0:
+                return False
+            for b in range(a, len(images)):
+                if dot(ja, images[b]) != (1 if a == b else 0):
+                    return False
+    return True

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from cliffsys.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from cliffsys import cli
+from cliffsys.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 
 from test_exactmat import ILL_FORMED_MATRIX_JSON
 
@@ -119,10 +120,58 @@ def test_usage_errors_exit_one(capsys):
     assert run_cli(["gen", "--m", "5", "--class", "minus"], capsys)[0] == EXIT_USAGE
 
 
-def test_internal_errors_exit_three(capsys):
-    code, _, err = run_cli(["verify", "--in", "/nonexistent/file.json"], capsys)
-    assert code == 3
-    assert "error" in err
+def _broken_handler(config):
+    raise RuntimeError("broken handler")
+
+
+# one row per documented exit path: argv ({tmp} is a directory holding
+# bad.json, which is not JSON, and corrupt.json, a system failing verify),
+# environment, a handler put in place of the subcommand's, expected code
+EXIT_PATHS = [
+    pytest.param(["octonion", "--table"], {}, None, EXIT_OK, id="ok"),
+    pytest.param(["verify", "--in", "{tmp}/bad.json"], {}, None, EXIT_USAGE,
+                 id="malformed-json"),
+    pytest.param(["verify", "--in", "{tmp}/missing.json"], {}, None, EXIT_USAGE,
+                 id="missing-file"),
+    pytest.param(["octonion", "--table"], {"CLIFFSYS_JOBS": "two"}, None, EXIT_USAGE,
+                 id="non-integer-jobs"),
+    pytest.param(["sphere-fields", "--n", "16", "--points", "-1"], {}, None, EXIT_USAGE,
+                 id="negative-points"),
+    pytest.param(["verify", "--in", "{tmp}/corrupt.json"], {}, None, EXIT_VERIFY,
+                 id="failed-verification"),
+    pytest.param(["octonion", "--table"], {}, _broken_handler, EXIT_INTERNAL,
+                 id="internal-error"),
+]
+
+
+@pytest.mark.parametrize("argv, env, handler, expected", EXIT_PATHS)
+def test_exit_codes(tmp_path, capsys, monkeypatch, argv, env, handler, expected):
+    (tmp_path / "bad.json").write_text("{bad")
+    main(["--out", str(tmp_path / "corrupt.json"), "gen", "--m", "4"])
+    data = json.loads((tmp_path / "corrupt.json").read_text())
+    data["generators"][1] = data["generators"][2]
+    (tmp_path / "corrupt.json").write_text(json.dumps(data))
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    if handler is not None:
+        monkeypatch.setitem(cli._HANDLERS, argv[0], handler)
+    code, out, err = run_cli([a.format(tmp=tmp_path) for a in argv], capsys)
+    assert code == expected, err
+    if expected in (EXIT_OK, EXIT_VERIFY):
+        assert out and err == ""
+    elif expected == EXIT_USAGE:
+        assert out == "" and err.startswith("usage error: ")
+    else:
+        assert out == ""
+        assert json.loads(err) == {"error": "RuntimeError: broken handler"}
+
+
+def test_sphere_fields_with_no_points(capsys):
+    code, out, _ = run_cli(["sphere-fields", "--n", "16", "--points", "0"], capsys)
+    assert code == EXIT_OK
+    assert json.loads(out)["verification"] == {
+        "algebraic": True, "pointwise": True, "points": 0,
+    }
 
 
 def test_liealg_report(capsys):

@@ -412,15 +412,15 @@ def test_form_from_json_accepts_canonical_input():
 
 
 @st.composite
-def forms(draw):
+def forms(draw, n=None, k=None, integral=False):
     """Forms on R^n, n up to 70 so that masks pass 64 bits, of any degree
-    with integer or rational coefficients; empty ones included."""
-    n = draw(st.integers(1, 70))
-    k = draw(st.integers(0, min(n, 6)))
-    coefficient = st.one_of(
-        st.integers(-(10**30), 10**30),
-        st.fractions(max_denominator=10**12),
-    )
+    with integer or rational coefficients; empty ones included.  `n` and
+    `k` fix the space, `integral` allows integer coefficients only."""
+    n = draw(st.integers(1, 70)) if n is None else n
+    k = draw(st.integers(0, min(n, 6))) if k is None else k
+    coefficient = st.integers(-(10**30), 10**30)
+    if not integral:
+        coefficient = st.one_of(coefficient, st.fractions(max_denominator=10**12))
     monomial = st.frozensets(st.integers(1, n), min_size=k, max_size=k)
     terms = draw(st.dictionaries(monomial, coefficient, max_size=12))
     return KForm(n, k, {sum(1 << (i - 1) for i in s): c for s, c in terms.items()})
@@ -445,6 +445,24 @@ def test_sorted_masks_are_in_lexicographic_order(a):
     assert _sorted_masks(masks, width) == by_tuple
     assert [idx for idx, _ in a.terms()] == [_indices_from_mask(m) for m in by_tuple]
     assert [c for _, c in a.terms()] == [a._terms[m] for m in by_tuple]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_linear_structure_is_clean(data):
+    integral = data.draw(st.booleans())
+    a = data.draw(forms(integral=integral))
+    b = data.draw(st.one_of(forms(a.n, a.k, integral), st.just(-a), st.just(a)))
+    c = data.draw(st.one_of(
+        st.integers(-(10**6), 10**6), st.fractions(max_denominator=10**6),
+    ))
+    for form in (a + b, a - b, a.scale(c), c * a, -a):
+        assert_clean(form)
+    as_fractions = {m: Fraction(v) for m, v in b._terms.items()}
+    assert a == KForm(a.n, a.k, dict(a._terms)) == (a + b) - b
+    assert (a == b) == ({m: Fraction(v) for m, v in a._terms.items()} == as_fractions)
+    assert b == KForm(b.n, b.k, as_fractions)
+    assert a.scale(c) == KForm(a.n, a.k, {m: v * c for m, v in a._terms.items()})
 
 
 def test_scalar_arithmetic_and_content():

@@ -1,5 +1,8 @@
 import random
 
+from hypothesis import given, settings, strategies as st
+
+from cliffsys import liealg
 from cliffsys.clifford import build, commutant_dim, normalizer_dim
 from cliffsys.exactmat import SignedPermMatrix
 from cliffsys.liealg import (
@@ -9,7 +12,7 @@ from cliffsys.liealg import (
     triple_span_decomposition,
 )
 
-from oracles import naive_span_dim
+from oracles import naive_commutant_dim, naive_normalizer_dim, naive_span_dim
 
 
 def skew_part_family(rng, n, count):
@@ -112,3 +115,27 @@ def test_normalizer_dims():
     assert normalizer_dim(build(4)) == 13
     assert normalizer_dim(build(5)) == 18
     assert normalizer_dim(build(8)) == 36
+
+
+@st.composite
+def signed_perm_families(draw):
+    """1-3 signed permutation matrices of one order 2..6, of no particular
+    symmetry; now and then one repeated, negated or not."""
+    n = draw(st.integers(2, 6))
+    matrix = st.builds(
+        lambda perm, signs: SignedPermMatrix(n, tuple(perm), tuple(signs)),
+        st.permutations(range(n)),
+        st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n),
+    )
+    family = draw(st.lists(matrix, min_size=1, max_size=3))
+    if draw(st.booleans()):
+        p = draw(st.sampled_from(family))
+        family.append(p if draw(st.booleans()) else -p)
+    return family
+
+
+@settings(max_examples=150, deadline=None)
+@given(signed_perm_families())
+def test_stabilizer_dims_match_dense_oracle(family):
+    assert liealg.commutant_dim(family) == naive_commutant_dim(family)
+    assert liealg.normalizer_dim(family) == naive_normalizer_dim(family)

@@ -1,7 +1,11 @@
+import hashlib
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cliffsys.cli import main
 from cliffsys.clifford import delta
 from cliffsys.exactmat import SignedPermMatrix, block_diag
 from cliffsys.spheres import (
@@ -11,6 +15,8 @@ from cliffsys.spheres import (
     random_unit_points,
     verify_pointwise,
 )
+
+from oracles import fraction_verify_pointwise
 
 
 def test_hurwitz_radon_values():
@@ -99,3 +105,95 @@ def test_pointwise_on_25_random_points_all_orders():
     for n in (16, 32, 64, 128, 48, 96, 160):
         system = max_vector_fields(n)
         assert verify_pointwise(system, random_unit_points(n, 25, seed=n))
+
+
+_fields = lru_cache(maxsize=None)(max_vector_fields)
+
+
+@st.composite
+def field_systems(draw):
+    """max_vector_fields(n) for n in {2, 4, 16, 48}, as built or corrupted by
+    repeating one J or flipping one sign of one J."""
+    n = draw(st.sampled_from((2, 4, 16, 48)))
+    system = _fields(n)
+    js = list(system.structures)
+    kind = draw(st.sampled_from(("built", "repeated", "flipped")))
+    if kind == "repeated" and len(js) > 1:
+        a, b = draw(st.lists(st.integers(0, len(js) - 1), min_size=2, max_size=2, unique=True))
+        js[b] = js[a]
+    elif kind != "built":
+        a, col = draw(st.integers(0, len(js) - 1)), draw(st.integers(0, n - 1))
+        signs = list(js[a].signs)
+        signs[col] = -signs[col]
+        js[a] = SignedPermMatrix(n, js[a].perm, tuple(signs))
+    return VectorFieldSystem(n, system.sigma, tuple(js))
+
+
+def _written(c: Fraction, form: str):
+    if form == "int":
+        return c.numerator if c.denominator == 1 else c
+    return f"{c.numerator}/{c.denominator}" if form == "str" else c
+
+
+@st.composite
+def points(draw, n):
+    """A rational unit point on S^{n-1} by inverse stereographic projection,
+    its coordinates written as int, Fraction or "p/q"; now and then made
+    non-unit or one coordinate short."""
+    t = [Fraction(0)] * (n - 1)
+    nonzero = st.fractions(-9, 9, max_denominator=9)
+    for i, c in draw(st.dictionaries(st.integers(0, n - 2), nonzero, max_size=6)).items():
+        t[i] = c
+    norm2 = sum(c * c for c in t)
+    x = [2 * c / (1 + norm2) for c in t]
+    x.insert(draw(st.integers(0, n - 1)), (1 - norm2) / (1 + norm2))
+    defect = draw(st.sampled_from(("unit",) * 8 + ("non-unit", "short")))
+    if defect == "non-unit":
+        x = [2 * c for c in x]
+    elif defect == "short":
+        x = x[1:]
+    rng = draw(st.randoms(use_true_random=False))
+    return [_written(c, rng.choice(("int", "fraction", "str"))) for c in x]
+
+
+def _outcome(check, system, pts):
+    try:
+        return check(system, pts)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_pointwise_matches_fraction_oracle(data):
+    system = data.draw(field_systems())
+    pts = data.draw(st.lists(points(system.n), max_size=4))
+    assert _outcome(verify_pointwise, system, pts) == _outcome(fraction_verify_pointwise, system, pts)
+
+
+def test_pointwise_errors_and_first_failure_match_oracle():
+    good = max_vector_fields(16)
+    corrupted = VectorFieldSystem(16, good.sigma, (good.structures[0],) * 2 + good.structures[2:])
+    unit = random_unit_points(16, 1, seed=3)[0]
+    non_unit = [2 * c for c in unit]
+    for system, pts, expected in [
+        (good, [unit, non_unit], "ValueError: point is not a unit vector"),
+        (good, [unit, unit[1:]], "ValueError: point dimension mismatch"),
+        (good, [[1] + ["0"] * 14 + [Fraction(0)], unit], True),
+        (corrupted, [unit, non_unit], False),
+        (corrupted, [non_unit, unit], "ValueError: point is not a unit vector"),
+        (corrupted, [unit[1:], unit], "ValueError: point dimension mismatch"),
+    ]:
+        assert _outcome(verify_pointwise, system, pts) == expected
+        assert _outcome(fraction_verify_pointwise, system, pts) == expected
+
+
+@pytest.mark.parametrize("n, digest", [
+    (128, "065c71d4338f70855fd30e2c3d17635e06fbd1cfaa95a08cb5e9526b872a215f"),
+    (96, "7363667328ef7c35f1f5f39ce4a270391dfd18db2654cffb9f664c71b36b78e7"),
+])
+def test_sphere_fields_output_is_unchanged(capsys, n, digest):
+    """sha256 of `cliffsys sphere-fields --n N` as the Fraction-arithmetic
+    check printed it."""
+    assert main(["sphere-fields", "--n", str(n)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
