@@ -20,18 +20,22 @@ from .clifford import (
     build,
     class_trace,
     classify_essential,
-    commutant_dim,
     delta,
     from_representation,
-    normalizer_dim,
     tilde,
     to_representation,
     verify,
 )
 from .evencliff import build_e10, involution_span_obstruction, tau4_psi_d
-from .exactmat import RationalMatrix, SignedPermMatrix
+from .exactmat import SignedPermMatrix
 from .forms import KForm, canonical_form, hodge_star, kaehler_matrix, lie_action, psi_matrix, tau, wedge
-from .liealg import MatrixSpan, triple_span_decomposition
+from .liealg import (
+    MatrixSpan,
+    _SparseEchelon,
+    commutant_dim,
+    normalizer_dim,
+    triple_span_decomposition,
+)
 from .spheres import hurwitz_radon, max_vector_fields, random_unit_points, verify_pointwise
 
 PASS = "PASS"
@@ -165,24 +169,18 @@ def check_spin7_restriction() -> str:
 
 
 def _so8_stabilizer_dim(phi: KForm) -> int:
-    from .liealg import _SparseEchelon
-
+    """Dimension of the stabilizer in so(8) of a form on R^8.  The 28 skew
+    signed permutations E_i and E_i E_j of the representation of C_8 act on
+    phi; their span is all of so(8), which their rank certifies."""
+    e = to_representation(build(8)).matrices
+    basis = list(e) + [e[i].mul(e[j]) for i in range(len(e)) for j in range(i + 1, len(e))]
+    assert MatrixSpan(basis).rank == 28, "E_i, E_i E_j do not span so(8)"
     ech = _SparseEchelon()
     mono_index: dict[int, int] = {}
-    rank = 0
-    for a in range(8):
-        for b in range(a + 1, 8):
-            rows = [[0] * 8 for _ in range(8)]
-            rows[b][a] = 1
-            rows[a][b] = -1
-            act = lie_action(RationalMatrix.from_rows(rows), phi)
-            vec = {}
-            for mask, c in act.mask_items():
-                idx = mono_index.setdefault(mask, len(mono_index))
-                vec[idx] = int(c)
-            if ech.insert(vec):
-                rank += 1
-    return 28 - rank
+    for x in basis:
+        act = lie_action(x, phi).mask_items()
+        ech.insert({mono_index.setdefault(mask, len(mono_index)): int(c) for mask, c in act})
+    return 28 - ech.rank
 
 
 def check_lie_dims() -> str:
@@ -217,7 +215,7 @@ def check_stabilizers() -> str:
     assert commutant_dim(build(3).generators) == 3, "commutant C3"
     assert commutant_dim(build(8).generators) == 0, "commutant C8"
     for m, want in [(2, 4), (3, 9), (4, 13), (5, 18), (8, 36)]:
-        got = normalizer_dim(build(m))
+        got = normalizer_dim(build(m).generators)
         assert got == want, f"normalizer C{m}: {got} != {want}"
     return "commutant dims (1, 3, 0); normalizer dims (4, 9, 13, 18, 36)"
 

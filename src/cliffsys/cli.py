@@ -17,8 +17,6 @@ from . import acceptance
 from .clifford import (
     build,
     classify_essential,
-    commutant_dim,
-    normalizer_dim,
     system_from_json,
     system_to_json,
     tilde,
@@ -29,7 +27,7 @@ from .algebras import algebra_table, left_mult, right_mult
 from .evencliff import classify as classify_rank, psi_d, tau4_psi_d
 from .exactmat import matrix_to_json
 from .forms import canonical_form, form_to_json, form_to_json_text, form_to_text, psi_matrix, tau
-from .liealg import MatrixSpan, triple_span_decomposition
+from .liealg import MatrixSpan, commutant_dim, normalizer_dim, triple_span_decomposition
 from .spheres import hurwitz_radon, max_vector_fields, random_unit_points, verify_pointwise
 
 EXIT_OK = 0
@@ -263,7 +261,7 @@ def _cmd_liealg(config: RunConfig) -> int:
         elif token == "commutant":
             report["commutantDim"] = commutant_dim(system.generators)
         elif token == "normalizer":
-            report["normalizerDim"] = normalizer_dim(system)
+            report["normalizerDim"] = normalizer_dim(system.generators)
         elif token == "decomposition":
             d36, d84, orth, total = triple_span_decomposition()
             report["decomposition"] = {

@@ -19,7 +19,10 @@ from .exactmat import (
     SignedPermMatrix,
     antidiag,
     block2,
+    block_diag,
     diag_split,
+    matrix_from_json,
+    matrix_to_json,
     swap,
 )
 
@@ -176,7 +179,6 @@ def _order128_extras() -> tuple[SignedPermMatrix, ...]:
     and carry an imaginary unit of the (quaternionic) commutant of those
     compositions in each off-diagonal slot.
     """
-    from .exactmat import block_diag
 
     def cross(x: SignedPermMatrix) -> SignedPermMatrix:  # sigma_1 (x) X
         return block2(None, x, x, None)
@@ -331,23 +333,7 @@ def classify_essential(m: int) -> str:
     return UNDETERMINED
 
 
-def commutant_dim(matrices) -> int:
-    """dim {X in so(N): X P = P X for every P}."""
-    from .liealg import commutant_dim as _impl
-
-    return _impl(matrices)
-
-
-def normalizer_dim(system: CliffordSystem) -> int:
-    """dim {X in so(N): [X, P_a] lies in span(P_0..P_m) for every a}."""
-    from .liealg import normalizer_dim as _impl
-
-    return _impl(system.generators)
-
-
 def system_to_json(system: CliffordSystem) -> dict:
-    from .exactmat import matrix_to_json
-
     return {
         "m": system.m,
         "n": system.n,
@@ -358,8 +344,16 @@ def system_to_json(system: CliffordSystem) -> dict:
 
 
 def system_from_json(data: dict) -> CliffordSystem:
-    from .exactmat import matrix_from_json
-
-    gens = tuple(matrix_from_json(g) for g in data["generators"])
-    tag = data.get("class", NOT_APPLICABLE)
-    return CliffordSystem(data["m"], data["n"], gens, tag)
+    """Inverse of `system_to_json`; raises ValueError unless `data` is a dict
+    with int "m" and "n" (not bools), a list of matrices "generators" that
+    `matrix_from_json` accepts, and an optional class tag."""
+    try:
+        m, n, generators = data["m"], data["n"], data["generators"]
+    except (KeyError, TypeError):
+        raise ValueError('system JSON needs "m", "n" and "generators"') from None
+    if type(m) is not int or type(n) is not int:
+        raise ValueError("system JSON m and n must be ints")
+    if type(generators) is not list:
+        raise ValueError("system JSON generators must be a list")
+    gens = tuple(matrix_from_json(g) for g in generators)
+    return CliffordSystem(m, n, gens, data.get("class", NOT_APPLICABLE))

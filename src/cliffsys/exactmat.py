@@ -3,7 +3,7 @@
 Every generator handled by the package has exactly one nonzero entry, equal
 to +-1, in each row and column.  Such matrices are closed under products,
 so compositions stay O(n) and exact up to order 256.  Dense rational
-matrices are kept around only as a workspace for linear solving.
+matrices only hold the Spin(9) involutions at rational points of the sphere.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here can be shared freely across threads.
@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 SYMMETRIC_INVOLUTION = "symmetric-involution"
 SKEW_COMPLEX_STRUCTURE = "skew-complex-structure"
@@ -247,34 +246,31 @@ def antidiag(a: SignedPermMatrix) -> SignedPermMatrix:
 # -- JSON wire format ---------------------------------------------------------
 
 
-def matrix_to_json(m: "SignedPermMatrix | RationalMatrix") -> dict:
+def matrix_to_json(m: SignedPermMatrix) -> dict:
     """{"n": N, "entries": [[row, col, value], ...]} with 1-based indices."""
-    entries: list[list] = []
-    if isinstance(m, SignedPermMatrix):
-        for r, c, v in m.entries():
-            entries.append([r + 1, c + 1, v])
-    else:
-        for r in range(m.nrows):
-            for c in range(m.ncols):
-                v = m.rows[r][c]
-                if v:
-                    entries.append([r + 1, c + 1, _scalar_to_json(v)])
-    entries.sort(key=lambda e: (e[0], e[1]))
-    return {"n": m.n if isinstance(m, SignedPermMatrix) else m.nrows, "entries": entries}
+    return {"n": m.n, "entries": [[r + 1, c + 1, v] for r, c, v in m.entries()]}
 
 
 def matrix_from_json(data: dict) -> SignedPermMatrix:
     """Inverse of `matrix_to_json`; raises ValueError on anything that is not
-    exactly n entries [row, col, +-1] with integer indices in 1..n."""
-    n = data["n"]
+    a dict whose "entries" list holds exactly n entries [row, col, +-1], with
+    int indices in 1..n and "n" an int >= 1 (not a bool)."""
+    try:
+        n, entries = data["n"], data["entries"]
+    except (KeyError, TypeError):
+        raise ValueError('signed-perm JSON needs "n" and "entries"') from None
     if type(n) is not int or n < 1:
         raise ValueError("signed-perm JSON order must be a positive integer")
-    entries = data["entries"]
+    if type(entries) is not list:
+        raise ValueError("signed-perm JSON entries must be a list")
     if len(entries) != n:
         raise ValueError(f"signed-perm JSON needs exactly {n} entries, got {len(entries)}")
     perm = [-1] * n
     signs = [0] * n
-    for row, col, value in entries:
+    for entry in entries:
+        if type(entry) is not list or len(entry) != 3:
+            raise ValueError(f"signed-perm JSON entry {entry!r} is not [row, col, value]")
+        row, col, value = entry
         for index in (row, col):
             if type(index) is not int or not 1 <= index <= n:
                 raise ValueError(f"signed-perm JSON index {index!r} outside 1..{n}")
@@ -285,13 +281,6 @@ def matrix_from_json(data: dict) -> SignedPermMatrix:
         perm[col - 1] = row - 1
         signs[col - 1] = value
     return SignedPermMatrix(n, tuple(perm), tuple(signs))
-
-
-def _scalar_to_json(v: Fraction | int):
-    v = Fraction(v)
-    if v.denominator == 1:
-        return int(v)
-    return f"{v.numerator}/{v.denominator}"
 
 
 # -- dense rational matrices --------------------------------------------------
@@ -321,10 +310,6 @@ class RationalMatrix:
             [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
         )
 
-    @staticmethod
-    def zero(nrows: int, ncols: int) -> "RationalMatrix":
-        return RationalMatrix([[Fraction(0)] * ncols for _ in range(nrows)])
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RationalMatrix)
@@ -332,29 +317,6 @@ class RationalMatrix:
             and self.ncols == other.ncols
             and self.rows == other.rows
         )
-
-    def __neg__(self) -> "RationalMatrix":
-        return RationalMatrix([[-v for v in row] for row in self.rows])
-
-    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._need_shape(other)
-        return RationalMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
-
-    def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._need_shape(other)
-        return RationalMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
-
-    def _need_shape(self, other: "RationalMatrix"):
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise ValueError("shape mismatch")
-
-    def scale(self, c) -> "RationalMatrix":
-        c = Fraction(c)
-        return RationalMatrix([[c * v for v in row] for row in self.rows])
 
     def mul(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.ncols != other.nrows:
@@ -369,69 +331,9 @@ class RationalMatrix:
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix([list(col) for col in zip(*self.rows)])
 
-    def trace(self) -> Fraction:
-        if self.nrows != self.ncols:
-            raise ValueError("trace needs a square matrix")
-        return sum(self.rows[i][i] for i in range(self.nrows))
-
     def is_symmetric(self) -> bool:
         return self.nrows == self.ncols and all(
             self.rows[i][j] == self.rows[j][i]
             for i in range(self.nrows)
             for j in range(i + 1, self.ncols)
         )
-
-    def apply_vector(self, vec: Sequence[Fraction]) -> list[Fraction]:
-        if len(vec) != self.ncols:
-            raise ValueError("vector length mismatch")
-        return [sum(a * b for a, b in zip(row, vec)) for row in self.rows]
-
-    def rank(self) -> int:
-        return integer_rank(self._integer_rows())
-
-    def _integer_rows(self) -> list[list[int]]:
-        out = []
-        for row in self.rows:
-            lcm = 1
-            for v in row:
-                d = Fraction(v).denominator
-                lcm = lcm * d // gcd(lcm, d)
-            out.append([int(v * lcm) for v in row])
-        return out
-
-
-def integer_rank(rows: Iterable[Sequence[int]]) -> int:
-    """Rank over Q by fraction-free (Bareiss) elimination on integer rows.
-
-    Pivot choice: largest |entry| in the pivot column, lowest row index on
-    ties, which keeps the elimination deterministic.
-    """
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    col = 0
-    while rank < nrows and col < ncols:
-        best = -1
-        best_abs = 0
-        for i in range(rank, nrows):
-            v = abs(m[i][col])
-            if v > best_abs:
-                best, best_abs = i, v
-        if best_abs == 0:
-            col += 1
-            continue
-        if best != rank:
-            m[rank], m[best] = m[best], m[rank]
-        piv = m[rank][col]
-        for i in range(rank + 1, nrows):
-            row_i, row_p = m[i], m[rank]
-            f = row_i[col]
-            for j in range(col, ncols):
-                row_i[j] = (row_i[j] * piv - f * row_p[j]) // prev
-        prev = piv
-        rank += 1
-        col += 1
-    return rank

@@ -18,7 +18,7 @@ from operator import getitem, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import kernel
-from .exactmat import RationalMatrix, SignedPermMatrix, SKEW_COMPLEX_STRUCTURE
+from .exactmat import SignedPermMatrix, SKEW_COMPLEX_STRUCTURE, block_diag
 
 
 def _norm_coeff(c):
@@ -352,10 +352,6 @@ def _pfaffian_terms(psi: FormMatrix, rows: tuple[int, ...]) -> KForm:
     return total
 
 
-def _minor_det(psi: FormMatrix, rows: tuple[int, ...]) -> KForm:
-    return _pfaffian_terms(psi, rows).wedge_square()
-
-
 def tau(psi: FormMatrix, k: int, jobs: int = 1) -> KForm:
     """Sum of the k x k principal minors of a skew matrix of 2-forms.
 
@@ -419,49 +415,16 @@ def _tau_parallel(psi: FormMatrix, k: int, subsets, jobs: int) -> KForm:
     return _kernel_form(psi.n, 2 * k, [(m, c) for m, c in acc.items() if c], _psi_ints(psi))
 
 
-def lie_action(x, a: KForm) -> KForm:
+def lie_action(x: SignedPermMatrix, a: KForm) -> KForm:
     """Natural action of a skew matrix on a k-form:
     (rho(X)a)(v_1, ..., v_k) = -sum_i a(v_1, ..., X v_i, ..., v_k)."""
-    if isinstance(x, SignedPermMatrix):
-        if x.n != a.n:
-            raise ValueError("shape mismatch")
-        inv = x.transpose()  # letter i is sent to inv.perm[i] with sign inv.signs[i]
-        pairs = kernel.signed_perm_action(
-            a.mask_items(), inv.perm, inv.signs, a._ints
-        )
-        return _kernel_form(a.n, a.k, pairs, a._ints)
-    if isinstance(x, RationalMatrix):
-        if x.nrows != x.ncols or x.nrows != a.n:
-            raise ValueError("shape mismatch")
-        acc = {}
-        for mask, c in a._terms.items():
-            m = mask
-            while m:
-                low = m & -m
-                m ^= low
-                i = low.bit_length() - 1
-                for j in range(a.n):
-                    v = x.rows[i][j]
-                    if v:
-                        _sub_letter(acc, mask, c, i, j, -v)
-        return KForm(a.n, a.k, acc)
-    raise TypeError("x must be a SignedPermMatrix or RationalMatrix")
-
-
-def _sub_letter(acc: dict, mask: int, coeff, i: int, j: int, factor):
-    """Accumulate coeff * factor * (monomial with letter i replaced by j)."""
-    if j == i:
-        acc[mask] = acc.get(mask, 0) + coeff * factor
-        return
-    without = mask ^ (1 << i)
-    if without & (1 << j):
-        return
-    lo, hi = (i, j) if i < j else (j, i)
-    between = ((1 << hi) - 1) ^ ((1 << (lo + 1)) - 1)
-    if (without & between).bit_count() & 1:
-        factor = -factor
-    new = without | (1 << j)
-    acc[new] = acc.get(new, 0) + coeff * factor
+    if not isinstance(x, SignedPermMatrix):
+        raise TypeError("x must be a SignedPermMatrix")
+    if x.n != a.n:
+        raise ValueError("shape mismatch")
+    inv = x.transpose()  # letter i is sent to inv.perm[i] with sign inv.signs[i]
+    pairs = kernel.signed_perm_action(a.mask_items(), inv.perm, inv.signs, a._ints)
+    return _kernel_form(a.n, a.k, pairs, a._ints)
 
 
 @lru_cache(maxsize=None)
@@ -476,7 +439,6 @@ def canonical_form(name: str) -> KForm:
     restriction to either R^8 summand is integral with unit coefficients.
     """
     from .algebras import left_mult
-    from .exactmat import block_diag
 
     if name == "OmegaL":
         total = KForm.zero(8, 4)

@@ -24,21 +24,9 @@ def _upper_index(n: int):
     return idx, t
 
 
-def _vectorize_skew(mat: SignedPermMatrix | Sequence[Sequence[int]], n: int, idx) -> dict[int, int]:
-    """Strict-upper-triangle vector of a skew matrix, as a sparse dict."""
-    vec: dict[int, int] = {}
-    if isinstance(mat, SignedPermMatrix):
-        for col in range(n):
-            t, s = mat.apply(col)
-            if t < col:
-                vec[idx[(t, col)]] = vec.get(idx[(t, col)], 0) + s
-    else:
-        for a in range(n):
-            for b in range(a + 1, n):
-                v = mat[a][b]
-                if v:
-                    vec[idx[(a, b)]] = v
-    return {k: v for k, v in vec.items() if v}
+def _vectorize_skew(mat: SignedPermMatrix, idx) -> dict[int, int]:
+    """Strict-upper-triangle vector of a signed permutation, as a sparse dict."""
+    return {idx[(t, col)]: s for col, (t, s) in enumerate(zip(mat.perm, mat.signs)) if t < col}
 
 
 class _SparseEchelon:
@@ -97,37 +85,29 @@ class MatrixSpan:
         self._idx, self._dim = _upper_index(self.n)
         self._ech = _SparseEchelon()
         for g in generators:
-            self._ech.insert(_vectorize_skew(g, self.n, self._idx))
+            self._ech.insert(_vectorize_skew(g, self._idx))
 
     @property
     def rank(self) -> int:
         return self._ech.rank
 
-    def contains(self, mat) -> bool:
-        vec = _vectorize_skew(mat, self.n, self._idx)
-        return not self._ech.reduce(vec)
+    def contains(self, mat: SignedPermMatrix) -> bool:
+        return not self._ech.reduce(_vectorize_skew(mat, self._idx))
 
     def bracket_closed(self) -> bool:
-        """True iff [A, B] stays in the span for every generator pair."""
+        """True iff [A, B] stays in the span for every generator pair.
+
+        [A, B] of skew A, B is skew, so its strict upper triangle, read from
+        the signed products AB and BA, determines it."""
         gens = self.generators
         for i in range(len(gens)):
             for j in range(i + 1, len(gens)):
-                if not self.contains(_bracket_dense(gens[i], gens[j])):
+                vec = _vectorize_skew(gens[i].mul(gens[j]), self._idx)
+                for k, v in _vectorize_skew(gens[j].mul(gens[i]), self._idx).items():
+                    vec[k] = vec.get(k, 0) - v
+                if self._ech.reduce(vec):
                     return False
         return True
-
-
-def _bracket_dense(a: SignedPermMatrix, b: SignedPermMatrix) -> list[list[int]]:
-    ab = a.mul(b)
-    ba = b.mul(a)
-    n = a.n
-    rows = [[0] * n for _ in range(n)]
-    for col in range(n):
-        t, s = ab.apply(col)
-        rows[t][col] += s
-        t, s = ba.apply(col)
-        rows[t][col] -= s
-    return rows
 
 
 def span_dim(matrices: Sequence[SignedPermMatrix]) -> int:

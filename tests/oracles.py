@@ -1,8 +1,9 @@
 """Independent brute-force oracles the tests check the library against.
 
 Everything here is deliberately naive: dense integer matrix products,
-permutation-sign wedge products, determinants expanded over permutations,
-rational Gaussian elimination, and sphere-field checks in Fractions.
+permutation-sign wedge products, the derivation action letter by letter,
+determinants expanded over permutations, rational Gaussian elimination,
+and sphere-field checks in Fractions.
 """
 
 from fractions import Fraction
@@ -52,6 +53,31 @@ def brute_wedge_forms(a: KForm, b: KForm) -> KForm:
             idx, sign = hit
             acc[idx] = acc.get(idx, 0) + sign * ca * cb
     return KForm.from_terms(a.n, a.k + b.k, acc.items())
+
+
+def naive_lie_action(dense_rows, form):
+    """The action of the dense matrix X on `form`, from its definition
+    (rho(X)a)(v_1, ..., v_k) = -sum_p a(v_1, ..., X v_p, ..., v_k): in each
+    monomial, index i_p becomes sum_j X[i_p][j] e^j, one position at a time,
+    and the resorted tuple takes the sign of its bubble-sort swaps."""
+    acc = {}
+    for idx, c in form.terms():
+        for p, i in enumerate(idx):
+            for j, x in enumerate(dense_rows[i - 1], start=1):
+                hit = brute_wedge(idx[:p] + (j,) + idx[p + 1:], (), form.n) if x else None
+                if hit is not None:
+                    new, sign = hit
+                    acc[new] = acc.get(new, 0) - sign * x * c
+    return KForm.from_terms(form.n, form.k, acc.items())
+
+
+def naive_stabilizer_dim(form):
+    """dim {X in so(n): rho(X) form = 0}, with X over the dense basis
+    E_ab - E_ba, the action by `naive_lie_action` and a dense rank."""
+    images = [naive_lie_action(x, form) for x in _skew_basis(form.n)]
+    monomials = sorted({idx for act in images for idx, _ in act.terms()})
+    vectors = [[act.coefficient(idx) for idx in monomials] for act in images]
+    return len(images) - naive_rank(vectors)
 
 
 def perm_expansion_det(psi, rows):

@@ -7,9 +7,15 @@ stated and is a strict expected failure; its analysis is asserted by
 criterion 3e and the golden tests.
 """
 
+import random
+from itertools import combinations
+
 import pytest
 
 from cliffsys import acceptance
+from cliffsys.forms import KForm, canonical_form
+
+from oracles import naive_stabilizer_dim
 
 
 def _check(fn, name):
@@ -60,6 +66,19 @@ def test_criterion_4_spin9_invariants():
 
 def test_criterion_4b_spin7_restriction():
     _check(acceptance.check_spin7_restriction, "criterion 4b Spin(7) restriction")
+
+
+def test_so8_stabilizer_matches_dense_oracle():
+    spin7 = canonical_form("Spin7Delta").restrict(range(1, 9))
+    volume = KForm.monomial(8, range(1, 9))
+    assert acceptance._so8_stabilizer_dim(spin7) == naive_stabilizer_dim(spin7) == 21
+    assert acceptance._so8_stabilizer_dim(volume) == naive_stabilizer_dim(volume) == 28
+    rng = random.Random(8)
+    quadruples = list(combinations(range(1, 9), 4))
+    for count in (1, 2, 3, 5, 8, 14, 30, 70):
+        terms = [(idx, rng.choice((-3, -2, -1, 1, 2, 3))) for idx in rng.sample(quadruples, count)]
+        phi = KForm.from_terms(8, 4, terms)
+        assert acceptance._so8_stabilizer_dim(phi) == naive_stabilizer_dim(phi)
 
 
 def test_criterion_5_lie_algebra_dimensions():

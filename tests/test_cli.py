@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import cliffsys
 from cliffsys import cli
 from cliffsys.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 
@@ -66,6 +67,35 @@ def test_verify_rejects_ill_formed_system(tmp_path, capsys, bad):
     path.write_text(json.dumps(data))
     code, out, err = run_cli(["verify", "--in", str(path)], capsys)
     assert code == EXIT_VERIFY
+    assert out == ""
+    assert "ill-formed system" in err
+
+
+C1_GENERATORS = [
+    {"n": 2, "entries": [[1, 2, 1], [2, 1, 1]]},
+    {"n": 2, "entries": [[1, 1, 1], [2, 2, -1]]},
+]
+
+
+@pytest.mark.parametrize("data", [
+    pytest.param([], id="list"),
+    pytest.param({}, id="empty-dict"),
+    pytest.param("C1", id="string"),
+    pytest.param(None, id="null"),
+    pytest.param({"m": "x", "generators": []}, id="string-m"),
+    pytest.param({"m": 1, "generators": [{"n": 2}]}, id="missing-n"),
+    pytest.param({"m": 1, "generators": 5}, id="int-generators"),
+    pytest.param({"m": 1, "n": 2}, id="missing-generators"),
+    pytest.param({"n": 2, "generators": C1_GENERATORS}, id="missing-m"),
+    pytest.param({"m": True, "n": 2, "generators": C1_GENERATORS}, id="bool-m"),
+    pytest.param({"m": 1, "n": 2.0, "generators": C1_GENERATORS}, id="float-n"),
+    pytest.param({"m": 1, "n": 2, "generators": {"0": C1_GENERATORS[0]}}, id="dict-generators"),
+])
+def test_verify_rejects_ill_shaped_system_file(tmp_path, capsys, data):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(["verify", "--in", str(path)], capsys)
+    assert code == EXIT_VERIFY, err
     assert out == ""
     assert "ill-formed system" in err
 
@@ -297,3 +327,28 @@ def test_installed_entry_point(tmp_path):
     )
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["verdict"] == "Essential"
+
+
+def test_traced_benchmark_run_matches_untraced(tmp_path):
+    """`perfbench/child.py` with PERFBENCH_TRACE set installs the span tracer,
+    which reaches package internals by name; a traced run must still work
+    and print the same bytes.  Also every public name must resolve."""
+    repo = Path(__file__).resolve().parents[1]
+    argv = [sys.executable, str(repo / "perfbench" / "child.py"), "cli", "liealg",
+            "--system", "C4", "--check", "span,bracket,commutant,normalizer"]
+    env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+    env.pop("PERFBENCH_TRACE", None)
+    env.pop("PERFBENCH_RSS", None)
+    plain = subprocess.run(argv, capture_output=True, text=True, env=env)
+    trace = tmp_path / "trace.json"
+    traced = subprocess.run(argv, capture_output=True, text=True,
+                            env=dict(env, PERFBENCH_TRACE=str(trace)))
+    assert plain.returncode == traced.returncode == 0, plain.stderr + traced.stderr
+    assert traced.stdout == plain.stdout
+    assert json.loads(plain.stdout)["spanDim"] == 10
+    layers = {name for span in json.loads(trace.read_text())["spans"]
+              for name in span["path"].split("/")}
+    assert {"liealg.span", "liealg.echelon"} <= layers
+    namespace = {}
+    exec("from cliffsys import *", namespace)
+    assert set(cliffsys.__all__) <= namespace.keys()

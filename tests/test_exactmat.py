@@ -12,7 +12,6 @@ from cliffsys.exactmat import (
     block2,
     block_diag,
     diag_split,
-    integer_rank,
     matrix_from_json,
     matrix_to_json,
     swap,
@@ -167,6 +166,17 @@ ILL_FORMED_MATRIX_JSON = [
     pytest.param({"n": 2, "entries": [["2", 1, 1], [1, 2, 1]]}, id="string-row"),
     pytest.param({"n": 2, "entries": [[1, 1, 1]]}, id="too-few-entries"),
     pytest.param({"n": 2, "entries": [[1, 1, 1], [2, 2, 1], [2, 2, 1]]}, id="too-many-entries"),
+    pytest.param([[1, 1, 1], [2, 2, 1]], id="list-not-dict"),
+    pytest.param(2, id="int-not-dict"),
+    pytest.param({"entries": [[1, 1, 1], [2, 2, 1]]}, id="missing-n"),
+    pytest.param({"n": 2}, id="missing-entries"),
+    pytest.param({"n": "2", "entries": [[1, 1, 1], [2, 2, 1]]}, id="string-n"),
+    pytest.param({"n": True, "entries": [[1, 1, 1]]}, id="bool-n"),
+    pytest.param({"n": 2, "entries": 7}, id="int-entries"),
+    pytest.param({"n": 2, "entries": {"1": [1, 1, 1], "2": [2, 2, 1]}}, id="dict-entries"),
+    pytest.param({"n": 2, "entries": [[1, 1], [2, 2]]}, id="two-element-entry"),
+    pytest.param({"n": 2, "entries": [[1, 1, 1, 1], [2, 2, 1]]}, id="four-element-entry"),
+    pytest.param({"n": 2, "entries": [7, [2, 2, 1]]}, id="int-entry"),
 ]
 
 
@@ -181,33 +191,6 @@ def test_rational_matrix_basics():
     b = RationalMatrix.from_rows([[0, 1], [1, 0]])
     assert a.mul(b).rows == RationalMatrix.from_rows([[2, 1], [4, 3]]).rows
     assert a.transpose().rows == RationalMatrix.from_rows([[1, 3], [2, 4]]).rows
-    assert (a - a).rank() == 0
-    assert a.rank() == 2
-    assert RationalMatrix.from_rows([[1, 2], [2, 4]]).rank() == 1
-
-
-def test_integer_rank_matches_naive_elimination():
-    rng = random.Random(17)
-    from fractions import Fraction
-
-    for _ in range(100):
-        rows = rng.randint(1, 8)
-        cols = rng.randint(1, 8)
-        m = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
-        # naive rational elimination
-        work = [[Fraction(v) for v in row] for row in m]
-        rank = 0
-        for c in range(cols):
-            piv = next((r for r in range(rank, rows) if work[r][c]), None)
-            if piv is None:
-                continue
-            work[rank], work[piv] = work[piv], work[rank]
-            for r in range(rank + 1, rows):
-                if work[r][c]:
-                    f = work[r][c] / work[rank][c]
-                    work[r] = [v - f * p for v, p in zip(work[r], work[rank])]
-            rank += 1
-        assert integer_rank(m) == rank
 
 
 def test_apply_vector():

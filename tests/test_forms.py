@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cliffsys.clifford import build
-from cliffsys.exactmat import RationalMatrix, SignedPermMatrix, block_diag, swap
+from cliffsys.exactmat import SignedPermMatrix, block_diag, swap
 from cliffsys.forms import (
     FormMatrix,
     KForm,
@@ -29,7 +29,7 @@ from cliffsys.forms import (
     wedge,
 )
 
-from oracles import assert_clean, brute_wedge_forms, perm_expansion_det
+from oracles import assert_clean, brute_wedge_forms, naive_lie_action, perm_expansion_det
 
 
 def random_form(rng, n, k, terms=5, lo=-9, hi=9):
@@ -264,14 +264,21 @@ def test_lie_action_is_a_derivation():
         assert lhs == rhs
 
 
-def test_lie_action_dense_matches_signed_perm_path():
+def test_lie_action_matches_naive_oracle():
     rng = random.Random(50)
-    for _ in range(15):
-        n = rng.choice((4, 6, 8))
-        x = random_skew_spm(rng, n)
-        a = random_form(rng, n, 2)
-        dense = RationalMatrix.from_rows(x.dense())
-        assert lie_action(x, a) == lie_action(dense, a)
+    for _ in range(80):
+        n = rng.choice((2, 4, 6, 8))
+        if rng.random() < 0.5:
+            x = random_skew_spm(rng, n)
+        else:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            x = SignedPermMatrix(n, tuple(perm), tuple(rng.choice((1, -1)) for _ in range(n)))
+        k = rng.randint(0, min(4, n))
+        a = random_form(rng, n, k)
+        if rng.random() < 0.5:
+            a = a + random_form(rng, n, k).scale(Fraction(1, rng.randint(2, 7)))
+        assert lie_action(x, a) == naive_lie_action(x.dense(), a)
 
 
 def test_invariance_of_canonical_forms_under_their_families():

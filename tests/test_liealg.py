@@ -2,12 +2,13 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from cliffsys import liealg
-from cliffsys.clifford import build, commutant_dim, normalizer_dim
+from cliffsys.clifford import build
 from cliffsys.exactmat import SignedPermMatrix
 from cliffsys.liealg import (
     MatrixSpan,
     bracket_closed,
+    commutant_dim,
+    normalizer_dim,
     span_dim,
     triple_span_decomposition,
 )
@@ -110,11 +111,11 @@ def test_commutant_dims():
 
 
 def test_normalizer_dims():
-    assert normalizer_dim(build(2)) == 4
-    assert normalizer_dim(build(3)) == 9
-    assert normalizer_dim(build(4)) == 13
-    assert normalizer_dim(build(5)) == 18
-    assert normalizer_dim(build(8)) == 36
+    assert normalizer_dim(build(2).generators) == 4
+    assert normalizer_dim(build(3).generators) == 9
+    assert normalizer_dim(build(4).generators) == 13
+    assert normalizer_dim(build(5).generators) == 18
+    assert normalizer_dim(build(8).generators) == 36
 
 
 @st.composite
@@ -137,5 +138,5 @@ def signed_perm_families(draw):
 @settings(max_examples=150, deadline=None)
 @given(signed_perm_families())
 def test_stabilizer_dims_match_dense_oracle(family):
-    assert liealg.commutant_dim(family) == naive_commutant_dim(family)
-    assert liealg.normalizer_dim(family) == naive_normalizer_dim(family)
+    assert commutant_dim(family) == naive_commutant_dim(family)
+    assert normalizer_dim(family) == naive_normalizer_dim(family)
