@@ -1,81 +1,66 @@
 """Exact engine for Clifford systems, octonionic invariant forms, and
 Hurwitz-Radon vector fields on spheres.  All arithmetic is exact
-integer/rational; no floating point anywhere."""
+integer/rational; no floating point anywhere.
 
-from .exactmat import RationalMatrix, SignedPermMatrix, block2, block_diag
-from .algebras import (
-    AlgebraTable,
-    algebra_table,
-    block_extension,
-    left_mult,
-    right_mult,
-    spin9_symmetric,
-)
-from .clifford import (
-    CliffordRepresentation,
-    CliffordSystem,
-    build,
-    class_trace,
-    classify_essential,
-    delta,
-    double,
-    from_representation,
-    tilde,
-    to_representation,
-    verify,
-)
-from .forms import (
-    FormMatrix,
-    KForm,
-    canonical_form,
-    hodge_star,
-    kaehler_form,
-    kaehler_matrix,
-    lie_action,
-    psi_matrix,
-    tau,
-    wedge,
-)
-from .liealg import MatrixSpan, bracket_closed, span_dim, triple_span_decomposition
-from .kernel import BACKEND as KERNEL_BACKEND
+The public names are resolved on first use (PEP 562), so `import cliffsys`
+loads no submodule and each command line loads only the modules it runs."""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgebraTable",
-    "CliffordRepresentation",
-    "CliffordSystem",
-    "FormMatrix",
-    "KForm",
-    "KERNEL_BACKEND",
-    "MatrixSpan",
-    "RationalMatrix",
-    "SignedPermMatrix",
-    "algebra_table",
-    "block2",
-    "block_diag",
-    "block_extension",
-    "bracket_closed",
-    "build",
-    "canonical_form",
-    "class_trace",
-    "classify_essential",
-    "delta",
-    "double",
-    "from_representation",
-    "hodge_star",
-    "kaehler_form",
-    "kaehler_matrix",
-    "left_mult",
-    "lie_action",
-    "psi_matrix",
-    "right_mult",
-    "span_dim",
-    "spin9_symmetric",
-    "tau",
-    "tilde",
-    "triple_span_decomposition",
-    "to_representation",
-    "verify",
-    "wedge",
-]
+# public name -> "module" or "module.attribute" it is read from
+_EXPORTS = {
+    "AlgebraTable": "algebras",
+    "CliffordRepresentation": "clifford",
+    "CliffordSystem": "clifford",
+    "FormMatrix": "forms",
+    "KForm": "forms",
+    "KERNEL_BACKEND": "kernel.BACKEND",
+    "MatrixSpan": "liealg",
+    "RationalMatrix": "exactmat",
+    "SignedPermMatrix": "exactmat",
+    "algebra_table": "algebras",
+    "block2": "exactmat",
+    "block_diag": "exactmat",
+    "block_extension": "algebras",
+    "bracket_closed": "liealg",
+    "build": "clifford",
+    "canonical_form": "forms",
+    "class_trace": "clifford",
+    "classify_essential": "clifford",
+    "delta": "clifford",
+    "double": "clifford",
+    "from_representation": "clifford",
+    "hodge_star": "forms",
+    "kaehler_form": "forms",
+    "kaehler_matrix": "forms",
+    "left_mult": "algebras",
+    "lie_action": "forms",
+    "psi_matrix": "forms",
+    "right_mult": "algebras",
+    "span_dim": "liealg",
+    "spin9_symmetric": "algebras",
+    "tau": "forms",
+    "tilde": "clifford",
+    "triple_span_decomposition": "liealg",
+    "to_representation": "clifford",
+    "verify": "clifford",
+    "wedge": "forms",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    try:
+        module, _, attr = _EXPORTS[name].partition(".")
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f"{__name__}.{module}"), attr or name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

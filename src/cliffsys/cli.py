@@ -13,23 +13,6 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from . import acceptance
-from .clifford import (
-    build,
-    classify_essential,
-    system_from_json,
-    system_to_json,
-    tilde,
-    to_representation,
-    verify,
-)
-from .algebras import algebra_table, left_mult, right_mult
-from .evencliff import classify as classify_rank, psi_d, tau4_psi_d
-from .exactmat import matrix_to_json
-from .forms import canonical_form, form_to_json, form_to_json_text, form_to_text, psi_matrix, tau
-from .liealg import MatrixSpan, commutant_dim, normalizer_dim, triple_span_decomposition
-from .spheres import hurwitz_radon, max_vector_fields, random_unit_points, verify_pointwise
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
@@ -139,6 +122,8 @@ def parse_config(argv) -> RunConfig:
 
 
 def _form_payload(form, fmt):
+    from .forms import form_to_json_text, form_to_text
+
     if fmt == "text":
         return form_to_text(form) + "\n"
     return form_to_json_text(form)
@@ -150,13 +135,19 @@ def _json(obj) -> str:
 
 def _emit(config: RunConfig, payload: str) -> None:
     if config.out:
-        with open(config.out, "w") as fh:
+        try:
+            fh = open(config.out, "w")
+        except OSError as exc:  # missing directory, a directory, no permission
+            raise UsageError(f"cannot write {config.out}: {exc}")
+        with fh:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
 
 
 def _system_from_params(params) -> "object":
+    from .clifford import build, tilde
+
     m = params["m"]
     if params.get("tilde"):
         return tilde(m)
@@ -179,6 +170,8 @@ def dispatch(config: RunConfig) -> int:
 
 
 def _cmd_gen(config: RunConfig) -> int:
+    from .clifford import system_to_json
+
     try:
         system = _system_from_params(config.params)
     except ValueError as exc:
@@ -189,6 +182,8 @@ def _cmd_gen(config: RunConfig) -> int:
 
 
 def _cmd_verify(config: RunConfig) -> int:
+    from .clifford import system_from_json, verify
+
     path = config.params["path"]
     try:
         with open(path) as fh:
@@ -205,6 +200,9 @@ def _cmd_verify(config: RunConfig) -> int:
 
 
 def _cmd_rep(config: RunConfig) -> int:
+    from .clifford import build, to_representation
+    from .exactmat import matrix_to_json
+
     try:
         rep = to_representation(build(config.params["m"]))
     except ValueError as exc:
@@ -221,6 +219,8 @@ def _cmd_rep(config: RunConfig) -> int:
 
 
 def _cmd_form(config: RunConfig) -> int:
+    from .forms import canonical_form, psi_matrix, tau
+
     name = config.params.get("name")
     tau_k = config.params.get("tau")
     if (name is None) == (tau_k is None):
@@ -240,6 +240,9 @@ def _cmd_form(config: RunConfig) -> int:
 
 
 def _cmd_liealg(config: RunConfig) -> int:
+    from .clifford import build
+    from .liealg import MatrixSpan, commutant_dim, normalizer_dim, triple_span_decomposition
+
     label = config.params["system"]
     if not label.startswith("C") or not label[1:].isdigit():
         raise UsageError("--system expects C<m>, e.g. C8")
@@ -277,6 +280,8 @@ def _cmd_liealg(config: RunConfig) -> int:
 
 
 def _cmd_evencliff(config: RunConfig) -> int:
+    from .evencliff import classify as classify_rank, psi_d, tau4_psi_d
+
     rank = config.params.get("rank")
     emit = config.params.get("emit")
     classify_arg = config.params.get("classify")
@@ -295,6 +300,8 @@ def _cmd_evencliff(config: RunConfig) -> int:
     if emit == "tau4":
         _emit(config, _form_payload(tau4_psi_d(jobs=config.jobs), config.format))
         return EXIT_OK
+    from .forms import form_to_json
+
     matrix = psi_d()
     entries = [
         {"row": i, "col": j, "form": form_to_json(form)} for (i, j), form in matrix.upper_items()
@@ -304,6 +311,9 @@ def _cmd_evencliff(config: RunConfig) -> int:
 
 
 def _cmd_sphere_fields(config: RunConfig) -> int:
+    from .exactmat import matrix_to_json
+    from .spheres import hurwitz_radon, max_vector_fields, random_unit_points, verify_pointwise
+
     n = config.params["n"]
     if config.params["points"] < 0:
         raise UsageError("--points must be >= 0")
@@ -332,6 +342,8 @@ def _cmd_sphere_fields(config: RunConfig) -> int:
 
 
 def _cmd_classify_essential(config: RunConfig) -> int:
+    from .clifford import classify_essential
+
     m = config.params["m"]
     try:
         verdict = classify_essential(m)
@@ -342,6 +354,9 @@ def _cmd_classify_essential(config: RunConfig) -> int:
 
 
 def _cmd_octonion(config: RunConfig) -> int:
+    from .algebras import algebra_table, left_mult, right_mult
+    from .exactmat import matrix_to_json
+
     if config.params.get("table"):
         _emit(config, algebra_table(8).text_grid() + "\n")
         return EXIT_OK
@@ -357,7 +372,9 @@ def _cmd_octonion(config: RunConfig) -> int:
 
 
 def _cmd_selftest(config: RunConfig) -> int:
-    results = acceptance.run_all(slow=config.slow, jobs=config.jobs)
+    from .acceptance import run_all
+
+    results = run_all(slow=config.slow, jobs=config.jobs)
     lines = [r.line() for r in results]
     _emit(config, "\n".join(lines) + "\n")
     return EXIT_OK if all(r.ok for r in results) else EXIT_VERIFY

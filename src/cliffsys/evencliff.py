@@ -11,10 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import TYPE_CHECKING
 
 from .clifford import ESSENTIAL, build, classify_essential
 from .exactmat import SignedPermMatrix, antidiag, block_diag
-from .forms import FormMatrix, KForm, kaehler_form, tau
+
+if TYPE_CHECKING:  # forms is imported where it is used, so classify() runs without it
+    from .forms import FormMatrix, KForm
 
 
 @dataclass(frozen=True)
@@ -70,6 +73,8 @@ def build_e10() -> EvenCliffordStructure:
 
 def psi_d() -> FormMatrix:
     """10x10 skew matrix of Kaehler forms on R^32, rows (I, S_0, ..., S_8)."""
+    from .forms import FormMatrix, kaehler_form
+
     e10 = build_e10()
     gens = e10.generators()
     upper = {}
@@ -80,6 +85,8 @@ def psi_d() -> FormMatrix:
 
 def tau4_psi_d(jobs: int = 1) -> KForm:
     """The degree-8 invariant: sum of the 210 principal 4x4 minors of psi^D."""
+    from .forms import tau
+
     return tau(psi_d(), 4, jobs=jobs)
 
 

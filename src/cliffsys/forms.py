@@ -362,6 +362,8 @@ def tau(psi: FormMatrix, k: int, jobs: int = 1) -> KForm:
     may be evaluated in parallel; exact arithmetic makes the merge
     order-independent.
     """
+    if k < 0:
+        raise ValueError("k must be >= 0")
     if k % 2 == 1:
         raise ValueError("tau is zero/undefined for odd k; need even k")
     if k > psi.size:

@@ -142,6 +142,13 @@ def test_form_tau_0_is_the_constant_one(capsys):
     assert json.loads(out) == {"N": 16, "k": 0, "terms": [{"idx": [], "c": "1"}]}
 
 
+def test_form_tau_negative_k_is_a_usage_error(capsys):
+    code, out, err = run_cli(["form", "--tau", "-2", "--psi", "C"], capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "usage error: k must be >= 0\n"
+
+
 def test_usage_errors_exit_one(capsys):
     assert run_cli(["gen", "--m", "40"], capsys)[0] == EXIT_USAGE
     assert run_cli(["form"], capsys)[0] == EXIT_USAGE
@@ -167,6 +174,10 @@ EXIT_PATHS = [
                  id="non-integer-jobs"),
     pytest.param(["sphere-fields", "--n", "16", "--points", "-1"], {}, None, EXIT_USAGE,
                  id="negative-points"),
+    pytest.param(["--out", "{tmp}/missing/c2.json", "gen", "--m", "2"], {}, None, EXIT_USAGE,
+                 id="missing-dir"),
+    pytest.param(["--out", "{tmp}", "gen", "--m", "2"], {}, None, EXIT_USAGE,
+                 id="is-a-directory"),
     pytest.param(["verify", "--in", "{tmp}/corrupt.json"], {}, None, EXIT_VERIFY,
                  id="failed-verification"),
     pytest.param(["octonion", "--table"], {}, _broken_handler, EXIT_INTERNAL,
@@ -352,3 +363,85 @@ def test_traced_benchmark_run_matches_untraced(tmp_path):
     namespace = {}
     exec("from cliffsys import *", namespace)
     assert set(cliffsys.__all__) <= namespace.keys()
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# prints the sorted cliffsys submodules loaded after running the given code,
+# leaving out the kernel backends, which depend on what was built
+LOADED = """
+import contextlib, io, json, sys
+{code}
+print(json.dumps(sorted(
+    name[len("cliffsys."):] for name in sys.modules
+    if name.startswith("cliffsys.") and name not in ("cliffsys._wedge_py", "cliffsys._wedge_c")
+)))
+"""
+RUN_CLI = """
+import cliffsys.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cliffsys.cli.main(sys.argv[1:])
+assert code == 0, code
+"""
+
+
+def loaded_modules(code, *argv):
+    out = subprocess.run(
+        [sys.executable, "-c", LOADED.format(code=code), *argv],
+        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    return set(json.loads(out.stdout.splitlines()[-1]))
+
+
+SYSTEMS = {"cli", "clifford", "exactmat", "algebras"}
+FORMS = SYSTEMS | {"forms", "kernel"}
+ALL_MODULES = {p.stem for p in SRC.joinpath("cliffsys").glob("*.py")} - {
+    "__init__", "_wedge_py"}
+
+
+@pytest.mark.parametrize("argv, expected", [
+    pytest.param(["gen", "--m", "3"], SYSTEMS, id="gen"),
+    pytest.param(["verify", "--in", "{tmp}/c3.json"], SYSTEMS, id="verify"),
+    pytest.param(["rep", "--m", "3"], SYSTEMS, id="rep"),
+    pytest.param(["classify-essential", "--m", "3"], SYSTEMS, id="classify-essential"),
+    pytest.param(["octonion", "--table"], {"cli", "algebras", "exactmat"}, id="octonion"),
+    pytest.param(["form", "--name", "spin9"], FORMS, id="form-name"),
+    pytest.param(["form", "--tau", "2", "--psi", "A"], FORMS, id="form-tau"),
+    pytest.param(["evencliff", "--rank", "10", "--emit", "psiD"], FORMS | {"evencliff"},
+                 id="evencliff-emit"),
+    pytest.param(["evencliff", "--classify", "10"], SYSTEMS | {"evencliff"},
+                 id="evencliff-classify"),
+    pytest.param(["liealg", "--system", "C4"], SYSTEMS | {"liealg"}, id="liealg"),
+    pytest.param(["sphere-fields", "--n", "16", "--points", "2"], SYSTEMS | {"spheres"},
+                 id="sphere-fields"),
+    pytest.param(["selftest"], ALL_MODULES, id="selftest"),
+])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, expected):
+    assert main(["--out", str(tmp_path / "c3.json"), "gen", "--m", "3"]) == EXIT_OK
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert loaded_modules(RUN_CLI, *argv) == expected
+
+
+def test_import_cliffsys_loads_no_submodule():
+    assert loaded_modules("import cliffsys") == set()
+
+
+def test_public_names_resolve_on_first_use_and_are_listed():
+    assert set(cliffsys.__all__) <= set(dir(cliffsys))
+    assert cliffsys.tau is vars(cliffsys)["tau"]  # cached after the first lookup
+    with pytest.raises(AttributeError,
+                       match=r"^module 'cliffsys' has no attribute 'no_such_name'$"):
+        cliffsys.no_such_name
+
+
+@pytest.mark.parametrize("pure", [False, True], ids=["default", "pure"])
+def test_kernel_backend_name_is_the_kernel_module_backend(pure):
+    env = {k: v for k, v in os.environ.items() if k != "CLIFFSYS_PURE"}
+    if pure:
+        env["CLIFFSYS_PURE"] = "1"
+    code = "import cliffsys, cliffsys.kernel; print(cliffsys.KERNEL_BACKEND, cliffsys.kernel.BACKEND)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(env, PYTHONPATH=str(SRC)))
+    public, kernel = out.stdout.split()
+    assert public == kernel
+    if pure:
+        assert public == "pure-python"

@@ -161,6 +161,12 @@ def test_tau_rejects_odd_or_oversized_k():
         tau(theta, 6)
 
 
+def test_tau_rejects_negative_k():
+    for k in (-1, -2):
+        with pytest.raises(ValueError, match=r"^k must be >= 0$"):
+            tau(psi_matrix("C"), k)
+
+
 def test_tau2_equals_sum_of_squares_random_matrices():
     rng = random.Random(47)
     for _ in range(10):
