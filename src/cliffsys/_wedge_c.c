@@ -298,18 +298,6 @@ accumulate_lists(table_t *t, PyObject *ta, PyObject *tb)
     return rc;
 }
 
-/* The terms of ta ^ tb, or of the square of ta when tb is NULL. */
-static PyObject *
-terms_of(PyObject *ta, PyObject *tb)
-{
-    table_t t;
-    if (table_init(&t) < 0)
-        return NULL;
-    PyObject *out = accumulate_lists(&t, ta, tb) == 0 ? table_items(&t) : NULL;
-    table_free(&t);
-    return out;
-}
-
 /* -- Accumulator type ------------------------------------------------------------ */
 
 typedef struct {
@@ -388,21 +376,6 @@ static PyTypeObject AccumulatorType = {
 };
 
 /* -- module functions ------------------------------------------------------------ */
-
-static PyObject *
-wedge_terms(PyObject *module, PyObject *args)
-{
-    PyObject *ta, *tb;
-    if (!PyArg_ParseTuple(args, "OO:wedge_terms", &ta, &tb))
-        return NULL;
-    return terms_of(ta, tb);
-}
-
-static PyObject *
-square_terms(PyObject *module, PyObject *ta)
-{
-    return terms_of(ta, NULL);
-}
 
 /* Letter i of a monomial becomes perm[i] with factor -signs[i], resorted with
  * its crossing sign.  A letter this kernel cannot take (i >= len(perm), a
@@ -503,10 +476,6 @@ signed_perm_action(PyObject *module, PyObject *args)
 }
 
 static PyMethodDef module_methods[] = {
-    {"wedge_terms", wedge_terms, METH_VARARGS,
-     "Accumulated product terms of two term lists [(mask, coeff), ...]."},
-    {"square_terms", square_terms, METH_O,
-     "Terms of t ^ t for an even-degree term list (cross terms doubled)."},
     {"signed_perm_action", signed_perm_action, METH_VARARGS,
      "Derivation action: replace letter i by perm[i] with factor -signs[i]."},
     {NULL, NULL, 0, NULL},

@@ -26,20 +26,6 @@ def merge_sign(ma: int, mb: int) -> int:
     return -1 if s else 1
 
 
-def wedge_terms(ta, tb):
-    """Accumulated product terms of two term lists [(mask, coeff), ...]."""
-    acc = Accumulator()
-    acc.add_product(ta, tb)
-    return acc.items()
-
-
-def square_terms(ta):
-    """Terms of t ^ t for an even-degree term list (cross terms doubled)."""
-    acc = Accumulator()
-    acc.add_square(ta)
-    return acc.items()
-
-
 class Accumulator:
     """Mutable term accumulator shared across many wedge operations."""
 

@@ -52,7 +52,7 @@ class CheckResult:
     seconds: float
 
     def line(self) -> str:
-        return f"{self.status:5s} {self.name}: {self.detail} [{self.seconds:.2f}s]"
+        return f"{self.status:5s} {self.name}: {self.detail}"
 
     @property
     def ok(self) -> bool:

@@ -377,6 +377,8 @@ def _cmd_selftest(config: RunConfig) -> int:
     results = run_all(slow=config.slow, jobs=config.jobs)
     lines = [r.line() for r in results]
     _emit(config, "\n".join(lines) + "\n")
+    for r in results:  # timings vary from run to run, so they stay off the output
+        print(f"{r.name}: {r.seconds:.2f}s", file=sys.stderr)
     return EXIT_OK if all(r.ok for r in results) else EXIT_VERIFY
 
 

@@ -203,7 +203,8 @@ class KForm:
         if k > self.n:
             return KForm.zero(self.n, k)
         ints = self._ints and other._ints
-        pairs = kernel.wedge_terms(self.mask_items(), other.mask_items(), ints)
+        ta, tb = self.mask_items(), other.mask_items()
+        pairs = kernel.accumulate(lambda acc: acc.add_product(ta, tb), ints)
         return _kernel_form(self.n, k, pairs, ints)
 
     def wedge_square(self) -> "KForm":
@@ -213,7 +214,8 @@ class KForm:
             return KForm.zero(self.n, k)
         if k == 0:  # the shortcut skips squares of monomials, nonzero only in degree 0
             return self.wedge(self)
-        pairs = kernel.square_terms(self.mask_items(), self._ints)
+        ta = self.mask_items()
+        pairs = kernel.accumulate(lambda acc: acc.add_square(ta), self._ints)
         return _kernel_form(self.n, k, pairs, self._ints)
 
     def restrict(self, indices: Sequence[int]) -> "KForm":
@@ -381,19 +383,13 @@ def _psi_ints(psi: FormMatrix) -> bool:
 
 
 def _tau_terms(psi: FormMatrix, subsets) -> list[tuple[int, object]]:
-    """Terms of the sum of the squared Pfaffians over `subsets`.  A compiled
-    accumulator that leaves its range raises OverflowError, and the sum
-    restarts on the pure one."""
-    choices = (True, False) if _psi_ints(psi) and psi.n <= 64 else (False,)
-    for ints in choices:
-        acc = kernel.new_accumulator(ints)
-        try:
-            for rows in subsets:
-                acc.add_square(_pfaffian_terms(psi, rows).mask_items())
-            return acc.items()
-        except OverflowError:
-            if not ints:  # only a compiled accumulator has a range to leave
-                raise
+    """Terms of the sum of the squared Pfaffians over `subsets`."""
+
+    def fill(acc):
+        for rows in subsets:
+            acc.add_square(_pfaffian_terms(psi, rows).mask_items())
+
+    return kernel.accumulate(fill, _psi_ints(psi))
 
 
 def _tau_worker(args):

@@ -1,11 +1,16 @@
-"""Wedge-kernel selection: the C extension `_wedge_c` when built, pure
-Python (`_wedge_py`) otherwise.
+"""The one seam between the exterior algebra and its accumulation loops.
 
-Set CLIFFSYS_PURE=1 to force the pure backend.  The C kernel takes integer
-coefficients with |c| < 2^31, masks below 2^64 and accumulated values with
-|acc| < 2^62; outside that range it raises OverflowError.
-Callers pass an `ints` flag, and every OverflowError restarts the call on
-the pure twin, so results are exact on both backends.
+Two backends export the same names: `Accumulator` (with `add_product`,
+`add_square` and `items`), `signed_perm_action` and `BACKEND`.  The C
+extension `_wedge_c` is used when it was built, the pure-Python
+`_wedge_py` otherwise; set CLIFFSYS_PURE=1 to force the pure one.
+
+The C kernel takes integer coefficients with |c| < 2^31, masks below 2^64
+and accumulated values with |acc| < 2^62, and raises OverflowError outside
+that range.  Callers say whether their coefficients are all ints (`ints`);
+only then is the C kernel tried, and an OverflowError from it restarts the
+work on the pure kernel here, in `accumulate` and `signed_perm_action`, so
+results are exact on both backends.
 """
 
 from __future__ import annotations
@@ -30,37 +35,31 @@ def _compiled() -> bool:
     return _impl is not _wedge_py
 
 
-def wedge_terms(ta, tb, ints: bool):
-    if ints and _compiled():
-        try:
-            return _impl.wedge_terms(ta, tb)
-        except OverflowError:
-            pass
-    return _wedge_py.wedge_terms(ta, tb)
-
-
-def square_terms(ta, ints: bool):
-    if ints and _compiled():
-        try:
-            return _impl.square_terms(ta)
-        except OverflowError:
-            pass
-    return _wedge_py.square_terms(ta)
-
-
 def new_accumulator(ints: bool):
-    """Fresh accumulator; compiled when the int fast path applies.
-
-    Accumulator methods may raise OverflowError, in which case the caller
-    restarts the whole computation with `new_accumulator(False)`.
-    """
+    """Fresh accumulator; compiled when the int fast path applies."""
     if ints and _compiled():
         return _impl.Accumulator()
     return _wedge_py.Accumulator()
 
 
+def accumulate(fill, ints: bool):
+    """The nonzero terms [(mask, coeff), ...] that `fill(acc)` accumulates
+    into a fresh accumulator; `fill` runs again on a pure accumulator when
+    the compiled one leaves its range."""
+    if ints and _compiled():
+        acc = new_accumulator(True)
+        try:
+            fill(acc)
+            return acc.items()
+        except OverflowError:
+            pass
+    acc = new_accumulator(False)
+    fill(acc)
+    return acc.items()
+
+
 def signed_perm_action(terms, perm, signs, ints: bool):
-    if ints and _compiled() and len(perm) <= 64:
+    if ints and _compiled():
         try:
             return _impl.signed_perm_action(terms, perm, signs)
         except OverflowError:

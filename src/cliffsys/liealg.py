@@ -150,21 +150,27 @@ def commutant_dim(matrices: Sequence[SignedPermMatrix]) -> int:
     """dim {X in so(N): X P = P X for every P in `matrices`}."""
     if not matrices:
         raise ValueError("need at least one matrix")
-    n = matrices[0].n
-    idx, nvars = _upper_index(n)
+    idx, nvars = _upper_index(matrices[0].n)
     ech = _SparseEchelon()
     for p in matrices:
-        inv = p.transpose()
         seen: set = set()
-        for i in range(n):
-            for j in range(n):
-                row: dict[int, int] = {}
-                # (XP)_ij = signs[j] X_{i, perm[j]}
-                _add_skew_entry(row, idx, i, p.perm[j], p.signs[j])
-                # (PX)_ij = signs[inv(i)] X_{inv(i), j}
-                _add_skew_entry(row, idx, inv.perm[i], j, -inv.signs[i])
-                _insert_new(ech, seen, row)
+        for _, _, row in _bracket_rows(p, idx):
+            _insert_new(ech, seen, row)
     return nvars - ech.rank
+
+
+def _bracket_rows(p: SignedPermMatrix, idx):
+    """(i, j, row) for every entry of [X, P] = XP - PX, the row holding
+    that entry in the upper-triangle variables of a skew X."""
+    inv = p.transpose()
+    for i in range(p.n):
+        for j in range(p.n):
+            row: dict[int, int] = {}
+            # (XP)_ij = signs[j] X_{i, perm[j]}
+            _add_skew_entry(row, idx, i, p.perm[j], p.signs[j])
+            # (PX)_ij = signs[inv(i)] X_{inv(i), j}
+            _add_skew_entry(row, idx, inv.perm[i], j, -inv.signs[i])
+            yield i, j, row
 
 
 def _insert_new(ech: _SparseEchelon, seen: set, row: dict[int, int]) -> None:
@@ -205,22 +211,17 @@ def normalizer_dim(matrices: Sequence[SignedPermMatrix]) -> int:
     """
     if not matrices:
         raise ValueError("need at least one matrix")
-    n = matrices[0].n
-    idx, nx = _upper_index(n)
+    idx, nx = _upper_index(matrices[0].n)
     count = len(matrices)
     nvars = nx + count * count
     ech = _SparseEchelon()
     for a_idx, p in enumerate(matrices):
-        inv = p.transpose()
         seen: set = set()
-        for i in range(n):
-            for j in range(n):
-                row: dict[int, int] = {}
-                _add_skew_entry(row, idx, i, p.perm[j], p.signs[j])
-                _add_skew_entry(row, idx, inv.perm[i], j, -inv.signs[i])
-                for b_idx, q in enumerate(matrices):
-                    if q.perm[j] == i:
-                        key = nx + a_idx * count + b_idx
-                        row[key] = row.get(key, 0) - q.signs[j]
-                _insert_new(ech, seen, row)
+        for i, j, row in _bracket_rows(p, idx):
+            # minus the span coefficient c_ab times (P_b)_ij
+            for b_idx, q in enumerate(matrices):
+                if q.perm[j] == i:
+                    key = nx + a_idx * count + b_idx
+                    row[key] = row.get(key, 0) - q.signs[j]
+            _insert_new(ech, seen, row)
     return nvars - ech.rank

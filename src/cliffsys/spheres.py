@@ -15,7 +15,7 @@ from math import lcm
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .clifford import build, to_representation
+from .clifford import CliffordRepresentation, build, to_representation
 from .exactmat import SignedPermMatrix, block_diag
 
 
@@ -52,15 +52,9 @@ class VectorFieldSystem:
         js = self.structures
         if len(js) != self.sigma:
             raise ValueError("field count mismatch")
-        for i, j in enumerate(js):
-            if j.n != self.n:
-                raise ValueError("ambient mismatch")
-            if not (j.is_skew() and j.is_complex_structure()):
-                raise ValueError(f"J_{i + 1} is not a skew complex structure")
-        for i in range(len(js)):
-            for jj in range(i + 1, len(js)):
-                if not js[i].anticommutes(js[jj]):
-                    raise ValueError(f"J_{i + 1}, J_{jj + 1} do not anticommute")
+        if any(j.n != self.n for j in js):
+            raise ValueError("ambient mismatch")
+        CliffordRepresentation(self.n, js).validate()
 
 
 def max_vector_fields(n: int) -> VectorFieldSystem:

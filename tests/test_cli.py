@@ -282,6 +282,15 @@ def test_selftest_fast(capsys):
     assert "XFAIL" in out
 
 
+def test_selftest_stdout_is_identical_across_runs():
+    cmd = [sys.executable, "-m", "cliffsys.cli", "selftest"]
+    runs = [subprocess.run(cmd, capture_output=True, text=True) for _ in range(2)]
+    assert [r.returncode for r in runs] == [0, 0], runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout
+    # the per-check wall times go to stderr, one line per stdout line
+    assert len(runs[0].stderr.splitlines()) == len(runs[0].stdout.splitlines())
+
+
 @pytest.mark.slow
 def test_selftest_slow_subprocess():
     out = subprocess.run(
@@ -340,13 +349,11 @@ def test_installed_entry_point(tmp_path):
     assert json.loads(out.stdout)["verdict"] == "Essential"
 
 
-def test_traced_benchmark_run_matches_untraced(tmp_path):
-    """`perfbench/child.py` with PERFBENCH_TRACE set installs the span tracer,
-    which reaches package internals by name; a traced run must still work
-    and print the same bytes.  Also every public name must resolve."""
+def traced_and_plain(tmp_path, *args):
+    """stdout of `perfbench/child.py cli ARGS` run untraced and traced (both
+    must exit 0), and the trace the traced run wrote."""
     repo = Path(__file__).resolve().parents[1]
-    argv = [sys.executable, str(repo / "perfbench" / "child.py"), "cli", "liealg",
-            "--system", "C4", "--check", "span,bracket,commutant,normalizer"]
+    argv = [sys.executable, str(repo / "perfbench" / "child.py"), "cli", *args]
     env = dict(os.environ, PYTHONPATH=str(repo / "src"))
     env.pop("PERFBENCH_TRACE", None)
     env.pop("PERFBENCH_RSS", None)
@@ -355,14 +362,33 @@ def test_traced_benchmark_run_matches_untraced(tmp_path):
     traced = subprocess.run(argv, capture_output=True, text=True,
                             env=dict(env, PERFBENCH_TRACE=str(trace)))
     assert plain.returncode == traced.returncode == 0, plain.stderr + traced.stderr
-    assert traced.stdout == plain.stdout
-    assert json.loads(plain.stdout)["spanDim"] == 10
-    layers = {name for span in json.loads(trace.read_text())["spans"]
-              for name in span["path"].split("/")}
+    return plain.stdout, traced.stdout, json.loads(trace.read_text())
+
+
+def test_traced_benchmark_run_matches_untraced(tmp_path):
+    """`perfbench/child.py` with PERFBENCH_TRACE set installs the span tracer,
+    which reaches package internals by name; a traced run must still work
+    and print the same bytes.  Also every public name must resolve."""
+    plain, traced, trace = traced_and_plain(
+        tmp_path, "liealg", "--system", "C4", "--check", "span,bracket,commutant,normalizer")
+    assert traced == plain
+    assert json.loads(plain)["spanDim"] == 10
+    layers = {name for span in trace["spans"] for name in span["path"].split("/")}
     assert {"liealg.span", "liealg.echelon"} <= layers
     namespace = {}
     exec("from cliffsys import *", namespace)
     assert set(cliffsys.__all__) <= namespace.keys()
+
+
+def test_traced_tau4_counts_every_kernel_pair(tmp_path):
+    """The tracer hooks `kernel.new_accumulator`, so a traced run counts
+    every product, square and key that goes through the kernel seam."""
+    plain, traced, trace = traced_and_plain(tmp_path, "form", "--tau", "4", "--psi", "C")
+    assert traced == plain
+    counts = trace["counts"]
+    assert counts["kernel.product.pairs"] == 24192
+    assert counts["kernel.square.pairs"] == 701484
+    assert counts["kernel.accum.keys"] == 17334
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -19,8 +19,9 @@ from hypothesis import given, settings, strategies as st
 
 from cliffsys import _wedge_py
 from cliffsys import kernel
+from cliffsys.clifford import build
 from cliffsys.exactmat import SignedPermMatrix
-from cliffsys.forms import FormMatrix, KForm, _pfaffian_terms, lie_action, tau
+from cliffsys.forms import FormMatrix, KForm, _pfaffian_terms, kaehler_matrix, lie_action, tau
 
 from oracles import assert_clean
 
@@ -65,6 +66,28 @@ def dispatch_to(module):
         kernel._impl = saved
 
 
+def product(module, ta, tb):
+    """ta ^ tb, accumulated once on a fresh `module.Accumulator`."""
+    acc = module.Accumulator()
+    acc.add_product(ta, tb)
+    return acc.items()
+
+
+def square(module, ta):
+    """ta ^ ta (cross terms doubled), accumulated once on `module`."""
+    acc = module.Accumulator()
+    acc.add_square(ta)
+    return acc.items()
+
+
+def kernel_product(ta, tb):
+    return kernel.accumulate(lambda acc: acc.add_product(ta, tb), True)
+
+
+def kernel_square(ta):
+    return kernel.accumulate(lambda acc: acc.add_square(ta), True)
+
+
 def random_terms(rng, n, k, count):
     masks = []
     while len(masks) < count:
@@ -85,7 +108,7 @@ def test_wedge_terms_equivalence(wc):
         kb = rng.randint(1, min(4, n))
         ta = random_terms(rng, n, ka, rng.randint(1, 25))
         tb = random_terms(rng, n, kb, rng.randint(1, 25))
-        assert sorted(wc.wedge_terms(ta, tb)) == sorted(_wedge_py.wedge_terms(ta, tb))
+        assert sorted(product(wc, ta, tb)) == sorted(product(_wedge_py, ta, tb))
 
 
 def test_square_terms_equivalence(wc):
@@ -94,7 +117,7 @@ def test_square_terms_equivalence(wc):
         n = rng.randint(4, 64)
         k = rng.choice((2, 4))
         ta = random_terms(rng, n, k, rng.randint(1, 25))
-        assert sorted(wc.square_terms(ta)) == sorted(_wedge_py.square_terms(ta))
+        assert sorted(square(wc, ta)) == sorted(square(_wedge_py, ta))
 
 
 def test_accumulator_equivalence(wc):
@@ -129,9 +152,9 @@ def test_signed_perm_action_equivalence(wc):
 
 def test_compiled_kernel_rejects_oversized_inputs(wc):
     with pytest.raises(OverflowError):
-        wc.wedge_terms([(1, 1 << 40)], [(2, 1)])
+        product(wc, [(1, 1 << 40)], [(2, 1)])
     with pytest.raises(OverflowError):
-        wc.wedge_terms([(1 << 70, 1)], [(2, 1)])
+        product(wc, [(1 << 70, 1)], [(2, 1)])
 
 
 # -- boundaries of the compiled range ------------------------------------------------
@@ -140,17 +163,17 @@ def test_compiled_kernel_rejects_oversized_inputs(wc):
 @pytest.mark.parametrize("c", [C_MAX, -C_MAX])
 def test_largest_coefficients_are_accepted(wc, c):
     ta, tb = [(1, c), (4, 1)], [(2, c), (8, -c)]
-    assert sorted(wc.wedge_terms(ta, tb)) == sorted(_wedge_py.wedge_terms(ta, tb))
-    assert wc.square_terms([(1, c), (2, 1)]) == [(3, 2 * c)]
+    assert sorted(product(wc, ta, tb)) == sorted(product(_wedge_py, ta, tb))
+    assert square(wc, [(1, c), (2, 1)]) == [(3, 2 * c)]
     assert wc.signed_perm_action([(1, c)], [1, 0], [1, 1]) == [(2, -c)]
 
 
 @pytest.mark.parametrize("c", [C_MAX + 1, -C_MAX - 1])
 def test_coefficients_of_31_bits_are_rejected(wc, c):
     with pytest.raises(OverflowError):
-        wc.wedge_terms([(1, c)], [(2, 1)])
+        product(wc, [(1, c)], [(2, 1)])
     with pytest.raises(OverflowError):
-        wc.square_terms([(1, 1), (2, c)])
+        square(wc, [(1, 1), (2, c)])
     with pytest.raises(OverflowError):
         wc.signed_perm_action([(1, c)], [1, 0], [1, 1])
     with pytest.raises(OverflowError):
@@ -162,11 +185,11 @@ def test_largest_square_product_is_range_checked(wc, monkeypatch):
     # not in the accumulator range
     ta = [(1, C_MAX), (2, C_MAX)]
     with pytest.raises(OverflowError):
-        wc.square_terms(ta)
+        square(wc, ta)
     with pytest.raises(OverflowError):
         wc.Accumulator().add_square(ta)
     monkeypatch.setattr(kernel, "_impl", wc)
-    assert kernel.square_terms(ta, True) == [(3, (2**32 - 2) * C_MAX)]
+    assert kernel_square(ta) == [(3, (2**32 - 2) * C_MAX)]
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -182,10 +205,10 @@ def test_accumulator_range_is_open_at_2_62(wc, sign):
 def test_masks_using_bit_63(wc):
     top = 1 << 63
     # merging (64) before (1) takes one transposition
-    assert wc.wedge_terms([(top, 3)], [(1, 5)]) == [(top | 1, -15)]
-    assert wc.wedge_terms([(1, 3)], [(top, 5)]) == [(top | 1, 15)]
+    assert product(wc, [(top, 3)], [(1, 5)]) == [(top | 1, -15)]
+    assert product(wc, [(1, 3)], [(top, 5)]) == [(top | 1, 15)]
     ta = [(top | 1, 2), (6, 3), (top | 4, 1), (3 << 61, -7)]
-    assert sorted(wc.square_terms(ta)) == sorted(_wedge_py.square_terms(ta))
+    assert sorted(square(wc, ta)) == sorted(square(_wedge_py, ta))
     perm = list(range(64))
     perm[0], perm[63] = 63, 0
     signs = [1] * 63 + [-1]
@@ -197,18 +220,26 @@ def test_masks_using_bit_63(wc):
 
 def test_masks_of_64_bits_and_more_go_pure(wc, monkeypatch):
     with pytest.raises(OverflowError):
-        wc.wedge_terms([(1 << 64, 1)], [(1, 1)])
+        product(wc, [(1 << 64, 1)], [(1, 1)])
     with pytest.raises(OverflowError):
-        wc.square_terms([(1 << 64, 1), (1, 1)])
+        square(wc, [(1 << 64, 1), (1, 1)])
     monkeypatch.setattr(kernel, "_impl", wc)
     # merging (65) before (1) takes one transposition
-    assert kernel.wedge_terms([(1 << 64, 2)], [(1, 3)], True) == [((1 << 64) | 1, -6)]
+    assert kernel_product([(1 << 64, 2)], [(1, 3)]) == [((1 << 64) | 1, -6)]
+    # a permutation of 70 letters: targets past bit 63 go pure, the rest stay
+    perm = list(range(70))
+    perm[1], perm[69] = 69, 1
+    signs = [1, -1] * 35
+    for terms in ([(3, 5), (12, -2)], [(48, 7)]):
+        assert sorted(kernel.signed_perm_action(terms, perm, signs, True)) == sorted(
+            _wedge_py.signed_perm_action(terms, perm, signs)
+        )
 
 
 def test_malformed_terms_and_letters(wc, monkeypatch):
     for module in (wc, _wedge_py):
         with pytest.raises(ValueError):
-            module.wedge_terms([(1, 2, 3)], [(2, 1)])
+            product(module, [(1, 2, 3)], [(2, 1)])
     # a letter past the end of perm, or a target past bit 63, is left to
     # the pure kernel, which raises or computes as it always did
     with pytest.raises(OverflowError):
@@ -222,9 +253,9 @@ def test_malformed_terms_and_letters(wc, monkeypatch):
 
 
 def test_mask_zero_is_a_key(wc):
-    assert wc.wedge_terms([(0, 3)], [(0, 4)]) == [(0, 12)]
-    assert wc.wedge_terms([(0, 2)], [(5, 3)]) == [(5, 6)]
-    assert wc.square_terms([(0, 3), (0, 4)]) == [(0, 24)]
+    assert product(wc, [(0, 3)], [(0, 4)]) == [(0, 12)]
+    assert product(wc, [(0, 2)], [(5, 3)]) == [(5, 6)]
+    assert square(wc, [(0, 3), (0, 4)]) == [(0, 24)]
     acc = wc.Accumulator()
     acc.add_product([(0, 1)], [(0, 1), (1, 1)])
     acc.add_product([(0, -1)], [(0, 1)])
@@ -232,9 +263,9 @@ def test_mask_zero_is_a_key(wc):
 
 
 def test_empty_term_lists(wc):
-    assert wc.wedge_terms([], [(1, 1)]) == []
-    assert wc.wedge_terms([(1, 1)], []) == []
-    assert wc.square_terms([]) == []
+    assert product(wc, [], [(1, 1)]) == []
+    assert product(wc, [(1, 1)], []) == []
+    assert square(wc, []) == []
     assert wc.signed_perm_action([], [0, 1], [1, 1]) == []
     acc = wc.Accumulator()
     acc.add_product([], [])
@@ -273,17 +304,17 @@ def bounded_product(ta, tb):
 @settings(max_examples=200, deadline=None)
 @given(ta=term_lists, tb=term_lists)
 def test_compiled_matches_pure_property(wc, ta, tb):
-    expected = sorted(_wedge_py.wedge_terms(ta, tb))
+    expected = sorted(product(_wedge_py, ta, tb))
     if bounded_product(ta, tb):
-        assert sorted(wc.wedge_terms(ta, tb)) == expected
+        assert sorted(product(wc, ta, tb)) == expected
     else:
         with pytest.raises(OverflowError):
-            wc.wedge_terms(ta, tb)
+            product(wc, ta, tb)
     perm = list(range(63, -1, -1))
     signs = [1, -1] * 32
     with dispatch_to(wc):
-        assert sorted(kernel.wedge_terms(ta, tb, True)) == expected
-        assert sorted(kernel.square_terms(ta, True)) == sorted(_wedge_py.square_terms(ta))
+        assert sorted(kernel_product(ta, tb)) == expected
+        assert sorted(kernel_square(ta)) == sorted(square(_wedge_py, ta))
         assert sorted(kernel.signed_perm_action(ta, perm, signs, True)) == sorted(
             _wedge_py.signed_perm_action(ta, perm, signs)
         )
@@ -329,7 +360,7 @@ def test_dispatcher_falls_back_on_big_coefficients(wc, monkeypatch):
     # ints flag True but coefficients out of compiled range: silently exact
     monkeypatch.setattr(kernel, "_impl", wc)
     big = 1 << 40
-    out = kernel.wedge_terms([(1, big)], [(2, big)], True)
+    out = kernel_product([(1, big)], [(2, big)])
     assert out == [(3, big * big)]
 
 
@@ -353,6 +384,19 @@ def test_overflowing_tau_restarts_pure(wc, monkeypatch):
     assert result == expected
     assert result.num_terms() == 3
     assert {abs(c) for _, c in result.terms()} == {2 * a**4}
+
+
+def test_tau_past_64_dimensions_matches_pure(wc, monkeypatch):
+    # tau_2 on R^128: its masks pass 2^64, so the compiled accumulator
+    # declines while loading them and the sum restarts on the pure one
+    psi = kaehler_matrix(build(11).generators[:4])
+    assert psi.n == 128
+    results = []
+    for module in (wc, _wedge_py):
+        monkeypatch.setattr(kernel, "_impl", module)
+        results.append(tau(psi, 2))
+    assert results[0] == results[1]
+    assert results[0].num_terms() == 2912
 
 
 def test_overflowing_perm_action_restarts_pure(wc, monkeypatch):

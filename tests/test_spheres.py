@@ -197,3 +197,18 @@ def test_sphere_fields_output_is_unchanged(capsys, n, digest):
     check printed it."""
     assert main(["sphere-fields", "--n", str(n)]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_validate_rejects_each_broken_system():
+    good = max_vector_fields(16)
+    js = good.structures
+    identity = SignedPermMatrix.identity(16)
+    for system, message in [
+        (VectorFieldSystem(16, good.sigma + 1, js), "field count mismatch"),
+        (VectorFieldSystem(32, good.sigma, js), "ambient mismatch"),
+        (VectorFieldSystem(16, good.sigma, (identity,) + js[1:]), "not a skew complex structure"),
+        (VectorFieldSystem(16, good.sigma, (js[0],) * 2 + js[2:]), "do not anticommute"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            system.validate()
+    good.validate()
