@@ -1,9 +1,12 @@
-/* Compiled twin of _wedge_py: wedge accumulation over bitmask monomials.
+/* Compiled twin of _wedge_py: wedge accumulation over bitmask monomials, and
+ * the JSON wire format of integral forms.
  *
- * Masks must fit in 64 bits, coefficients in 31 bits (|c| < 2^31) and every
- * accumulated value in 62 bits (|acc| < 2^62).  Anything outside that range
- * raises OverflowError; cliffsys.kernel then repeats the whole computation on
- * the pure-Python kernel, so results stay exact.
+ * Masks must fit in MASK_BITS = 64 bits, coefficients in 31 bits
+ * (|c| < 2^31) and every accumulated value in 62 bits (|acc| < 2^62).  The
+ * wire format takes coefficients with |c| < 2^63 and only canonical integer
+ * documents.  Anything outside that range raises OverflowError;
+ * cliffsys.kernel then repeats the whole computation on the pure-Python
+ * side, so results stay exact.
  *
  * Sums go into an open-addressing table: linear probing over a power-of-two
  * array of (mask, value) slots, grown at half load.  Mask 0 marks an empty
@@ -14,6 +17,7 @@
 #include <Python.h>
 #include <stdint.h>
 
+#define MASK_BITS 64
 #define COEFF_LIMIT ((int64_t)1 << 31)
 #define ACC_LIMIT ((int64_t)1 << 62)
 
@@ -428,9 +432,9 @@ signed_perm_action(PyObject *module, PyObject *args)
     PyObject *terms, *perm_obj, *signs_obj;
     if (!PyArg_ParseTuple(args, "OOO:signed_perm_action", &terms, &perm_obj, &signs_obj))
         return NULL;
-    int target[64]; /* -1: letter left to the pure kernel */
-    int64_t factor[64];
-    for (int i = 0; i < 64; i++)
+    int target[MASK_BITS]; /* -1: letter left to the pure kernel */
+    int64_t factor[MASK_BITS];
+    for (int i = 0; i < MASK_BITS; i++)
         target[i] = -1;
     PyObject *perm = PySequence_Fast(perm_obj, "perm must be a sequence");
     if (perm == NULL)
@@ -443,8 +447,8 @@ signed_perm_action(PyObject *module, PyObject *args)
     Py_ssize_t n = PySequence_Fast_GET_SIZE(perm);
     if (PySequence_Fast_GET_SIZE(signs) < n)
         n = PySequence_Fast_GET_SIZE(signs);
-    if (n > 64)
-        n = 64;
+    if (n > MASK_BITS)
+        n = MASK_BITS;
     for (Py_ssize_t i = 0; i < n; i++) {
         long long j = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(perm, i));
         if (j == -1 && PyErr_Occurred())
@@ -452,7 +456,7 @@ signed_perm_action(PyObject *module, PyObject *args)
         long long s = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(signs, i));
         if (s == -1 && PyErr_Occurred())
             break;
-        int usable = 0 <= j && j < 64 && -COEFF_LIMIT < s && s < COEFF_LIMIT;
+        int usable = 0 <= j && j < MASK_BITS && -COEFF_LIMIT < s && s < COEFF_LIMIT;
         target[i] = usable ? (int)j : -1;
         factor[i] = usable ? -s : 0;
     }
@@ -475,9 +479,323 @@ signed_perm_action(PyObject *module, PyObject *args)
     return out;
 }
 
+/* -- wire format ------------------------------------------------------------------ */
+
+/* The layout of json.dumps(form_to_json(a), indent=2) + "\n". */
+#define HEAD_N "{\n  \"N\": "
+#define HEAD_K ",\n  \"k\": "
+#define HEAD_TERMS ",\n  \"terms\": "
+#define NO_TERMS "[]\n}\n"
+#define TERMS_OPEN "[\n"
+#define TERMS_SEP ",\n"
+#define TERMS_CLOSE "\n  ]\n}\n"
+#define TERM_OPEN "    {\n      \"idx\": "
+#define NO_IDX "[]"
+#define IDX_OPEN "[\n"
+#define IDX_LINE "        "
+#define IDX_SEP ",\n"
+#define IDX_CLOSE "\n      ]"
+#define TERM_C ",\n      \"c\": \""
+#define TERM_CLOSE "\"\n    }"
+#define LIT_LEN(s) (sizeof(s) - 1)
+
+static PyObject *
+decline(const char *what)
+{
+    PyErr_SetString(PyExc_OverflowError, what);
+    return NULL;
+}
+
+static inline uint64_t
+bit_reverse(uint64_t x)
+{
+    x = (x >> 1 & 0x5555555555555555ull) | (x & 0x5555555555555555ull) << 1;
+    x = (x >> 2 & 0x3333333333333333ull) | (x & 0x3333333333333333ull) << 2;
+    x = (x >> 4 & 0x0F0F0F0F0F0F0F0Full) | (x & 0x0F0F0F0F0F0F0F0Full) << 4;
+    return __builtin_bswap64(x);
+}
+
+static size_t
+decimal_len(uint64_t v)
+{
+    size_t len = 1;
+    while (v >= 10) {
+        v /= 10;
+        len++;
+    }
+    return len;
+}
+
+static char *
+put_decimal(char *p, uint64_t v)
+{
+    char *end = p + decimal_len(v);
+    char *q = end;
+    do {
+        *--q = (char)('0' + v % 10);
+        v /= 10;
+    } while (v);
+    return end;
+}
+
+static char *
+put(char *p, const char *s, size_t len)
+{
+    memcpy(p, s, len);
+    return p + len;
+}
+
+#define PUT(p, lit) put((p), (lit), LIT_LEN(lit))
+
+typedef struct {
+    uint64_t rev; /* the mask, bit-reversed */
+    int64_t val;
+} wire_term_t;
+
+/* Lexicographic order of index tuples: for one degree, the descending order
+ * of the bit-reversed masks. */
+static int
+wire_term_cmp(const void *pa, const void *pb)
+{
+    uint64_t a = ((const wire_term_t *)pa)->rev, b = ((const wire_term_t *)pb)->rev;
+    return (a < b) - (a > b);
+}
+
+static size_t
+term_len(uint64_t mask, int64_t val)
+{
+    size_t k = (size_t)__builtin_popcountll(mask);
+    size_t len = LIT_LEN(TERM_OPEN) + LIT_LEN(TERM_C) + LIT_LEN(TERM_CLOSE);
+    if (k == 0)
+        len += LIT_LEN(NO_IDX);
+    else /* indices 10..64, bits 9..63, take two digits */
+        len += LIT_LEN(IDX_OPEN) + k * (LIT_LEN(IDX_LINE) + 1) + __builtin_popcountll(mask >> 9)
+               + (k - 1) * LIT_LEN(IDX_SEP) + LIT_LEN(IDX_CLOSE);
+    return len + (val < 0) + decimal_len(val < 0 ? -(uint64_t)val : (uint64_t)val);
+}
+
+static char *
+put_term(char *p, uint64_t mask, int64_t val)
+{
+    p = PUT(p, TERM_OPEN);
+    if (mask == 0) {
+        p = PUT(p, NO_IDX);
+    }
+    else {
+        p = PUT(p, IDX_OPEN);
+        for (uint64_t m = mask; m; m &= m - 1) {
+            if (m != mask)
+                p = PUT(p, IDX_SEP);
+            p = PUT(p, IDX_LINE);
+            p = put_decimal(p, (uint64_t)__builtin_ctzll(m) + 1);
+        }
+        p = PUT(p, IDX_CLOSE);
+    }
+    p = PUT(p, TERM_C);
+    if (val < 0)
+        *p++ = '-';
+    p = put_decimal(p, val < 0 ? -(uint64_t)val : (uint64_t)val);
+    return PUT(p, TERM_CLOSE);
+}
+
+/* The text forms.form_to_json_text writes for the k-form on R^n with terms
+ * {mask: int}.  Declines a rational or |c| >= 2^63 coefficient and a mask of
+ * MASK_BITS bits or more. */
+static PyObject *
+form_json_text(PyObject *module, PyObject *args)
+{
+    Py_ssize_t n, k;
+    PyObject *terms;
+    if (!PyArg_ParseTuple(args, "nnO!:form_json_text", &n, &k, &PyDict_Type, &terms))
+        return NULL;
+    if (n < 1 || n > MASK_BITS || k < 0)
+        return decline("form out of compiled-kernel range");
+    Py_ssize_t count = PyDict_GET_SIZE(terms);
+    wire_term_t *items = PyMem_Malloc((count + 1) * sizeof(wire_term_t));
+    if (items == NULL)
+        return PyErr_NoMemory();
+    PyObject *out = NULL, *key, *value;
+    Py_ssize_t pos = 0, i = 0; /* no Python code runs here, so terms keeps its size */
+    size_t len = LIT_LEN(HEAD_N) + decimal_len((uint64_t)n) + LIT_LEN(HEAD_K)
+                 + decimal_len((uint64_t)k) + LIT_LEN(HEAD_TERMS);
+    while (PyDict_Next(terms, &pos, &key, &value)) {
+        if (!PyLong_CheckExact(key) || !PyLong_CheckExact(value)) {
+            decline("coefficient out of compiled-kernel range");
+            goto done;
+        }
+        uint64_t mask = PyLong_AsUnsignedLongLong(key); /* OverflowError past 64 bits */
+        if (mask == (uint64_t)-1 && PyErr_Occurred())
+            goto done;
+        int64_t val = PyLong_AsLongLong(value);
+        if (val == -1 && PyErr_Occurred())
+            goto done;
+        if (val == INT64_MIN) {
+            decline("coefficient out of compiled-kernel range");
+            goto done;
+        }
+        items[i].rev = bit_reverse(mask);
+        items[i].val = val;
+        len += term_len(mask, val);
+        i++;
+    }
+    qsort(items, count, sizeof(wire_term_t), wire_term_cmp);
+    if (count == 0)
+        len += LIT_LEN(NO_TERMS);
+    else
+        len += LIT_LEN(TERMS_OPEN) + (count - 1) * LIT_LEN(TERMS_SEP) + LIT_LEN(TERMS_CLOSE);
+
+    out = PyUnicode_New((Py_ssize_t)len, 127);
+    if (out == NULL)
+        goto done;
+    char *start = (char *)PyUnicode_1BYTE_DATA(out), *p = start;
+    p = PUT(p, HEAD_N);
+    p = put_decimal(p, (uint64_t)n);
+    p = PUT(p, HEAD_K);
+    p = put_decimal(p, (uint64_t)k);
+    p = PUT(p, HEAD_TERMS);
+    if (count == 0) {
+        p = PUT(p, NO_TERMS);
+    }
+    else {
+        p = PUT(p, TERMS_OPEN);
+        for (i = 0; i < count; i++) {
+            if (i)
+                p = PUT(p, TERMS_SEP);
+            p = put_term(p, bit_reverse(items[i].rev), items[i].val);
+        }
+        p = PUT(p, TERMS_CLOSE);
+    }
+    if ((size_t)(p - start) != len) {
+        Py_CLEAR(out);
+        PyErr_SetString(PyExc_SystemError, "form_json_text: length mismatch");
+    }
+done:
+    PyMem_Free(items);
+    return out;
+}
+
+static PyObject *IDX_KEY, *C_KEY; /* "idx", "c" */
+
+/* The value of a canonical integer literal -?(0|[1-9][0-9]*) below 2^63 in
+ * magnitude, other than "-0"; 0 when s is not one. */
+static int
+parse_coefficient(const char *s, Py_ssize_t len, int64_t *out)
+{
+    int neg = len > 0 && s[0] == '-';
+    s += neg;
+    len -= neg;
+    if (len == 0 || len > 19 || (s[0] == '0' && (len > 1 || neg)))
+        return 0;
+    uint64_t v = 0; /* 19 digits stay below 2^64 */
+    for (Py_ssize_t i = 0; i < len; i++) {
+        if (s[i] < '0' || s[i] > '9')
+            return 0;
+        v = 10 * v + (uint64_t)(s[i] - '0');
+    }
+    if (v > (uint64_t)INT64_MAX)
+        return 0;
+    *out = neg ? -(int64_t)v : (int64_t)v;
+    return 1;
+}
+
+/* The mask of one term {"idx": [...], "c": "..."} of a form document on R^n
+ * of degree k, and its coefficient; 0 when the term is outside the canonical
+ * integer subset this kernel reads. */
+static int
+read_term(PyObject *term, Py_ssize_t n, Py_ssize_t k, uint64_t *mask, int64_t *val)
+{
+    if (!PyDict_CheckExact(term))
+        return 0;
+    PyObject *idx = PyDict_GetItemWithError(term, IDX_KEY);
+    PyObject *c = PyDict_GetItemWithError(term, C_KEY);
+    if (idx == NULL || c == NULL || !PyList_CheckExact(idx) || PyList_GET_SIZE(idx) != k
+        || !PyUnicode_CheckExact(c))
+        return 0;
+    uint64_t m = 0;
+    long prev = 0;
+    for (Py_ssize_t j = 0; j < k; j++) {
+        PyObject *item = PyList_GET_ITEM(idx, j);
+        if (!PyLong_CheckExact(item)) /* bool and float declined */
+            return 0;
+        int overflow;
+        long i = PyLong_AsLongAndOverflow(item, &overflow);
+        if (overflow || i <= prev || i > n)
+            return 0;
+        m |= (uint64_t)1 << (i - 1);
+        prev = i;
+    }
+    Py_ssize_t len;
+    const char *s = PyUnicode_AsUTF8AndSize(c, &len);
+    if (s == NULL) { /* a lone surrogate */
+        PyErr_Clear();
+        return 0;
+    }
+    *mask = m;
+    return parse_coefficient(s, len, val);
+}
+
+/* {mask: int} from the list `items` of terms of a form document on R^n of
+ * degree k, zero coefficients dropped.  Declines any document that is not
+ * canonical and integral, and a duplicate idx, whatever its coefficient;
+ * the pure reader then reads it and raises what it raises. */
+static PyObject *
+form_json_terms(PyObject *module, PyObject *args)
+{
+    Py_ssize_t n, k;
+    PyObject *items;
+    if (!PyArg_ParseTuple(args, "nnO!:form_json_terms", &n, &k, &PyList_Type, &items))
+        return NULL;
+    if (n < 1 || n > MASK_BITS || k < 0 || k > n)
+        return decline("form out of compiled-kernel range");
+    PyObject *out = PyDict_New();
+    if (out == NULL)
+        return NULL;
+    Py_ssize_t zeros = 0;
+    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(items); i++) {
+        uint64_t mask;
+        int64_t val;
+        if (!read_term(PyList_GET_ITEM(items, i), n, k, &mask, &val)) {
+            if (!PyErr_Occurred())
+                decline("term outside the compiled reader");
+            goto fail;
+        }
+        PyObject *key = PyLong_FromUnsignedLongLong(mask);
+        PyObject *coeff = PyLong_FromLongLong(val);
+        int rc = (key && coeff) ? PyDict_SetItem(out, key, coeff) : -1;
+        Py_XDECREF(key);
+        Py_XDECREF(coeff);
+        if (rc < 0)
+            goto fail;
+        if (PyDict_GET_SIZE(out) != i + 1) {
+            decline("an idx occurs twice");
+            goto fail;
+        }
+        zeros += val == 0;
+    }
+    if (zeros) {
+        PyObject *nonzero = PyDict_New();
+        PyObject *key, *value;
+        Py_ssize_t pos = 0;
+        while (nonzero && PyDict_Next(out, &pos, &key, &value)) {
+            if (PyObject_IsTrue(value) && PyDict_SetItem(nonzero, key, value) < 0)
+                Py_CLEAR(nonzero);
+        }
+        Py_DECREF(out);
+        return nonzero;
+    }
+    return out;
+fail:
+    Py_DECREF(out);
+    return NULL;
+}
+
 static PyMethodDef module_methods[] = {
     {"signed_perm_action", signed_perm_action, METH_VARARGS,
      "Derivation action: replace letter i by perm[i] with factor -signs[i]."},
+    {"form_json_text", form_json_text, METH_VARARGS,
+     "form_json_text(n, k, terms): the JSON text of an integral form."},
+    {"form_json_terms", form_json_terms, METH_VARARGS,
+     "form_json_terms(n, k, items): {mask: int} from a canonical integer document's terms."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -503,7 +821,10 @@ PyInit__wedge_c(void)
         Py_DECREF(module);
         return NULL;
     }
-    if (PyModule_AddStringConstant(module, "BACKEND", "c") < 0) {
+    IDX_KEY = PyUnicode_InternFromString("idx");
+    C_KEY = PyUnicode_InternFromString("c");
+    if (IDX_KEY == NULL || C_KEY == NULL || PyModule_AddStringConstant(module, "BACKEND", "c") < 0
+        || PyModule_AddIntConstant(module, "MASK_BITS", MASK_BITS) < 0) {
         Py_DECREF(module);
         return NULL;
     }

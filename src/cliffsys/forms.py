@@ -204,7 +204,7 @@ class KForm:
             return KForm.zero(self.n, k)
         ints = self._ints and other._ints
         ta, tb = self.mask_items(), other.mask_items()
-        pairs = kernel.accumulate(lambda acc: acc.add_product(ta, tb), ints)
+        pairs = kernel.accumulate(lambda acc: acc.add_product(ta, tb), ints, self.n)
         return _kernel_form(self.n, k, pairs, ints)
 
     def wedge_square(self) -> "KForm":
@@ -215,7 +215,7 @@ class KForm:
         if k == 0:  # the shortcut skips squares of monomials, nonzero only in degree 0
             return self.wedge(self)
         ta = self.mask_items()
-        pairs = kernel.accumulate(lambda acc: acc.add_square(ta), self._ints)
+        pairs = kernel.accumulate(lambda acc: acc.add_square(ta), self._ints, self.n)
         return _kernel_form(self.n, k, pairs, self._ints)
 
     def restrict(self, indices: Sequence[int]) -> "KForm":
@@ -389,7 +389,7 @@ def _tau_terms(psi: FormMatrix, subsets) -> list[tuple[int, object]]:
         for rows in subsets:
             acc.add_square(_pfaffian_terms(psi, rows).mask_items())
 
-    return kernel.accumulate(fill, _psi_ints(psi))
+    return kernel.accumulate(fill, _psi_ints(psi), psi.n)
 
 
 def _tau_worker(args):
@@ -522,9 +522,15 @@ def form_to_json(a: KForm) -> dict:
 
 def form_to_json_text(a: KForm) -> str:
     """The text of `json.dumps(form_to_json(a), indent=2) + "\\n"`, byte for
-    byte, rendered straight from the masks.  It skips the intermediate dict
-    and the pure-Python encoder that `indent` selects, which for the
-    234,364-term rank-10 form cost seconds and doubled the peak memory."""
+    byte, rendered straight from the masks: by the C kernel for an integral
+    form it takes, by `_json_text` otherwise."""
+    return kernel.form_json_text(a.n, a.k, a._terms, a._ints, lambda: _json_text(a))
+
+
+def _json_text(a: KForm) -> str:
+    """The pure writer.  It skips the intermediate dict and the pure-Python
+    encoder that `indent` selects, which for the 234,364-term rank-10 form
+    cost seconds and doubled the peak memory."""
     head = f'{{\n  "N": {a.n},\n  "k": {a.k},\n  "terms": '
     if a.is_zero():
         return head + "[]\n}\n"
@@ -559,6 +565,10 @@ def form_from_json(data: dict) -> KForm:
     as `str(int)` writes it or "p/q" with q >= 2 and p, q coprime (no
     decimals, exponents, whitespace, "+", "_", leading zeros or "-0").
     Terms may come in any order; terms with c = "0" are dropped.
+
+    `_read_terms` owns this contract.  The C kernel reads only canonical
+    integer documents on R^n, n <= its mask width, and declines the rest,
+    which `_read_terms` then reads whole.
     """
     try:
         n, k, items = data["N"], data["k"], data["terms"]
@@ -568,6 +578,13 @@ def form_from_json(data: dict) -> KForm:
         raise ValueError("N must be an int >= 1 and k an int >= 0")
     if type(items) is not list:
         raise ValueError("terms must be a list")
+    terms, ints = kernel.form_json_terms(n, k, items, lambda: _read_terms(n, k, items))
+    return KForm._trusted(n, k, terms, ints)
+
+
+def _read_terms(n: int, k: int, items: list) -> tuple[dict[int, object], bool]:
+    """({mask: coeff}, ints) of the terms of a form document on R^n of degree
+    k, validated as `form_from_json` says."""
     try:
         index_lists = [t["idx"] for t in items]
         coeffs = [t["c"] for t in items]
@@ -592,7 +609,7 @@ def form_from_json(data: dict) -> KForm:
         raise ValueError("an idx occurs twice")
     if 0 in terms.values():
         terms = {m: v for m, v in terms.items() if v}
-    return KForm._trusted(n, k, terms, ints)
+    return terms, ints
 
 
 def _bit_table(n: int, index_lists: list) -> dict[int, int]:

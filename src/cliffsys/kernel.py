@@ -1,16 +1,21 @@
-"""The one seam between the exterior algebra and its accumulation loops.
+"""The one seam between the exterior algebra and its compiled loops.
 
-Two backends export the same names: `Accumulator` (with `add_product`,
-`add_square` and `items`), `signed_perm_action` and `BACKEND`.  The C
-extension `_wedge_c` is used when it was built, the pure-Python
-`_wedge_py` otherwise; set CLIFFSYS_PURE=1 to force the pure one.
+Both backends export `Accumulator` (with `add_product`, `add_square` and
+`items`), `signed_perm_action` and `BACKEND`.  The C extension `_wedge_c`
+also exports `MASK_BITS`, the width of its masks, and the wire format
+of integral forms: `form_json_text`, the text `forms.form_to_json_text`
+writes, and `form_json_terms`, the `{mask: coeff}` dict of a parsed form
+document's `terms`.  The pure side of the wire format stays in `forms`,
+which passes it here as `pure`.  `_wedge_c` is used when it was built, the
+pure-Python `_wedge_py` otherwise; set CLIFFSYS_PURE=1 to force the pure one.
 
-The C kernel takes integer coefficients with |c| < 2^31, masks below 2^64
-and accumulated values with |acc| < 2^62, and raises OverflowError outside
-that range.  Callers say whether their coefficients are all ints (`ints`);
-only then is the C kernel tried, and an OverflowError from it restarts the
-work on the pure kernel here, in `accumulate` and `signed_perm_action`, so
-results are exact on both backends.
+The C kernel accumulates integer coefficients with |c| < 2^31 into values
+with |acc| < 2^62; it writes and reads coefficients with |c| < 2^63 and
+reads only canonical integer documents.  It declines anything else by
+raising OverflowError.  Callers say whether their coefficients are all
+ints (`ints`) and the dimension n of their R^n; only for ints on R^n with
+n <= MASK_BITS is the C kernel tried, and a decline restarts the work on
+the pure side in `_run`, so results are exact and equal on both backends.
 """
 
 from __future__ import annotations
@@ -35,6 +40,17 @@ def _compiled() -> bool:
     return _impl is not _wedge_py
 
 
+def _run(compiled, pure, ints: bool, n: int):
+    """compiled() when the C kernel may take ints on R^n and does not
+    decline, pure() otherwise."""
+    if ints and _compiled() and n <= _impl.MASK_BITS:
+        try:
+            return compiled()
+        except OverflowError:
+            pass
+    return pure()
+
+
 def new_accumulator(ints: bool):
     """Fresh accumulator; compiled when the int fast path applies."""
     if ints and _compiled():
@@ -42,26 +58,34 @@ def new_accumulator(ints: bool):
     return _wedge_py.Accumulator()
 
 
-def accumulate(fill, ints: bool):
-    """The nonzero terms [(mask, coeff), ...] that `fill(acc)` accumulates
-    into a fresh accumulator; `fill` runs again on a pure accumulator when
-    the compiled one leaves its range."""
-    if ints and _compiled():
-        acc = new_accumulator(True)
-        try:
-            fill(acc)
-            return acc.items()
-        except OverflowError:
-            pass
-    acc = new_accumulator(False)
-    fill(acc)
-    return acc.items()
+def accumulate(fill, ints: bool, n: int):
+    """The nonzero terms [(mask, coeff), ...] on R^n that `fill(acc)`
+    accumulates into a fresh accumulator; `fill` runs again on a pure
+    accumulator when the compiled one declines."""
+
+    def run(acc):
+        fill(acc)
+        return acc.items()
+
+    return _run(lambda: run(new_accumulator(True)), lambda: run(new_accumulator(False)), ints, n)
 
 
 def signed_perm_action(terms, perm, signs, ints: bool):
-    if ints and _compiled():
-        try:
-            return _impl.signed_perm_action(terms, perm, signs)
-        except OverflowError:
-            pass
-    return _wedge_py.signed_perm_action(terms, perm, signs)
+    return _run(
+        lambda: _impl.signed_perm_action(terms, perm, signs),
+        lambda: _wedge_py.signed_perm_action(terms, perm, signs),
+        ints,
+        len(perm),
+    )
+
+
+def form_json_text(n: int, k: int, terms: dict, ints: bool, pure):
+    """The JSON text of the k-form on R^n with `terms` {mask: coeff}."""
+    return _run(lambda: _impl.form_json_text(n, k, terms), pure, ints, n)
+
+
+def form_json_terms(n: int, k: int, items: list, pure):
+    """({mask: coeff}, ints) from the `terms` list of a form document on
+    R^n of degree k; `pure()` reads the documents the C kernel declines and
+    owns the input contract."""
+    return _run(lambda: (_impl.form_json_terms(n, k, items), True), pure, True, n)

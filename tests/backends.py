@@ -1,0 +1,52 @@
+"""The kernel backends under test.
+
+The C kernel is compiled from `src/cliffsys/_wedge_c.c` with the system
+`cc`, so the compiled-against-pure checks run on every machine with a C
+compiler and the Python headers, whether or not the package was built.
+"""
+
+import importlib.machinery
+import importlib.util
+import shutil
+import subprocess
+import sysconfig
+from contextlib import contextmanager
+from pathlib import Path
+
+from cliffsys import kernel
+
+SOURCE = Path(__file__).resolve().parents[1] / "src" / "cliffsys" / "_wedge_c.c"
+
+
+def compile_c_kernel(directory: Path):
+    """(module, None) with the C kernel built in `directory`, or (None, why)
+    when this machine cannot build it."""
+    cc = shutil.which("cc")
+    if cc is None:
+        return None, "no C compiler: `cc` is not on PATH"
+    include = sysconfig.get_paths()["include"]
+    if not (Path(include) / "Python.h").is_file():
+        return None, f"no Python.h in {include}"
+    out = directory / ("_wedge_c" + sysconfig.get_config_var("EXT_SUFFIX"))
+    build = subprocess.run(
+        [cc, "-O2", "-Wall", "-shared", "-fPIC", f"-I{include}", str(SOURCE), "-o", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert build.returncode == 0, build.stderr
+    loader = importlib.machinery.ExtensionFileLoader("cliffsys._wedge_c", str(out))
+    spec = importlib.util.spec_from_file_location("cliffsys._wedge_c", out, loader=loader)
+    module = importlib.util.module_from_spec(spec)
+    loader.exec_module(module)
+    return module, None
+
+
+@contextmanager
+def dispatch_to(module):
+    """Route `kernel` through `module` as if it had been imported as _impl."""
+    saved = kernel._impl
+    kernel._impl = module
+    try:
+        yield
+    finally:
+        kernel._impl = saved

@@ -29,6 +29,7 @@ from cliffsys.forms import (
     wedge,
 )
 
+from backends import dispatch_to
 from oracles import assert_clean, brute_wedge_forms, naive_lie_action, perm_expansion_det
 
 
@@ -333,16 +334,20 @@ def test_short_notation_round_trip():
     assert form_to_text(KForm.zero(4, 2)) == "0"
 
 
-def test_form_json_round_trip():
+def test_form_json_round_trip(kernel_backends):
     rng = random.Random(51)
     for _ in range(25):
         n = rng.randint(3, 12)
         a = random_form(rng, n, rng.randint(1, 3)).scale(Fraction(1, rng.randint(1, 5)))
         data = form_to_json(a)
         assert data["terms"] == sorted(data["terms"], key=lambda t: t["idx"])
-        assert form_from_json(data) == a
+        for module in kernel_backends:
+            with dispatch_to(module):
+                assert form_from_json(data) == a
     spin9 = canonical_form("Spin9")
-    assert form_from_json(form_to_json(spin9)) == spin9
+    for module in kernel_backends:
+        with dispatch_to(module):
+            assert form_from_json(form_to_json(spin9)) == spin9
 
 
 @pytest.mark.parametrize(
@@ -359,9 +364,11 @@ def test_form_json_round_trip():
         ),
     ],
 )
-def test_form_json_text_matches_json_dumps(form):
+def test_form_json_text_matches_json_dumps(form, kernel_backends):
     a = form()
-    assert form_to_json_text(a) == json.dumps(form_to_json(a), indent=2) + "\n"
+    for module in kernel_backends:
+        with dispatch_to(module):
+            assert form_to_json_text(a) == json.dumps(form_to_json(a), indent=2) + "\n"
 
 
 def wire(terms, n=4, k=2):
@@ -411,17 +418,29 @@ ILL_FORMED_FORM_JSON = [
 
 
 @pytest.mark.parametrize("data", ILL_FORMED_FORM_JSON)
-def test_form_from_json_rejects_ill_formed_input(data):
-    with pytest.raises(ValueError):
-        form_from_json(data)
+def test_form_from_json_rejects_ill_formed_input(data, kernel_backends):
+    messages = set()
+    for module in kernel_backends:
+        with dispatch_to(module), pytest.raises(ValueError) as exc:
+            form_from_json(data)
+        messages.add(str(exc.value))
+    assert len(messages) == 1
 
 
-def test_form_from_json_accepts_canonical_input():
+def test_form_from_json_accepts_canonical_input(kernel_backends):
     data = wire([([2, 4], "-3/4"), ([1, 2], "12"), ([1, 3], "0"), ([3, 4], "-1")])
-    form = form_from_json(data)
-    assert form == KForm.from_terms(4, 2, [((1, 2), 12), ((2, 4), Fraction(-3, 4)), ((3, 4), -1)])
-    assert form_from_json(wire([], n=3, k=5)) == KForm.zero(3, 5)
-    assert form_from_json(wire([([], "7")], n=1, k=0)) == KForm(1, 0, {0: 7})
+    integral = wire([([2, 4], "-3"), ([1, 2], "12"), ([1, 3], "0"), ([3, 4], "-1")])
+    for module in kernel_backends:
+        with dispatch_to(module):
+            form = form_from_json(data)
+            assert form == KForm.from_terms(
+                4, 2, [((1, 2), 12), ((2, 4), Fraction(-3, 4)), ((3, 4), -1)]
+            )
+            assert form_from_json(integral) == KForm.from_terms(
+                4, 2, [((1, 2), 12), ((2, 4), -3), ((3, 4), -1)]
+            )
+            assert form_from_json(wire([], n=3, k=5)) == KForm.zero(3, 5)
+            assert form_from_json(wire([([], "7")], n=1, k=0)) == KForm(1, 0, {0: 7})
 
 
 @st.composite
@@ -441,12 +460,14 @@ def forms(draw, n=None, k=None, integral=False):
 
 @settings(max_examples=200, deadline=None)
 @given(forms())
-def test_form_wire_format_property(a):
-    text = form_to_json_text(a)
-    assert text == json.dumps(form_to_json(a), indent=2) + "\n"
-    back = form_from_json(json.loads(text))
-    assert back == a
-    assert_clean(back)
+def test_form_wire_format_property(kernel_backends, a):
+    for module in kernel_backends:
+        with dispatch_to(module):
+            text = form_to_json_text(a)
+            assert text == json.dumps(form_to_json(a), indent=2) + "\n"
+            back = form_from_json(json.loads(text))
+        assert back == a
+        assert_clean(back)
 
 
 @settings(max_examples=200, deadline=None)

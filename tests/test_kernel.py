@@ -1,69 +1,41 @@
 """Backend equivalence: the compiled kernel must agree with the pure one.
 
-The C kernel is compiled from `src/cliffsys/_wedge_c.c` into a temporary
-directory with the system `cc`, so these tests run on every machine with a
-C compiler and the Python headers, whether or not the package was built.
+The C kernel (the `wc` fixture) is compiled from `src/cliffsys/_wedge_c.c`
+into a temporary directory with the system `cc`, so these tests run on
+every machine with a C compiler and the Python headers, whether or not the
+package was built.
 """
 
-import importlib.machinery
-import importlib.util
+import json
 import random
-import shutil
-import subprocess
-import sysconfig
-from contextlib import contextmanager
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cliffsys import _wedge_py
+from cliffsys import forms as forms_module
 from cliffsys import kernel
 from cliffsys.clifford import build
 from cliffsys.exactmat import SignedPermMatrix
-from cliffsys.forms import FormMatrix, KForm, _pfaffian_terms, kaehler_matrix, lie_action, tau
+from cliffsys.forms import (
+    FormMatrix,
+    KForm,
+    _pfaffian_terms,
+    canonical_form,
+    form_from_json,
+    form_to_json,
+    form_to_json_text,
+    kaehler_matrix,
+    lie_action,
+    tau,
+)
 
+from backends import dispatch_to
 from oracles import assert_clean
 
-SOURCE = Path(__file__).resolve().parents[1] / "src" / "cliffsys" / "_wedge_c.c"
-C_MAX = (1 << 31) - 1  # largest coefficient the C kernel takes
+C_MAX = (1 << 31) - 1  # largest coefficient the C kernel accumulates
 ACC_LIMIT = 1 << 62  # accumulated values must stay strictly inside +-2^62
-
-
-@pytest.fixture(scope="module")
-def wc(tmp_path_factory):
-    """The C kernel module, compiled from source for this test run."""
-    cc = shutil.which("cc")
-    if cc is None:
-        pytest.skip("no C compiler: `cc` is not on PATH")
-    include = sysconfig.get_paths()["include"]
-    if not (Path(include) / "Python.h").is_file():
-        pytest.skip(f"no Python.h in {include}")
-    out = tmp_path_factory.mktemp("wedge_c") / (
-        "_wedge_c" + sysconfig.get_config_var("EXT_SUFFIX")
-    )
-    build = subprocess.run(
-        [cc, "-O2", "-Wall", "-shared", "-fPIC", f"-I{include}", str(SOURCE), "-o", str(out)],
-        capture_output=True,
-        text=True,
-    )
-    assert build.returncode == 0, build.stderr
-    loader = importlib.machinery.ExtensionFileLoader("cliffsys._wedge_c", str(out))
-    spec = importlib.util.spec_from_file_location("cliffsys._wedge_c", out, loader=loader)
-    module = importlib.util.module_from_spec(spec)
-    loader.exec_module(module)
-    return module
-
-
-@contextmanager
-def dispatch_to(module):
-    """Route `kernel` through `module` as if it had been imported as _impl."""
-    saved = kernel._impl
-    kernel._impl = module
-    try:
-        yield
-    finally:
-        kernel._impl = saved
+WIRE_MAX = (1 << 63) - 1  # largest coefficient the C kernel writes and reads
 
 
 def product(module, ta, tb):
@@ -80,12 +52,17 @@ def square(module, ta):
     return acc.items()
 
 
+def dimension(*term_lists):
+    """The least n >= 1 with every mask of `term_lists` on R^n."""
+    return max((m.bit_length() for terms in term_lists for m, _ in terms), default=1) or 1
+
+
 def kernel_product(ta, tb):
-    return kernel.accumulate(lambda acc: acc.add_product(ta, tb), True)
+    return kernel.accumulate(lambda acc: acc.add_product(ta, tb), True, dimension(ta, tb))
 
 
 def kernel_square(ta):
-    return kernel.accumulate(lambda acc: acc.add_square(ta), True)
+    return kernel.accumulate(lambda acc: acc.add_square(ta), True, dimension(ta))
 
 
 def random_terms(rng, n, k, count):
@@ -98,6 +75,7 @@ def random_terms(rng, n, k, count):
 
 def test_backend_name(wc):
     assert wc.BACKEND == "c"
+    assert wc.MASK_BITS == 64
 
 
 def test_wedge_terms_equivalence(wc):
@@ -387,14 +365,24 @@ def test_overflowing_tau_restarts_pure(wc, monkeypatch):
 
 
 def test_tau_past_64_dimensions_matches_pure(wc, monkeypatch):
-    # tau_2 on R^128: its masks pass 2^64, so the compiled accumulator
-    # declines while loading them and the sum restarts on the pure one
+    # tau_2 on R^128: its masks pass 2^64, so the sum runs on the pure
+    # accumulator, and each of the 6 Pfaffians of its 2x2 minors is built
+    # once on either backend
     psi = kaehler_matrix(build(11).generators[:4])
     assert psi.n == 128
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _pfaffian_terms(*args)
+
+    monkeypatch.setattr(forms_module, "_pfaffian_terms", counted)
     results = []
     for module in (wc, _wedge_py):
         monkeypatch.setattr(kernel, "_impl", module)
+        calls.clear()
         results.append(tau(psi, 2))
+        assert len(calls) == 6
     assert results[0] == results[1]
     assert results[0].num_terms() == 2912
 
@@ -417,3 +405,208 @@ def test_merge_sign():
     assert kernel.merge_sign(0b0001, 0b0010) == 1  # 1 before 2
     assert kernel.merge_sign(0b0010, 0b0001) == -1
     assert kernel.merge_sign(0b0101, 0b1010) == -1  # (1,3) vs (2,4): one inversion
+
+
+# -- the wire format: the C writer and reader equal the pure ones, or decline ------
+
+
+class Recording:
+    """`module` with every call to one of its functions recorded by name."""
+
+    def __init__(self, module):
+        self._module = module
+        self.calls = []
+
+    def __getattr__(self, name):
+        value = getattr(self._module, name)
+        if not callable(value) or isinstance(value, type):
+            return value
+
+        def call(*args):
+            self.calls.append(name)
+            return value(*args)
+
+        return call
+
+
+def pure_text(a):
+    with dispatch_to(_wedge_py):
+        return form_to_json_text(a)
+
+
+def in_wire_range(a):
+    return a.n <= 64 and a._ints and all(abs(c) <= WIRE_MAX for c in a._terms.values())
+
+
+def check_writer(wc, a):
+    """The C writer renders `a` as the pure one does when it is in range and
+    declines it otherwise; through `kernel` the text is the pure text."""
+    expected = pure_text(a)
+    assert expected == json.dumps(form_to_json(a), indent=2) + "\n"
+    if in_wire_range(a):
+        assert wc.form_json_text(a.n, a.k, a._terms) == expected
+    elif a._ints:
+        with pytest.raises(OverflowError):
+            wc.form_json_text(a.n, a.k, a._terms)
+    with dispatch_to(wc):
+        assert form_to_json_text(a) == expected
+
+
+wire_coeffs = st.one_of(
+    st.integers(-9, 9),
+    st.integers(-WIRE_MAX, WIRE_MAX),
+    st.sampled_from([WIRE_MAX, -WIRE_MAX, WIRE_MAX + 1, -WIRE_MAX - 1, 1 << 70, -(1 << 70)]),
+)
+
+
+@st.composite
+def integral_forms(draw, dimensions=st.integers(1, 70), coefficient=wire_coeffs):
+    """Integral forms on R^n, n up to 70 so that some pass the C kernel's
+    mask width, with coefficients around the edges of its int64 range."""
+    n = draw(dimensions)
+    k = draw(st.integers(0, min(n, 6)))
+    monomial = st.frozensets(st.integers(1, n), min_size=k, max_size=k)
+    terms = draw(st.dictionaries(monomial, coefficient, max_size=12))
+    return KForm(n, k, {sum(1 << (i - 1) for i in s): c for s, c in terms.items()})
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=integral_forms())
+def test_compiled_writer_matches_pure_property(wc, a):
+    check_writer(wc, a)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        pytest.param(KForm.zero(16, 8), id="empty"),
+        pytest.param(KForm.zero(1, 0), id="empty-degree-0"),
+        pytest.param(KForm(5, 0, {0: -3}), id="degree-0"),
+        pytest.param(KForm(64, 1, {1 << 63: 7, 1: -1}), id="bit-63"),
+        pytest.param(KForm(64, 3, {(1 << 63) | (1 << 9) | 1: 2, (3 << 62) | 2: -5}), id="bit-63-deg-3"),
+        pytest.param(KForm(64, 2, {(1 << 63) | 1: WIRE_MAX, 3: -WIRE_MAX}), id="int64-edge"),
+        pytest.param(KForm(8, 2, {3: WIRE_MAX + 1}), id="past-int64"),
+        pytest.param(KForm(8, 2, {3: -WIRE_MAX - 1}), id="past-int64-negative"),
+        pytest.param(KForm(8, 2, {3: 1 << 100, 5: 1}), id="big-int"),
+        pytest.param(KForm(65, 2, {3: 1, (1 << 64) | 1: -2}), id="N=65"),
+        pytest.param(KForm(65, 2, {3: 1, 6: -2}), id="N=65-low-masks"),
+        pytest.param(canonical_form("Spin9"), id="Spin9"),
+        pytest.param(canonical_form("Spin7Delta"), id="Spin7Delta-rational"),
+    ],
+)
+def test_compiled_writer_edges(wc, a):
+    check_writer(wc, a)
+
+
+def test_wire_format_past_the_mask_width_skips_the_compiled_kernel(wc):
+    a = KForm(64, 2, {3: 1, 6: -2})
+    b = KForm(65, 2, a._terms)
+    spy = Recording(wc)
+    with dispatch_to(spy):
+        for form in (a, b):
+            assert form_from_json(json.loads(form_to_json_text(form))) == form
+    assert spy.calls == ["form_json_text", "form_json_terms"]
+
+
+def test_compiled_reader_reads_canonical_integer_documents(wc):
+    a = canonical_form("Spin9")
+    items = form_to_json(a)["terms"]
+    assert wc.form_json_terms(16, 8, items) == a._terms
+    zero_dropped = [{"idx": [1, 2], "c": "0"}, {"idx": [1, 64], "c": str(-WIRE_MAX)}]
+    assert wc.form_json_terms(64, 2, zero_dropped) == {1 | 1 << 63: -WIRE_MAX}
+    assert wc.form_json_terms(1, 0, [{"idx": [], "c": "7"}]) == {0: 7}
+    assert wc.form_json_terms(3, 1, []) == {}
+
+
+@pytest.mark.parametrize(
+    "n, k, items",
+    [
+        pytest.param(4, 2, [{"idx": [1, 2], "c": "1"}, {"idx": [1, 2], "c": "0"}], id="duplicate-zero"),
+        pytest.param(4, 2, [{"idx": [1, 2], "c": "0"}, {"idx": [1, 2], "c": "0"}], id="duplicate-zeros"),
+        pytest.param(4, 2, [{"idx": [1, 2], "c": "1/2"}], id="rational"),
+        pytest.param(4, 2, [{"idx": [1, 2], "c": "-0"}], id="minus-zero"),
+        pytest.param(4, 2, [{"idx": [1, 2], "c": str(WIRE_MAX + 1)}], id="past-int64"),
+        pytest.param(4, 2, [{"idx": [1, 2], "c": "\ud800"}], id="lone-surrogate"),
+        pytest.param(4, 2, [{"idx": [True, 2], "c": "1"}], id="bool-index"),
+        pytest.param(4, 2, [{"idx": [1.0, 2], "c": "1"}], id="float-index"),
+        pytest.param(4, 2, [{"idx": [1, 1 << 70], "c": "1"}], id="huge-index"),
+        pytest.param(4, 2, [{"idx": (1, 2), "c": "1"}], id="idx-a-tuple"),
+        pytest.param(4, 2, [[[1, 2], "1"]], id="term-a-list"),
+        pytest.param(65, 2, [{"idx": [1, 2], "c": "1"}], id="N=65"),
+        pytest.param(3, 5, [], id="k-past-N"),
+    ],
+)
+def test_compiled_reader_declines_the_rest(wc, n, k, items):
+    with pytest.raises(OverflowError):
+        wc.form_json_terms(n, k, items)
+
+
+PERTURBATIONS = [
+    "bool-index", "float-index", "minus-zero", "leading-zeros", "space", "underscore",
+    "duplicate", "duplicate-zero", "unsorted", "ratio", "canonical-ratio", "past-int64",
+    "N=65", "extra-key", "term-a-list", "idx-a-tuple", "index-past-N", "index-0",
+]
+
+
+def perturb(data, how, pos):
+    """`data` with its term at `pos` (or the document itself) changed `how`."""
+    terms = data["terms"]
+    term = terms[pos]
+    idx = term["idx"]
+    if how == "bool-index" and idx:
+        idx[0] = True
+    elif how == "float-index" and idx:
+        idx[-1] = float(idx[-1])
+    elif how in ("minus-zero", "leading-zeros", "space", "underscore", "ratio", "canonical-ratio", "past-int64"):
+        term["c"] = {
+            "minus-zero": "-0", "leading-zeros": "007", "space": " 1", "underscore": "1_0",
+            "ratio": "p/q", "canonical-ratio": "-3/4", "past-int64": str(WIRE_MAX + 1),
+        }[how]
+    elif how == "duplicate":
+        terms.append(dict(term))
+    elif how == "duplicate-zero":
+        terms.append({"idx": list(idx), "c": "0"})
+    elif how == "unsorted":
+        idx.reverse()
+    elif how == "N=65":
+        data["N"] = 65
+    elif how == "extra-key":
+        term["x"] = [1]
+    elif how == "term-a-list":
+        terms[pos] = [idx, term["c"]]
+    elif how == "idx-a-tuple":
+        term["idx"] = tuple(idx)
+    elif how == "index-past-N" and idx:
+        idx[-1] = data["N"] + 1
+    elif how == "index-0" and idx:
+        idx[0] = 0
+    return data
+
+
+def read(data):
+    """The form `data` gives, or the message of the ValueError it raises."""
+    try:
+        return form_from_json(data)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=integral_forms(st.integers(1, 64), st.integers(-(10**6), 10**6)).filter(
+        lambda a: not a.is_zero()
+    ),
+    how=st.sampled_from(PERTURBATIONS),
+    where=st.integers(0, 11),
+)
+def test_compiled_reader_matches_pure_on_perturbed_documents(wc, a, how, where):
+    text = form_to_json_text(a)
+    assert wc.form_json_terms(a.n, a.k, json.loads(text)["terms"]) == a._terms
+    data = json.loads(text)
+    perturb(data, how, where % len(data["terms"]))
+    with dispatch_to(_wedge_py):
+        expected = read(data)
+    with dispatch_to(wc):
+        assert read(data) == expected
+    if isinstance(expected, KForm):
+        assert_clean(expected)
