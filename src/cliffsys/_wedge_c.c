@@ -36,11 +36,16 @@ typedef struct {
     int64_t zero_val; /* the value of mask 0 */
 } table_t;
 
+/* An empty table that takes `expected` keys without growing. */
 static int
-table_init(table_t *t)
+table_init(table_t *t, size_t expected)
 {
     t->mask = 15;
     t->shift = 60;
+    while (t->mask + 1 < 2 * expected) {
+        t->mask = 2 * t->mask + 1;
+        t->shift -= 1;
+    }
     t->len = 0;
     t->zero_val = 0;
     t->slots = PyMem_Calloc(t->mask + 1, sizeof(slot_t));
@@ -124,6 +129,48 @@ table_add(table_t *t, uint64_t key, int64_t v)
     }
     *val = sum;
     return 0;
+}
+
+/* The loops below queue their (key, value) pairs in a batch and prefetch each
+ * key's home slot as the key is made, so that by the time the batch is added
+ * to the table, in queue order, most of its slots are in cache. */
+#define BATCH 32
+
+typedef struct {
+    int len;
+    uint64_t key[BATCH];
+    int64_t val[BATCH];
+} batch_t;
+
+/* Add the queued pairs to t in order; -1 as table_add. */
+static int
+batch_flush(table_t *t, batch_t *q)
+{
+    for (int i = 0; i < q->len; i++) {
+        if (table_add(t, q->key[i], q->val[i]) < 0)
+            return -1;
+    }
+    q->len = 0;
+    return 0;
+}
+
+/* Queue acc[key] += v if keep is 1 (0: drop it), flushing a full batch. */
+static inline int
+batch_put(table_t *t, batch_t *q, uint64_t key, int64_t v, int keep)
+{
+    __builtin_prefetch(&t->slots[table_home(t, key)], 1);
+    q->key[q->len] = key;
+    q->val[q->len] = v;
+    q->len += keep;
+    return q->len == BATCH ? batch_flush(t, q) : 0;
+}
+
+/* v, negated when the parity bit is set. */
+static inline int64_t
+signed_by(int64_t v, uint64_t parity)
+{
+    int64_t neg = -(int64_t)(parity & 1);
+    return (v ^ neg) - neg;
 }
 
 static PyObject *
@@ -259,25 +306,19 @@ fail:
 static int
 accumulate(table_t *t, const terms_t *a, const terms_t *b, int square)
 {
+    batch_t q = {.len = 0};
     for (Py_ssize_t i = 0; i < a->n; i++) {
         uint64_t ma = a->masks[i];
+        /* |ca| < 2^32 and |coeffs[j]| < 2^31, so every product fits in int64 */
         int64_t ca = square ? 2 * a->coeffs[i] : a->coeffs[i];
         for (Py_ssize_t j = square ? i + 1 : 0; j < b->n; j++) {
             uint64_t mb = b->masks[j];
-            if (ma & mb)
-                continue;
-            int64_t v;
-            if (__builtin_mul_overflow(ca, b->coeffs[j], &v)) {
-                PyErr_SetString(PyExc_OverflowError, "product out of compiled-kernel range");
-                return -1;
-            }
-            if (__builtin_popcountll(ma & b->below[j]) & 1)
-                v = -v;
-            if (table_add(t, ma | mb, v) < 0)
+            int64_t v = signed_by(ca * b->coeffs[j], __builtin_popcountll(ma & b->below[j]));
+            if (batch_put(t, &q, ma | mb, v, (ma & mb) == 0) < 0)
                 return -1;
         }
     }
-    return 0;
+    return batch_flush(t, &q);
 }
 
 /* Accumulate ta ^ tb into t, or the square of ta when tb is NULL. */
@@ -319,7 +360,7 @@ Accumulator_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     AccumulatorObject *self = (AccumulatorObject *)type->tp_alloc(type, 0);
     if (self == NULL)
         return NULL;
-    if (table_init(&self->table) < 0) {
+    if (table_init(&self->table, 0) < 0) {
         Py_DECREF(self);
         return NULL;
     }
@@ -388,42 +429,31 @@ static PyTypeObject AccumulatorType = {
 static int
 perm_action(table_t *t, const terms_t *a, const int *target, const int64_t *factor)
 {
+    batch_t q = {.len = 0};
     for (Py_ssize_t idx = 0; idx < a->n; idx++) {
         uint64_t mask = a->masks[idx];
         int64_t c = a->coeffs[idx];
-        uint64_t m = mask;
-        while (m) {
-            uint64_t low = m & (~m + 1);
-            m ^= low;
-            int i = __builtin_ctzll(low);
-            if (target[i] < 0)
-                goto overflow;
+        for (uint64_t m = mask; m; m &= m - 1) {
+            int i = __builtin_ctzll(m);
             int j = target[i];
-            int64_t f = factor[i];
-            uint64_t key = mask;
-            if (j != i) {
-                uint64_t without = mask ^ low;
-                uint64_t jbit = (uint64_t)1 << j;
-                if (without & jbit)
-                    continue;
-                int lo = i < j ? i : j, hi = i < j ? j : i;
-                /* hi <= 63 and lo + 1 <= 63: no shift reaches 64 */
-                uint64_t between = (((uint64_t)1 << hi) - 1) ^ (((uint64_t)1 << (lo + 1)) - 1);
-                if (__builtin_popcountll(without & between) & 1)
-                    f = -f;
-                key = without | jbit;
+            if (j < 0) { /* the letters before this one are added first */
+                if (batch_flush(t, &q) == 0)
+                    PyErr_SetString(PyExc_OverflowError, "letter out of compiled-kernel range");
+                return -1;
             }
-            int64_t v;
-            if (__builtin_mul_overflow(c, f, &v))
-                goto overflow;
-            if (table_add(t, key, v) < 0)
+            uint64_t without = mask & ~((uint64_t)1 << i);
+            uint64_t jbit = (uint64_t)1 << j;
+            int lo = i < j ? i : j, hi = i < j ? j : i;
+            /* the letters strictly between lo and hi; none when j == i, so
+             * then the key is mask and the sign is kept */
+            uint64_t between = (((uint64_t)1 << hi) - 1) & ~(((uint64_t)2 << lo) - 1);
+            /* |c| and |factor[i]| are below 2^31, so the product fits in int64 */
+            int64_t v = signed_by(c * factor[i], __builtin_popcountll(without & between));
+            if (batch_put(t, &q, without | jbit, v, (without & jbit) == 0) < 0)
                 return -1;
         }
     }
-    return 0;
-overflow:
-    PyErr_SetString(PyExc_OverflowError, "letter out of compiled-kernel range");
-    return -1;
+    return batch_flush(t, &q);
 }
 
 static PyObject *
@@ -470,7 +500,7 @@ signed_perm_action(PyObject *module, PyObject *args)
     if (terms_load(terms, &a) < 0)
         return NULL;
     PyObject *out = NULL;
-    if (table_init(&t) == 0) {
+    if (table_init(&t, (size_t)a.n) == 0) {
         if (perm_action(&t, &a, target, factor) == 0)
             out = table_items(&t);
         table_free(&t);
@@ -598,9 +628,52 @@ put_term(char *p, uint64_t mask, int64_t val)
     return PUT(p, TERM_CLOSE);
 }
 
+/* The terms {mask: int} of the k-form on R^n as an array in wire order, of
+ * PyDict_GET_SIZE(terms) entries; NULL with an exception set.  Declines a
+ * rational or |c| >= 2^63 coefficient and a mask of MASK_BITS bits or more. */
+static wire_term_t *
+wire_terms(Py_ssize_t n, Py_ssize_t k, PyObject *terms)
+{
+    if (n < 1 || n > MASK_BITS || k < 0) {
+        decline("form out of compiled-kernel range");
+        return NULL;
+    }
+    Py_ssize_t count = PyDict_GET_SIZE(terms);
+    wire_term_t *items = PyMem_Malloc((count + 1) * sizeof(wire_term_t));
+    if (items == NULL) {
+        PyErr_NoMemory();
+        return NULL;
+    }
+    PyObject *key, *value;
+    Py_ssize_t pos = 0, i = 0; /* no Python code runs here, so terms keeps its size */
+    while (PyDict_Next(terms, &pos, &key, &value)) {
+        if (!PyLong_CheckExact(key) || !PyLong_CheckExact(value)) {
+            decline("coefficient out of compiled-kernel range");
+            goto fail;
+        }
+        uint64_t mask = PyLong_AsUnsignedLongLong(key); /* OverflowError past 64 bits */
+        if (mask == (uint64_t)-1 && PyErr_Occurred())
+            goto fail;
+        int64_t val = PyLong_AsLongLong(value);
+        if (val == -1 && PyErr_Occurred())
+            goto fail;
+        if (val == INT64_MIN) {
+            decline("coefficient out of compiled-kernel range");
+            goto fail;
+        }
+        items[i].rev = bit_reverse(mask);
+        items[i].val = val;
+        i++;
+    }
+    qsort(items, count, sizeof(wire_term_t), wire_term_cmp);
+    return items;
+fail:
+    PyMem_Free(items);
+    return NULL;
+}
+
 /* The text forms.form_to_json_text writes for the k-form on R^n with terms
- * {mask: int}.  Declines a rational or |c| >= 2^63 coefficient and a mask of
- * MASK_BITS bits or more. */
+ * {mask: int}; declines what wire_terms declines. */
 static PyObject *
 form_json_text(PyObject *module, PyObject *args)
 {
@@ -608,43 +681,20 @@ form_json_text(PyObject *module, PyObject *args)
     PyObject *terms;
     if (!PyArg_ParseTuple(args, "nnO!:form_json_text", &n, &k, &PyDict_Type, &terms))
         return NULL;
-    if (n < 1 || n > MASK_BITS || k < 0)
-        return decline("form out of compiled-kernel range");
-    Py_ssize_t count = PyDict_GET_SIZE(terms);
-    wire_term_t *items = PyMem_Malloc((count + 1) * sizeof(wire_term_t));
+    wire_term_t *items = wire_terms(n, k, terms);
     if (items == NULL)
-        return PyErr_NoMemory();
-    PyObject *out = NULL, *key, *value;
-    Py_ssize_t pos = 0, i = 0; /* no Python code runs here, so terms keeps its size */
+        return NULL;
+    Py_ssize_t count = PyDict_GET_SIZE(terms);
     size_t len = LIT_LEN(HEAD_N) + decimal_len((uint64_t)n) + LIT_LEN(HEAD_K)
                  + decimal_len((uint64_t)k) + LIT_LEN(HEAD_TERMS);
-    while (PyDict_Next(terms, &pos, &key, &value)) {
-        if (!PyLong_CheckExact(key) || !PyLong_CheckExact(value)) {
-            decline("coefficient out of compiled-kernel range");
-            goto done;
-        }
-        uint64_t mask = PyLong_AsUnsignedLongLong(key); /* OverflowError past 64 bits */
-        if (mask == (uint64_t)-1 && PyErr_Occurred())
-            goto done;
-        int64_t val = PyLong_AsLongLong(value);
-        if (val == -1 && PyErr_Occurred())
-            goto done;
-        if (val == INT64_MIN) {
-            decline("coefficient out of compiled-kernel range");
-            goto done;
-        }
-        items[i].rev = bit_reverse(mask);
-        items[i].val = val;
-        len += term_len(mask, val);
-        i++;
-    }
-    qsort(items, count, sizeof(wire_term_t), wire_term_cmp);
+    for (Py_ssize_t i = 0; i < count; i++)
+        len += term_len(bit_reverse(items[i].rev), items[i].val);
     if (count == 0)
         len += LIT_LEN(NO_TERMS);
     else
         len += LIT_LEN(TERMS_OPEN) + (count - 1) * LIT_LEN(TERMS_SEP) + LIT_LEN(TERMS_CLOSE);
 
-    out = PyUnicode_New((Py_ssize_t)len, 127);
+    PyObject *out = PyUnicode_New((Py_ssize_t)len, 127);
     if (out == NULL)
         goto done;
     char *start = (char *)PyUnicode_1BYTE_DATA(out), *p = start;
@@ -658,7 +708,7 @@ form_json_text(PyObject *module, PyObject *args)
     }
     else {
         p = PUT(p, TERMS_OPEN);
-        for (i = 0; i < count; i++) {
+        for (Py_ssize_t i = 0; i < count; i++) {
             if (i)
                 p = PUT(p, TERMS_SEP);
             p = put_term(p, bit_reverse(items[i].rev), items[i].val);
@@ -675,6 +725,68 @@ done:
 }
 
 static PyObject *IDX_KEY, *C_KEY; /* "idx", "c" */
+
+/* {"idx": [...], "c": "..."}, one term of forms.form_to_json. */
+static PyObject *
+term_dict(uint64_t mask, int64_t val)
+{
+    PyObject *idx = PyList_New(__builtin_popcountll(mask));
+    if (idx == NULL)
+        return NULL;
+    Py_ssize_t j = 0;
+    for (uint64_t m = mask; m; m &= m - 1) {
+        PyObject *i = PyLong_FromLong(__builtin_ctzll(m) + 1);
+        if (i == NULL) {
+            Py_DECREF(idx);
+            return NULL;
+        }
+        PyList_SET_ITEM(idx, j++, i);
+    }
+    uint64_t mag = val < 0 ? -(uint64_t)val : (uint64_t)val;
+    PyObject *c = PyUnicode_New((Py_ssize_t)((val < 0) + decimal_len(mag)), 127);
+    PyObject *term = c ? PyDict_New() : NULL;
+    if (term != NULL) {
+        char *p = (char *)PyUnicode_1BYTE_DATA(c);
+        if (val < 0)
+            *p++ = '-';
+        put_decimal(p, mag);
+        if (PyDict_SetItem(term, IDX_KEY, idx) < 0 || PyDict_SetItem(term, C_KEY, c) < 0)
+            Py_CLEAR(term);
+    }
+    Py_DECREF(idx);
+    Py_XDECREF(c);
+    return term;
+}
+
+/* The dict forms.form_to_json returns for the k-form on R^n with terms
+ * {mask: int}: {"N": n, "k": k, "terms": [...]}, the terms in wire order;
+ * declines what wire_terms declines. */
+static PyObject *
+form_json_dict(PyObject *module, PyObject *args)
+{
+    Py_ssize_t n, k;
+    PyObject *terms;
+    if (!PyArg_ParseTuple(args, "nnO!:form_json_dict", &n, &k, &PyDict_Type, &terms))
+        return NULL;
+    wire_term_t *items = wire_terms(n, k, terms);
+    if (items == NULL)
+        return NULL;
+    Py_ssize_t count = PyDict_GET_SIZE(terms);
+    PyObject *out = NULL, *list = PyList_New(count);
+    if (list == NULL)
+        goto done;
+    for (Py_ssize_t i = 0; i < count; i++) {
+        PyObject *term = term_dict(bit_reverse(items[i].rev), items[i].val);
+        if (term == NULL)
+            goto done;
+        PyList_SET_ITEM(list, i, term);
+    }
+    out = Py_BuildValue("{s:n,s:n,s:O}", "N", n, "k", k, "terms", list);
+done:
+    Py_XDECREF(list);
+    PyMem_Free(items);
+    return out;
+}
 
 /* The value of a canonical integer literal -?(0|[1-9][0-9]*) below 2^63 in
  * magnitude, other than "-0"; 0 when s is not one. */
@@ -794,6 +906,8 @@ static PyMethodDef module_methods[] = {
      "Derivation action: replace letter i by perm[i] with factor -signs[i]."},
     {"form_json_text", form_json_text, METH_VARARGS,
      "form_json_text(n, k, terms): the JSON text of an integral form."},
+    {"form_json_dict", form_json_dict, METH_VARARGS,
+     "form_json_dict(n, k, terms): the JSON document of an integral form, as a dict."},
     {"form_json_terms", form_json_terms, METH_VARARGS,
      "form_json_terms(n, k, items): {mask: int} from a canonical integer document's terms."},
     {NULL, NULL, 0, NULL},
@@ -824,7 +938,8 @@ PyInit__wedge_c(void)
     IDX_KEY = PyUnicode_InternFromString("idx");
     C_KEY = PyUnicode_InternFromString("c");
     if (IDX_KEY == NULL || C_KEY == NULL || PyModule_AddStringConstant(module, "BACKEND", "c") < 0
-        || PyModule_AddIntConstant(module, "MASK_BITS", MASK_BITS) < 0) {
+        || PyModule_AddIntConstant(module, "MASK_BITS", MASK_BITS) < 0
+        || PyModule_AddIntConstant(module, "BATCH", BATCH) < 0) {
         Py_DECREF(module);
         return NULL;
     }

@@ -18,6 +18,11 @@ EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_INTERNAL = 3
 
+# sphere-fields caps, checked before anything is built: --n 3968 with 100
+# points, the largest run they allow, takes about 5 s and 85 MB
+SPHERE_MAX_N = 4096
+SPHERE_MAX_POINTS = 100
+
 
 class UsageError(Exception):
     pass
@@ -88,8 +93,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--classify", type=int)
 
     p = sub.add_parser("sphere-fields", help="maximal tangent fields on S^{n-1}")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--points", type=int, default=25)
+    p.add_argument("--n", type=int, required=True, help=f"at most {SPHERE_MAX_N}")
+    p.add_argument("--points", type=int, default=25, help=f"0..{SPHERE_MAX_POINTS}")
 
     p = sub.add_parser("classify-essential", help="essentiality of rank-(m+1) structures")
     p.add_argument("--m", type=int, required=True)
@@ -311,12 +316,14 @@ def _cmd_evencliff(config: RunConfig) -> int:
 
 
 def _cmd_sphere_fields(config: RunConfig) -> int:
+    n = config.params["n"]
+    if n > SPHERE_MAX_N:
+        raise UsageError(f"--n must be <= {SPHERE_MAX_N}")
+    if not 0 <= config.params["points"] <= SPHERE_MAX_POINTS:
+        raise UsageError(f"--points must be in 0..{SPHERE_MAX_POINTS}")
     from .exactmat import matrix_to_json
     from .spheres import hurwitz_radon, max_vector_fields, random_unit_points, verify_pointwise
 
-    n = config.params["n"]
-    if config.params["points"] < 0:
-        raise UsageError("--points must be >= 0")
     try:
         system = max_vector_fields(n)
     except ValueError as exc:

@@ -339,19 +339,29 @@ def psi_matrix(family: str) -> FormMatrix:
 
 
 def _pfaffian_terms(psi: FormMatrix, rows: tuple[int, ...]) -> KForm:
-    """Pfaffian of the principal minor on `rows` (even length)."""
+    """Pfaffian of the principal minor on `rows` (even length): the sum of
+    (-1)^pos psi[first, j] ^ Pf(rest without j) over the j at position pos
+    of the rest, accumulated at once."""
     if len(rows) == 0:
         raise ValueError("empty minor")
     if len(rows) == 2:
         return psi.entry(rows[0], rows[1])
     first = rows[0]
     rest = rows[1:]
-    total = KForm.zero(psi.n, len(rows))
+    parts = []
+    ints = True
     for pos, j in enumerate(rest):
-        sub = tuple(r for r in rest if r != j)
-        part = psi.entry(first, j).wedge(_pfaffian_terms(psi, sub))
-        total = total + part if pos % 2 == 0 else total - part
-    return total
+        entry = psi.entry(first, j)
+        sub = _pfaffian_terms(psi, tuple(r for r in rest if r != j))
+        sign = -1 if pos % 2 else 1
+        parts.append(([(m, sign * c) for m, c in entry.mask_items()], sub.mask_items()))
+        ints = ints and entry._ints and sub._ints
+
+    def fill(acc):
+        for ta, tb in parts:
+            acc.add_product(ta, tb)
+
+    return _kernel_form(psi.n, len(rows), kernel.accumulate(fill, ints, psi.n), ints)
 
 
 def tau(psi: FormMatrix, k: int, jobs: int = 1) -> KForm:
@@ -515,7 +525,13 @@ def _index_tokens(p: int) -> tuple[str, ...]:
 
 def form_to_json(a: KForm) -> dict:
     """{"N": n, "k": k, "terms": [{"idx": [...], "c": "p/q"}, ...]},
-    sorted lexicographically by index tuple."""
+    sorted lexicographically by index tuple: built by the C kernel for an
+    integral form it takes, by `_json_dict` otherwise."""
+    return kernel.form_json_dict(a.n, a.k, a._terms, a._ints, lambda: _json_dict(a))
+
+
+def _json_dict(a: KForm) -> dict:
+    """The pure dict writer."""
     terms = [{"idx": list(idx), "c": str(c)} for idx, c in a.terms()]
     return {"N": a.n, "k": a.k, "terms": terms}
 

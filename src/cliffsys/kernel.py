@@ -2,12 +2,15 @@
 
 Both backends export `Accumulator` (with `add_product`, `add_square` and
 `items`), `signed_perm_action` and `BACKEND`.  The C extension `_wedge_c`
-also exports `MASK_BITS`, the width of its masks, and the wire format
+also exports `MASK_BITS`, the width of its masks, `BATCH`, the number of
+(key, value) pairs its loops queue, with each key's table slot
+prefetched, before adding them to the table in order, and the wire format
 of integral forms: `form_json_text`, the text `forms.form_to_json_text`
-writes, and `form_json_terms`, the `{mask: coeff}` dict of a parsed form
-document's `terms`.  The pure side of the wire format stays in `forms`,
-which passes it here as `pure`.  `_wedge_c` is used when it was built, the
-pure-Python `_wedge_py` otherwise; set CLIFFSYS_PURE=1 to force the pure one.
+writes, `form_json_dict`, the dict `forms.form_to_json` returns, and
+`form_json_terms`, the `{mask: coeff}` dict of a parsed form document's
+`terms`.  The pure side of the wire format stays in `forms`, which passes
+it here as `pure`.  `_wedge_c` is used when it was built, the pure-Python
+`_wedge_py` otherwise; set CLIFFSYS_PURE=1 to force the pure one.
 
 The C kernel accumulates integer coefficients with |c| < 2^31 into values
 with |acc| < 2^62; it writes and reads coefficients with |c| < 2^63 and
@@ -82,6 +85,12 @@ def signed_perm_action(terms, perm, signs, ints: bool):
 def form_json_text(n: int, k: int, terms: dict, ints: bool, pure):
     """The JSON text of the k-form on R^n with `terms` {mask: coeff}."""
     return _run(lambda: _impl.form_json_text(n, k, terms), pure, ints, n)
+
+
+def form_json_dict(n: int, k: int, terms: dict, ints: bool, pure):
+    """The JSON document of the k-form on R^n with `terms` {mask: coeff}, as
+    the dict that `json.loads` would give for its text."""
+    return _run(lambda: _impl.form_json_dict(n, k, terms), pure, ints, n)
 
 
 def form_json_terms(n: int, k: int, items: list, pure):

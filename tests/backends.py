@@ -29,7 +29,8 @@ def compile_c_kernel(directory: Path):
         return None, f"no Python.h in {include}"
     out = directory / ("_wedge_c" + sysconfig.get_config_var("EXT_SUFFIX"))
     build = subprocess.run(
-        [cc, "-O2", "-Wall", "-shared", "-fPIC", f"-I{include}", str(SOURCE), "-o", str(out)],
+        [cc, "-O2", "-Wall", "-Wextra", "-Wno-unused-parameter", "-Werror", "-shared", "-fPIC",
+         f"-I{include}", str(SOURCE), "-o", str(out)],
         capture_output=True,
         text=True,
     )

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -174,6 +175,13 @@ EXIT_PATHS = [
                  id="non-integer-jobs"),
     pytest.param(["sphere-fields", "--n", "16", "--points", "-1"], {}, None, EXIT_USAGE,
                  id="negative-points"),
+    pytest.param(["sphere-fields", "--n", "16", "--points", str(cli.SPHERE_MAX_POINTS)], {}, None,
+                 EXIT_OK, id="points-at-cap"),
+    pytest.param(["sphere-fields", "--n", "16", "--points", str(cli.SPHERE_MAX_POINTS + 1)], {},
+                 None, EXIT_USAGE, id="points-past-cap"),
+    # even, so that only the cap refuses it
+    pytest.param(["sphere-fields", "--n", str(cli.SPHERE_MAX_N + 2)], {}, None, EXIT_USAGE,
+                 id="n-past-cap"),
     pytest.param(["--out", "{tmp}/missing/c2.json", "gen", "--m", "2"], {}, None, EXIT_USAGE,
                  id="missing-dir"),
     pytest.param(["--out", "{tmp}", "gen", "--m", "2"], {}, None, EXIT_USAGE,
@@ -349,20 +357,30 @@ def test_installed_entry_point(tmp_path):
     assert json.loads(out.stdout)["verdict"] == "Essential"
 
 
-def traced_and_plain(tmp_path, *args):
-    """stdout of `perfbench/child.py cli ARGS` run untraced and traced (both
-    must exit 0), and the trace the traced run wrote."""
-    repo = Path(__file__).resolve().parents[1]
-    argv = [sys.executable, str(repo / "perfbench" / "child.py"), "cli", *args]
-    env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+REPO = Path(__file__).resolve().parents[1]
+
+
+def run_child(*args, trace=None):
+    """`perfbench/child.py ARGS`, traced into the file `trace` when given;
+    it must exit 0."""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     env.pop("PERFBENCH_TRACE", None)
     env.pop("PERFBENCH_RSS", None)
-    plain = subprocess.run(argv, capture_output=True, text=True, env=env)
+    if trace is not None:
+        env["PERFBENCH_TRACE"] = str(trace)
+    argv = [sys.executable, str(REPO / "perfbench" / "child.py"), *map(str, args)]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def traced_and_plain(tmp_path, *args):
+    """stdout of `perfbench/child.py cli ARGS` run untraced and traced, and
+    the trace the traced run wrote."""
     trace = tmp_path / "trace.json"
-    traced = subprocess.run(argv, capture_output=True, text=True,
-                            env=dict(env, PERFBENCH_TRACE=str(trace)))
-    assert plain.returncode == traced.returncode == 0, plain.stderr + traced.stderr
-    return plain.stdout, traced.stdout, json.loads(trace.read_text())
+    plain = run_child("cli", *args)
+    traced = run_child("cli", *args, trace=trace)
+    return plain, traced, json.loads(trace.read_text())
 
 
 def test_traced_benchmark_run_matches_untraced(tmp_path):
@@ -388,7 +406,41 @@ def test_traced_tau4_counts_every_kernel_pair(tmp_path):
     counts = trace["counts"]
     assert counts["kernel.product.pairs"] == 24192
     assert counts["kernel.square.pairs"] == 701484
-    assert counts["kernel.accum.keys"] == 17334
+    assert counts["kernel.accum.keys"] == 13638
+
+
+def test_traced_readback_counts_every_letter(tmp_path):
+    """The read-back operation of the benchmark, traced and untraced, on a
+    seeded integral 8-form on R^32 and an actions file built as
+    `perfbench/run.py` builds it: one span generator, the complex structure
+    and one extra signed permutation."""
+    from cliffsys.forms import KForm, form_to_json_text
+
+    rng = random.Random(11)
+    terms = {}
+    while len(terms) < 300:
+        terms[tuple(sorted(rng.sample(range(1, 33), 8)))] = rng.choice((-3, -2, -1, 1, 2, 3))
+    form = KForm.from_terms(32, 8, terms.items())
+    (tmp_path / "form.json").write_text(form_to_json_text(form))
+    pairs = [(1, 2, -1)] + [(a, a + 1, 1) for a in range(3, 32, 2)]
+    entries = sorted([[b, a, s] for a, b, s in pairs] + [[a, b, -s] for a, b, s in pairs])
+    actions = {"generators": [rng.randrange(45)], "complex": True,
+               "extra": {"n": 32, "entries": entries}}
+    (tmp_path / "actions.json").write_text(json.dumps(actions))
+    trace = tmp_path / "trace.json"
+    run_child("readback", tmp_path / "form.json", tmp_path / "actions.json", tmp_path / "plain.json")
+    run_child("readback", tmp_path / "form.json", tmp_path / "actions.json", tmp_path / "traced.json",
+              trace=trace)
+    plain = (tmp_path / "plain.json").read_bytes()
+    assert (tmp_path / "traced.json").read_bytes() == plain
+    result = json.loads(plain)
+    counts = json.loads(trace.read_text())["counts"]
+    assert result["terms"] == 300
+    # three actions, each on every letter of every term
+    assert counts["kernel.perm_action.letters"] == 3 * 8 * 300
+    # the terms of every action's result, the extra action's among them
+    assert counts["kernel.perm_action.terms_out"] == sum(result["invariant"]) + len(
+        result["extra"]["terms"])
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -251,6 +251,89 @@ def test_empty_term_lists(wc):
     assert acc.items() == []
 
 
+# -- batches: the C loops queue pairs and add them to the table in order ------------
+
+
+def spaced(count):
+    """`count` 1-forms on e_2..e_63, each followed by e_1: the wedge of e_1
+    with them keeps `count` pairs and drops as many."""
+    out = []
+    for j in range(count):
+        out += [(2 << (j % 62), j + 1), (1, 5)]
+    return out
+
+
+def accumulated(module, *calls):
+    """The items of one `module.Accumulator` after the add_product calls
+    `calls`, each a (ta, tb) pair."""
+    acc = module.Accumulator()
+    for ta, tb in calls:
+        acc.add_product(ta, tb)
+    return sorted(acc.items())
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, 5])
+@pytest.mark.parametrize("batches", [1, 3])
+def test_batches_fill_several_times_and_end_partial(wc, batches, extra):
+    count = batches * wc.BATCH + extra  # the pairs of e_1 with spaced(count) that are kept
+    ta, tb = [(1, 3)], spaced(count)
+    assert accumulated(wc, (ta, tb)) == accumulated(_wedge_py, (ta, tb))
+    sq = [(1, 2)] + spaced(count)
+    assert sorted(square(wc, sq)) == sorted(square(_wedge_py, sq))
+    # each letter moves to its neighbour (e_1 <-> e_2, e_3 <-> e_4, ...), so
+    # most keys are new and the table, sized from the term count, grows
+    # inside a batch
+    terms = [(1 | 2 << j, j + 1) for j in range(count % 62 + 1)]
+    perm = [i ^ 1 for i in range(64)]
+    assert sorted(wc.signed_perm_action(terms, perm, [1] * 64)) == sorted(
+        _wedge_py.signed_perm_action(terms, perm, [1] * 64)
+    )
+
+
+@pytest.mark.parametrize("where", ["last-of-partial-batch", "mid-batch"])
+def test_overflow_inside_a_batch_leaves_the_pairs_before_it(wc, where):
+    # key 3 = e_1 ^ e_2 is loaded to 2^62 - 2^32 + 1; e_1 meets e_3..e_62
+    # in the pairs before and after position `fail`, and e_2 there, which
+    # adds 2^32 to key 3
+    B = wc.BATCH
+    count, fail = {"last-of-partial-batch": (2 * B + 3, 2 * B + 2),
+                   "mid-batch": (3 * B, B + B // 2)}[where]
+    load = ([(1, C_MAX)], [(2, C_MAX)])
+    ta = [(1, 1 << 16)]
+    tb = [(2 if j == fail else 4 << (j % 60), 1 << 16) for j in range(count)]
+    acc = wc.Accumulator()
+    acc.add_product(*load)
+    with pytest.raises(OverflowError):
+        acc.add_product(ta, tb)
+    # what the table holds is what the pairs before the failing one added
+    assert sorted(acc.items()) == accumulated(_wedge_py, load, (ta, tb[:fail]))
+    with dispatch_to(wc):
+        result = kernel.accumulate(lambda a: (a.add_product(*load), a.add_product(ta, tb)), True, 64)
+    assert sorted(result) == accumulated(_wedge_py, load, (ta, tb))
+
+
+def test_declines_come_in_loop_order(wc):
+    # letters 1 and 2 of e_1 ^ e_2 ^ e_3 stay put with factor 2^31 - 1, which
+    # overflows the sum at letter 2, before letter 3, whose target the C
+    # kernel cannot take, is reached
+    terms, perm, signs = [(7, C_MAX)], [0, 1, 70], [-C_MAX, -C_MAX, 1]
+    with pytest.raises(OverflowError, match="accumulator"):
+        wc.signed_perm_action(terms, perm, signs)
+    with pytest.raises(OverflowError, match="letter"):
+        wc.signed_perm_action(terms, perm, [1, 1, 1])
+
+
+def test_table_grows_inside_a_batch(wc):
+    # a fresh table has 16 slots and grows past 8 keys: adding the first
+    # batch of 32 distinct keys grows it twice partway through
+    B = wc.BATCH
+    ta = [(1 << i, i + 1) for i in range(8)]
+    tb = [(1 << (8 + j), j - 3) for j in range(B)]
+    assert accumulated(wc, (ta, tb)) == accumulated(_wedge_py, (ta, tb))
+    with dispatch_to(wc):
+        assert sorted(kernel_product(ta, tb)) == accumulated(_wedge_py, (ta, tb))
+
+
 # -- property: the C kernel equals the pure one, or declines --------------------------
 
 masks = st.sets(st.integers(0, 63), max_size=4).map(lambda bits: sum(1 << b for b in bits))
@@ -476,26 +559,55 @@ def test_compiled_writer_matches_pure_property(wc, a):
     check_writer(wc, a)
 
 
-@pytest.mark.parametrize(
-    "a",
-    [
-        pytest.param(KForm.zero(16, 8), id="empty"),
-        pytest.param(KForm.zero(1, 0), id="empty-degree-0"),
-        pytest.param(KForm(5, 0, {0: -3}), id="degree-0"),
-        pytest.param(KForm(64, 1, {1 << 63: 7, 1: -1}), id="bit-63"),
-        pytest.param(KForm(64, 3, {(1 << 63) | (1 << 9) | 1: 2, (3 << 62) | 2: -5}), id="bit-63-deg-3"),
-        pytest.param(KForm(64, 2, {(1 << 63) | 1: WIRE_MAX, 3: -WIRE_MAX}), id="int64-edge"),
-        pytest.param(KForm(8, 2, {3: WIRE_MAX + 1}), id="past-int64"),
-        pytest.param(KForm(8, 2, {3: -WIRE_MAX - 1}), id="past-int64-negative"),
-        pytest.param(KForm(8, 2, {3: 1 << 100, 5: 1}), id="big-int"),
-        pytest.param(KForm(65, 2, {3: 1, (1 << 64) | 1: -2}), id="N=65"),
-        pytest.param(KForm(65, 2, {3: 1, 6: -2}), id="N=65-low-masks"),
-        pytest.param(canonical_form("Spin9"), id="Spin9"),
-        pytest.param(canonical_form("Spin7Delta"), id="Spin7Delta-rational"),
-    ],
-)
+WRITER_EDGES = [
+    pytest.param(KForm.zero(16, 8), id="empty"),
+    pytest.param(KForm.zero(1, 0), id="empty-degree-0"),
+    pytest.param(KForm(5, 0, {0: -3}), id="degree-0"),
+    pytest.param(KForm(64, 1, {1 << 63: 7, 1: -1}), id="bit-63"),
+    pytest.param(KForm(64, 3, {(1 << 63) | (1 << 9) | 1: 2, (3 << 62) | 2: -5}), id="bit-63-deg-3"),
+    pytest.param(KForm(64, 2, {(1 << 63) | 1: WIRE_MAX, 3: -WIRE_MAX}), id="int64-edge"),
+    pytest.param(KForm(8, 2, {3: WIRE_MAX + 1}), id="past-int64"),
+    pytest.param(KForm(8, 2, {3: -WIRE_MAX - 1}), id="past-int64-negative"),
+    pytest.param(KForm(8, 2, {3: 1 << 100, 5: 1}), id="big-int"),
+    pytest.param(KForm(65, 2, {3: 1, (1 << 64) | 1: -2}), id="N=65"),
+    pytest.param(KForm(65, 2, {3: 1, 6: -2}), id="N=65-low-masks"),
+    pytest.param(canonical_form("Spin9"), id="Spin9"),
+    pytest.param(canonical_form("Spin7Delta"), id="Spin7Delta-rational"),
+]
+
+
+@pytest.mark.parametrize("a", WRITER_EDGES)
 def test_compiled_writer_edges(wc, a):
     check_writer(wc, a)
+
+
+def check_dict_writer(backends, a):
+    """`form_to_json` gives the pure dict on every backend, and that dict
+    encodes to the text `form_to_json_text` writes."""
+    with dispatch_to(_wedge_py):
+        expected = form_to_json(a)
+    for module in backends:
+        if module is not _wedge_py and in_wire_range(a):
+            assert module.form_json_dict(a.n, a.k, a._terms) == expected
+        elif module is not _wedge_py and a._ints:
+            with pytest.raises(OverflowError):
+                module.form_json_dict(a.n, a.k, a._terms)
+        with dispatch_to(module):
+            data = form_to_json(a)
+            assert data == expected
+            assert json.dumps(data, indent=2) + "\n" == form_to_json_text(a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.one_of(integral_forms(), integral_forms(
+    coefficient=st.fractions(min_value=-4, max_value=4, max_denominator=5))))
+def test_form_to_json_matches_pure_property(kernel_backends, a):
+    check_dict_writer(kernel_backends, a)
+
+
+@pytest.mark.parametrize("a", WRITER_EDGES)
+def test_form_to_json_edges(kernel_backends, a):
+    check_dict_writer(kernel_backends, a)
 
 
 def test_wire_format_past_the_mask_width_skips_the_compiled_kernel(wc):
