@@ -11,14 +11,21 @@
  * Sums go into an open-addressing table: linear probing over a power-of-two
  * array of (mask, value) slots, grown at half load.  Mask 0 marks an empty
  * slot, so the degree-0 monomial (mask 0) is kept in its own field.
+ *
+ * Terms are returned as a Terms: an immutable block of (uint64 mask, int64
+ * coeff) pairs in wire order, the order of the JSON documents.  Every entry
+ * point reads a Terms's block as it is, and any other sequence of
+ * (mask, coeff) pairs by copying it.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <stddef.h>
 #include <stdint.h>
 
 #define MASK_BITS 64
 #define COEFF_LIMIT ((int64_t)1 << 31)
+#define COEFF_MAX (COEFF_LIMIT - 1)
 #define ACC_LIMIT ((int64_t)1 << 62)
 
 /* -- accumulation table ------------------------------------------------------ */
@@ -63,11 +70,17 @@ table_free(table_t *t)
     t->slots = NULL;
 }
 
+/* Fibonacci hashing: the top 64 - shift bits of key * 2^64/phi. */
+static inline size_t
+home_slot(uint64_t key, int shift)
+{
+    return (size_t)((key * 0x9E3779B97F4A7C15ull) >> shift);
+}
+
 static inline size_t
 table_home(const table_t *t, uint64_t key)
 {
-    /* Fibonacci hashing: the top bits of key * 2^64/phi. */
-    return (size_t)((key * 0x9E3779B97F4A7C15ull) >> t->shift);
+    return home_slot(key, t->shift);
 }
 
 static int
@@ -92,6 +105,19 @@ table_grow(table_t *t)
         }
     }
     PyMem_Free(old);
+    return 0;
+}
+
+/* *val += v; -1 with OverflowError set when the sum leaves the range. */
+static inline int
+add_checked(int64_t *val, int64_t v)
+{
+    int64_t sum;
+    if (__builtin_add_overflow(*val, v, &sum) || sum >= ACC_LIMIT || sum <= -ACC_LIMIT) {
+        PyErr_SetString(PyExc_OverflowError, "accumulator out of compiled-kernel range");
+        return -1;
+    }
+    *val = sum;
     return 0;
 }
 
@@ -122,13 +148,7 @@ table_add(table_t *t, uint64_t key, int64_t v)
         }
         val = &t->slots[i].val;
     }
-    int64_t sum;
-    if (__builtin_add_overflow(*val, v, &sum) || sum >= ACC_LIMIT || sum <= -ACC_LIMIT) {
-        PyErr_SetString(PyExc_OverflowError, "accumulator out of compiled-kernel range");
-        return -1;
-    }
-    *val = sum;
-    return 0;
+    return add_checked(val, v);
 }
 
 /* The loops below queue their (key, value) pairs in a batch and prefetch each
@@ -174,6 +194,13 @@ signed_by(int64_t v, uint64_t parity)
 }
 
 static PyObject *
+decline(const char *what)
+{
+    PyErr_SetString(PyExc_OverflowError, what);
+    return NULL;
+}
+
+static PyObject *
 term_tuple(uint64_t key, int64_t val)
 {
     PyObject *m = PyLong_FromUnsignedLongLong(key);
@@ -184,45 +211,293 @@ term_tuple(uint64_t key, int64_t val)
     return pair;
 }
 
-/* The nonzero entries as a list of (mask, coeff) tuples. */
+/* -- wire order ------------------------------------------------------------------ */
+
+/* Wire order is the lexicographic order of index tuples; for one degree it is
+ * the descending order of the bit-reversed masks.  WIRE_DIGIT[b] is 255 minus
+ * byte b bit-reversed, so that a radix sort on it, from a mask's top byte
+ * down to its lowest, puts masks in wire order. */
+static unsigned char WIRE_DIGIT[256];
+
+static inline uint64_t
+bit_reverse(uint64_t x)
+{
+    x = (x >> 1 & 0x5555555555555555ull) | (x & 0x5555555555555555ull) << 1;
+    x = (x >> 2 & 0x3333333333333333ull) | (x & 0x3333333333333333ull) << 2;
+    x = (x >> 4 & 0x0F0F0F0F0F0F0F0Full) | (x & 0x0F0F0F0F0F0F0F0Full) << 4;
+    return __builtin_bswap64(x);
+}
+
+/* Whether key a may come before key b: in wire order, or ascending. */
+static inline int
+in_order(uint64_t a, uint64_t b, int wire)
+{
+    return wire ? bit_reverse(a) >= bit_reverse(b) : a <= b;
+}
+
+/* Digit d (0: least significant) of a key for sort_pairs. */
+static inline unsigned
+sort_digit(uint64_t key, int d, int wire)
+{
+    return wire ? WIRE_DIGIT[key >> 8 * (7 - d) & 255] : key >> 8 * d & 255;
+}
+
+/* Sort p[0..n) stably by key, into wire order or ascending: a byte-wise radix
+ * sort that skips the passes whose byte is the same everywhere.  -1 with
+ * MemoryError set when out of memory. */
+static int
+sort_pairs(slot_t *p, Py_ssize_t n, int wire)
+{
+    Py_ssize_t i = 1;
+    while (i < n && in_order(p[i - 1].key, p[i].key, wire))
+        i++;
+    if (i >= n)
+        return 0;
+    slot_t *tmp = PyMem_Malloc(n * sizeof(slot_t));
+    if (tmp == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    Py_ssize_t count[8][256] = {{0}};
+    for (i = 0; i < n; i++) {
+        for (int d = 0; d < 8; d++)
+            count[d][sort_digit(p[i].key, d, wire)]++;
+    }
+    slot_t *src = p, *dst = tmp;
+    for (int d = 0; d < 8; d++) {
+        Py_ssize_t *start = count[d];
+        if (start[sort_digit(p[0].key, d, wire)] == n)
+            continue;
+        for (Py_ssize_t b = 0, sum = 0; b < 256; b++) {
+            Py_ssize_t c = start[b];
+            start[b] = sum;
+            sum += c;
+        }
+        for (i = 0; i < n; i++)
+            dst[start[sort_digit(src[i].key, d, wire)]++] = src[i];
+        slot_t *swap = src;
+        src = dst;
+        dst = swap;
+    }
+    if (src != p)
+        memcpy(p, src, n * sizeof(slot_t));
+    PyMem_Free(tmp);
+    return 0;
+}
+
+/* -- Terms: a packed block of (mask, coeff) pairs ---------------------------------- */
+
+typedef struct {
+    PyObject_VAR_HEAD
+    slot_t pairs[]; /* Py_SIZE of them, in wire order */
+} TermsObject;
+
+static PyTypeObject TermsType;
+
+static TermsObject *
+terms_alloc(Py_ssize_t n)
+{
+    return PyObject_NewVar(TermsObject, &TermsType, n);
+}
+
+/* The pairs an entry point reads: a Terms's own block, or a copy. */
+typedef struct {
+    Py_ssize_t n;
+    const slot_t *at;
+    slot_t *owned; /* the copy of a sequence that is not a Terms */
+} pairs_t;
+
+static void
+pairs_release(pairs_t *p)
+{
+    PyMem_Free(p->owned);
+    p->owned = NULL;
+}
+
+/* The pairs of `obj`: a Terms as it is, any other sequence of (mask, coeff)
+ * pairs copied in its order.  Declines a mask or coefficient that is not an
+ * int, a mask outside 0..2^64-1 and a coefficient with |c| > max; -1 with an
+ * exception set. */
+static int
+pairs_load(PyObject *obj, int64_t max, pairs_t *out)
+{
+    out->owned = NULL;
+    if (Py_IS_TYPE(obj, &TermsType)) {
+        out->n = Py_SIZE(obj);
+        out->at = ((TermsObject *)obj)->pairs;
+        for (Py_ssize_t i = 0; i < out->n; i++) {
+            if (out->at[i].val > max || out->at[i].val < -max) {
+                decline("coefficient out of compiled-kernel range");
+                return -1;
+            }
+        }
+        return 0;
+    }
+    PyObject *fast = PySequence_Fast(obj, "terms must be a sequence of (mask, coeff) pairs");
+    if (fast == NULL)
+        return -1;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(fast);
+    slot_t *pairs = PyMem_Malloc((n + 1) * sizeof(slot_t));
+    if (pairs == NULL) {
+        Py_DECREF(fast);
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *pair = PySequence_Fast(PySequence_Fast_GET_ITEM(fast, i),
+                                         "a term must be a (mask, coeff) pair");
+        if (pair == NULL)
+            goto fail;
+        if (PySequence_Fast_GET_SIZE(pair) != 2) {
+            Py_DECREF(pair);
+            PyErr_SetString(PyExc_ValueError, "a term must be a (mask, coeff) pair");
+            goto fail;
+        }
+        PyObject *m = PySequence_Fast_GET_ITEM(pair, 0), *c = PySequence_Fast_GET_ITEM(pair, 1);
+        int ints = PyLong_CheckExact(m) && PyLong_CheckExact(c), overflow = 0;
+        /* a mask below 0 or of 64 bits and more raises OverflowError here */
+        uint64_t mask = ints ? PyLong_AsUnsignedLongLong(m) : 0;
+        long long val = ints && !PyErr_Occurred() ? PyLong_AsLongLongAndOverflow(c, &overflow) : 0;
+        Py_DECREF(pair);
+        if (PyErr_Occurred())
+            goto fail;
+        if (!ints || overflow || val > max || val < -max) {
+            decline("coefficient out of compiled-kernel range");
+            goto fail;
+        }
+        pairs[i].key = mask;
+        pairs[i].val = val;
+    }
+    Py_DECREF(fast);
+    out->n = n;
+    out->at = out->owned = pairs;
+    return 0;
+fail:
+    Py_DECREF(fast);
+    PyMem_Free(pairs);
+    return -1;
+}
+
+static Py_ssize_t
+Terms_length(TermsObject *self)
+{
+    return Py_SIZE(self);
+}
+
 static PyObject *
-table_items(const table_t *t)
+Terms_item(TermsObject *self, Py_ssize_t i)
+{
+    if (i < 0 || i >= Py_SIZE(self)) {
+        PyErr_SetString(PyExc_IndexError, "Terms index out of range");
+        return NULL;
+    }
+    return term_tuple(self->pairs[i].key, self->pairs[i].val);
+}
+
+/* Terms(pairs): any sequence of (mask, coeff) pairs with ints 0 <= mask < 2^64
+ * and |coeff| < 2^63, or the bytes of a pickled Terms, put in wire order. */
+static PyObject *
+Terms_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    PyObject *src;
+    if (kwds && PyDict_GET_SIZE(kwds)) {
+        PyErr_SetString(PyExc_TypeError, "Terms() takes no keyword arguments");
+        return NULL;
+    }
+    if (!PyArg_ParseTuple(args, "O:Terms", &src))
+        return NULL;
+    pairs_t p = {.owned = NULL};
+    if (PyBytes_Check(src)) {
+        if (PyBytes_GET_SIZE(src) % sizeof(slot_t)) {
+            PyErr_SetString(PyExc_ValueError, "Terms bytes must hold whole (mask, coeff) pairs");
+            return NULL;
+        }
+        p.n = PyBytes_GET_SIZE(src) / (Py_ssize_t)sizeof(slot_t);
+        p.at = (const slot_t *)PyBytes_AS_STRING(src);
+    }
+    else if (pairs_load(src, INT64_MAX, &p) < 0) {
+        return NULL;
+    }
+    TermsObject *self = terms_alloc(p.n);
+    if (self != NULL) {
+        memcpy(self->pairs, p.at, p.n * sizeof(slot_t));
+        if (sort_pairs(self->pairs, p.n, 1) < 0)
+            Py_CLEAR(self);
+    }
+    pairs_release(&p);
+    return (PyObject *)self;
+}
+
+/* Pickled as the bytes of its block, in this machine's byte order. */
+static PyObject *
+Terms_reduce(TermsObject *self, PyObject *Py_UNUSED(ignored))
+{
+    return Py_BuildValue("(O(y#))", (PyObject *)Py_TYPE(self), (const char *)self->pairs,
+                         (Py_ssize_t)(Py_SIZE(self) * sizeof(slot_t)));
+}
+
+/* Equal to a Terms, list or tuple of the same pairs in the same order. */
+static PyObject *
+Terms_richcompare(PyObject *self, PyObject *other, int op)
+{
+    if ((op != Py_EQ && op != Py_NE)
+        || !(PyList_Check(other) || PyTuple_Check(other) || Py_IS_TYPE(other, &TermsType)))
+        Py_RETURN_NOTIMPLEMENTED;
+    PyObject *a = PySequence_List(self);
+    PyObject *b = a ? PySequence_List(other) : NULL;
+    PyObject *out = b ? PyObject_RichCompare(a, b, op) : NULL;
+    Py_XDECREF(a);
+    Py_XDECREF(b);
+    return out;
+}
+
+static PyMethodDef Terms_methods[] = {
+    {"__reduce__", (PyCFunction)Terms_reduce, METH_NOARGS, NULL},
+    {NULL, NULL, 0, NULL},
+};
+
+static PySequenceMethods Terms_as_sequence = {
+    .sq_length = (lenfunc)Terms_length,
+    .sq_item = (ssizeargfunc)Terms_item,
+};
+
+static PyTypeObject TermsType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "cliffsys._wedge_c.Terms",
+    .tp_doc = "Terms(pairs): an immutable block of (mask, coeff) pairs in wire order.",
+    .tp_basicsize = offsetof(TermsObject, pairs),
+    .tp_itemsize = sizeof(slot_t),
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_new = Terms_new,
+    .tp_as_sequence = &Terms_as_sequence,
+    .tp_richcompare = Terms_richcompare,
+    .tp_hash = PyObject_HashNotImplemented,
+    .tp_methods = Terms_methods,
+};
+
+/* The nonzero entries of t as a Terms. */
+static PyObject *
+table_terms(const table_t *t)
 {
     Py_ssize_t count = t->zero_val != 0;
     for (size_t i = 0; i <= t->mask; i++)
         count += t->slots[i].key && t->slots[i].val;
-    PyObject *out = PyList_New(count);
+    TermsObject *out = terms_alloc(count);
     if (out == NULL)
         return NULL;
-    Py_ssize_t pos = 0;
-    if (t->zero_val) {
-        PyObject *pair = term_tuple(0, t->zero_val);
-        if (pair == NULL)
-            goto fail;
-        PyList_SET_ITEM(out, pos++, pair);
-    }
+    slot_t *p = out->pairs;
+    if (t->zero_val)
+        *p++ = (slot_t){.key = 0, .val = t->zero_val};
     for (size_t i = 0; i <= t->mask; i++) {
-        if (t->slots[i].key && t->slots[i].val) {
-            PyObject *pair = term_tuple(t->slots[i].key, t->slots[i].val);
-            if (pair == NULL)
-                goto fail;
-            PyList_SET_ITEM(out, pos++, pair);
-        }
+        if (t->slots[i].key && t->slots[i].val)
+            *p++ = t->slots[i];
     }
-    return out;
-fail:
-    Py_DECREF(out);
-    return NULL;
+    if (sort_pairs(out->pairs, count, 1) < 0)
+        Py_CLEAR(out);
+    return (PyObject *)out;
 }
 
-/* -- term lists ---------------------------------------------------------------- */
-
-typedef struct {
-    Py_ssize_t n;
-    uint64_t *masks;
-    int64_t *coeffs;
-    uint64_t *below; /* below_parity(masks[i]) */
-} terms_t;
+/* -- accumulation loops ---------------------------------------------------------- */
 
 /* Bit x is set when mb has an odd number of bits below x.  The sign of
  * merging sorted ma before sorted mb is then the parity of ma & below(mb):
@@ -240,106 +515,56 @@ below_parity(uint64_t mb)
     return p;
 }
 
-static void
-terms_free(terms_t *t)
-{
-    PyMem_Free(t->masks); /* one block holds all three arrays */
-}
-
-/* Read [(mask, coeff), ...] into flat arrays; -1 with an exception set. */
-static int
-terms_load(PyObject *seq, terms_t *out)
-{
-    PyObject *fast = PySequence_Fast(seq, "terms must be a sequence of (mask, coeff) pairs");
-    if (fast == NULL)
-        return -1;
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(fast);
-    out->n = n;
-    out->masks = PyMem_Calloc(3 * n + 1, sizeof(uint64_t));
-    if (out->masks == NULL) {
-        Py_DECREF(fast);
-        PyErr_NoMemory();
-        return -1;
-    }
-    out->coeffs = (int64_t *)(out->masks + n);
-    out->below = out->masks + 2 * n;
-    for (Py_ssize_t i = 0; i < n; i++) {
-        PyObject *pair = PySequence_Fast(PySequence_Fast_GET_ITEM(fast, i),
-                                         "a term must be a (mask, coeff) pair");
-        if (pair == NULL)
-            goto fail;
-        if (PySequence_Fast_GET_SIZE(pair) != 2) {
-            Py_DECREF(pair);
-            PyErr_SetString(PyExc_ValueError, "a term must be a (mask, coeff) pair");
-            goto fail;
-        }
-        /* masks of 64 bits and more raise OverflowError here */
-        uint64_t m = PyLong_AsUnsignedLongLong(PySequence_Fast_GET_ITEM(pair, 0));
-        if (m == (uint64_t)-1 && PyErr_Occurred()) {
-            Py_DECREF(pair);
-            goto fail;
-        }
-        int64_t c = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(pair, 1));
-        Py_DECREF(pair);
-        if (c == -1 && PyErr_Occurred())
-            goto fail;
-        if (c >= COEFF_LIMIT || c <= -COEFF_LIMIT) {
-            PyErr_SetString(PyExc_OverflowError, "coefficient out of compiled-kernel range");
-            goto fail;
-        }
-        out->masks[i] = m;
-        out->coeffs[i] = c;
-        out->below[i] = below_parity(m);
-    }
-    Py_DECREF(fast);
-    return 0;
-fail:
-    Py_DECREF(fast);
-    terms_free(out);
-    return -1;
-}
-
-/* -- accumulation loops ---------------------------------------------------------- */
-
 /* a ^ b into t.  With square set, b is a and only the cross terms of a ^ a
  * are taken, each pair once and doubled (for an even-degree a). */
 static int
-accumulate(table_t *t, const terms_t *a, const terms_t *b, int square)
+accumulate(table_t *t, const pairs_t *a, const pairs_t *b, int square)
 {
+    uint64_t *below = PyMem_Malloc((b->n + 1) * sizeof(uint64_t));
+    if (below == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (Py_ssize_t j = 0; j < b->n; j++)
+        below[j] = below_parity(b->at[j].key);
+    int rc = -1;
     batch_t q = {.len = 0};
     for (Py_ssize_t i = 0; i < a->n; i++) {
-        uint64_t ma = a->masks[i];
-        /* |ca| < 2^32 and |coeffs[j]| < 2^31, so every product fits in int64 */
-        int64_t ca = square ? 2 * a->coeffs[i] : a->coeffs[i];
+        uint64_t ma = a->at[i].key;
+        /* |ca| < 2^32 and |b's coefficients| < 2^31, so every product fits in int64 */
+        int64_t ca = square ? 2 * a->at[i].val : a->at[i].val;
         for (Py_ssize_t j = square ? i + 1 : 0; j < b->n; j++) {
-            uint64_t mb = b->masks[j];
-            int64_t v = signed_by(ca * b->coeffs[j], __builtin_popcountll(ma & b->below[j]));
+            uint64_t mb = b->at[j].key;
+            int64_t v = signed_by(ca * b->at[j].val, __builtin_popcountll(ma & below[j]));
             if (batch_put(t, &q, ma | mb, v, (ma & mb) == 0) < 0)
-                return -1;
+                goto done;
         }
     }
-    return batch_flush(t, &q);
+    rc = batch_flush(t, &q);
+done:
+    PyMem_Free(below);
+    return rc;
 }
 
 /* Accumulate ta ^ tb into t, or the square of ta when tb is NULL. */
 static int
 accumulate_lists(table_t *t, PyObject *ta, PyObject *tb)
 {
-    terms_t a, b;
-    if (terms_load(ta, &a) < 0)
+    pairs_t a, b;
+    if (pairs_load(ta, COEFF_MAX, &a) < 0)
         return -1;
     if (tb == NULL) {
         int rc = accumulate(t, &a, &a, 1);
-        terms_free(&a);
+        pairs_release(&a);
         return rc;
     }
-    if (terms_load(tb, &b) < 0) {
-        terms_free(&a);
+    if (pairs_load(tb, COEFF_MAX, &b) < 0) {
+        pairs_release(&a);
         return -1;
     }
     int rc = accumulate(t, &a, &b, 0);
-    terms_free(&a);
-    terms_free(&b);
+    pairs_release(&a);
+    pairs_release(&b);
     return rc;
 }
 
@@ -396,16 +621,16 @@ Accumulator_add_square(AccumulatorObject *self, PyObject *ta)
 static PyObject *
 Accumulator_items(AccumulatorObject *self, PyObject *Py_UNUSED(ignored))
 {
-    return table_items(&self->table);
+    return table_terms(&self->table);
 }
 
 static PyMethodDef Accumulator_methods[] = {
     {"add_product", (PyCFunction)Accumulator_add_product, METH_VARARGS,
-     "Accumulate the wedge product of two term lists."},
+     "Accumulate the wedge product of two term sequences."},
     {"add_square", (PyCFunction)Accumulator_add_square, METH_O,
-     "Accumulate t ^ t for an even-degree term list (cross terms doubled)."},
+     "Accumulate t ^ t for an even-degree term sequence (cross terms doubled)."},
     {"items", (PyCFunction)Accumulator_items, METH_NOARGS,
-     "The nonzero accumulated terms as [(mask, coeff), ...]."},
+     "The nonzero accumulated terms, as a Terms."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -420,40 +645,159 @@ static PyTypeObject AccumulatorType = {
     .tp_methods = Accumulator_methods,
 };
 
-/* -- module functions ------------------------------------------------------------ */
+/* -- derivation action ------------------------------------------------------------ */
 
-/* Letter i of a monomial becomes perm[i] with factor -signs[i], resorted with
- * its crossing sign.  A letter this kernel cannot take (i >= len(perm), a
- * target outside 0..63, |sign| >= 2^31) raises OverflowError, and the pure
- * kernel decides. */
 static int
-perm_action(table_t *t, const terms_t *a, const int *target, const int64_t *factor)
+find_root(int *root, int i)
 {
-    batch_t q = {.len = 0};
-    for (Py_ssize_t idx = 0; idx < a->n; idx++) {
-        uint64_t mask = a->masks[idx];
-        int64_t c = a->coeffs[idx];
-        for (uint64_t m = mask; m; m &= m - 1) {
-            int i = __builtin_ctzll(m);
-            int j = target[i];
-            if (j < 0) { /* the letters before this one are added first */
-                if (batch_flush(t, &q) == 0)
-                    PyErr_SetString(PyExc_OverflowError, "letter out of compiled-kernel range");
-                return -1;
-            }
-            uint64_t without = mask & ~((uint64_t)1 << i);
-            uint64_t jbit = (uint64_t)1 << j;
-            int lo = i < j ? i : j, hi = i < j ? j : i;
-            /* the letters strictly between lo and hi; none when j == i, so
-             * then the key is mask and the sign is kept */
-            uint64_t between = (((uint64_t)1 << hi) - 1) & ~(((uint64_t)2 << lo) - 1);
-            /* |c| and |factor[i]| are below 2^31, so the product fits in int64 */
-            int64_t v = signed_by(c * factor[i], __builtin_popcountll(without & between));
-            if (batch_put(t, &q, without | jbit, v, (without & jbit) == 0) < 0)
-                return -1;
+    while (root[i] != i) {
+        root[i] = root[root[i]];
+        i = root[i];
+    }
+    return i;
+}
+
+/* One 64-bit weight per letter, shared by the letters of each cycle of the
+ * map i -> target[i] (each component, should the map not be a permutation).
+ * A letter moved along its cycle keeps the sum of a mask's weights. */
+static void
+cycle_weights(const int *target, uint64_t *weight)
+{
+    int root[MASK_BITS];
+    for (int i = 0; i < MASK_BITS; i++)
+        root[i] = i;
+    for (int i = 0; i < MASK_BITS; i++) {
+        if (target[i] >= 0) {
+            int a = find_root(root, i), b = find_root(root, target[i]);
+            root[a > b ? a : b] = a < b ? a : b;
         }
     }
-    return batch_flush(t, &q);
+    for (int i = 0; i < MASK_BITS; i++) { /* splitmix64 of the cycle's least letter */
+        uint64_t z = (uint64_t)(find_root(root, i) + 1) * 0x9E3779B97F4A7C15ull;
+        z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9ull;
+        z = (z ^ z >> 27) * 0x94D049BB133111EBull;
+        weight[i] = z ^ z >> 31;
+    }
+}
+
+/* Letter i of a monomial becomes target[i] with factor[i], resorted with its
+ * crossing sign; the nonzero sums as a Terms.  A letter this kernel cannot
+ * take (target -1) declines.
+ *
+ * The action keeps each mask's sum of cycle weights, its class key.  So the
+ * terms are sorted by the top 32 bits of their keys, and each run of equal
+ * bits is summed in a small table that is emptied for the next run: two
+ * classes that share those bits only share a run.  The sort is stable and
+ * the letters of a term are taken in order, so every sum receives its parts
+ * in the order of the terms, and overflows as it would in one table. */
+static PyObject *
+perm_action(const pairs_t *a, const int *target, const int64_t *factor)
+{
+    uint64_t weight[MASK_BITS], jbit[MASK_BITS], between[MASK_BITS];
+    cycle_weights(target, weight);
+    for (int i = 0; i < MASK_BITS; i++) {
+        int j = target[i] < 0 ? i : target[i];
+        int lo = i < j ? i : j, hi = i < j ? j : i;
+        jbit[i] = (uint64_t)1 << j;
+        /* the letters strictly between lo and hi; none when j == i, so then
+         * the key is the mask and the sign is kept */
+        between[i] = (((uint64_t)1 << hi) - 1) & ~(((uint64_t)2 << lo) - 1);
+    }
+    Py_ssize_t n = a->n;
+    slot_t *order = PyMem_Malloc((n + 1) * sizeof(slot_t)); /* (key bits, term index) */
+    slot_t *slots = NULL; /* the run's table, probed as table_t's */
+    size_t *used = NULL;  /* its occupied slots, in the order they were taken */
+    size_t room = 0;      /* the slots allocated */
+    slot_t *out = NULL;   /* the nonzero sums, run by run */
+    size_t out_len = 0, out_cap = 0;
+    TermsObject *result = NULL;
+    if (order == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t i = 0; i < n; i++) {
+        uint64_t key = 0;
+        for (uint64_t m = a->at[i].key; m; m &= m - 1)
+            key += weight[__builtin_ctzll(m)];
+        order[i] = (slot_t){.key = key >> 32, .val = i};
+    }
+    if (sort_pairs(order, n, 0) < 0)
+        goto done;
+    for (Py_ssize_t run = 0, end; run < n; run = end) {
+        size_t letters = 0;
+        for (end = run; end < n && order[end].key == order[run].key; end++)
+            letters += (size_t)__builtin_popcountll(a->at[order[end].val].key);
+        /* at most one key per letter, at half load */
+        size_t cap = 16;
+        int shift = 60;
+        while (cap < 2 * letters) {
+            cap *= 2;
+            shift -= 1;
+        }
+        if (cap > room) {
+            PyMem_Free(slots);
+            PyMem_Free(used);
+            slots = PyMem_Calloc(cap, sizeof(slot_t));
+            used = PyMem_Malloc(cap / 2 * sizeof(size_t));
+            room = cap;
+            if (slots == NULL || used == NULL) {
+                PyErr_NoMemory();
+                goto done;
+            }
+        }
+        size_t len = 0;
+        for (Py_ssize_t idx = run; idx < end; idx++) {
+            uint64_t mask = a->at[order[idx].val].key;
+            int64_t c = a->at[order[idx].val].val;
+            for (uint64_t m = mask; m; m &= m - 1) {
+                int i = __builtin_ctzll(m);
+                if (target[i] < 0) {
+                    decline("letter out of compiled-kernel range");
+                    goto done;
+                }
+                uint64_t without = mask & ~((uint64_t)1 << i);
+                if (without & jbit[i])
+                    continue;
+                uint64_t key = without | jbit[i];
+                size_t s = home_slot(key, shift);
+                while (slots[s].key != key && slots[s].key)
+                    s = (s + 1) & (cap - 1);
+                if (slots[s].key == 0) {
+                    slots[s].key = key;
+                    used[len++] = s;
+                }
+                /* |c| and |factor[i]| are below 2^31, so the product fits in int64 */
+                int64_t v = signed_by(c * factor[i], __builtin_popcountll(without & between[i]));
+                if (add_checked(&slots[s].val, v) < 0)
+                    goto done;
+            }
+        }
+        if (out_len + len > out_cap) {
+            size_t grown_cap = 2 * out_cap > out_len + len ? 2 * out_cap : out_len + len;
+            slot_t *grown = PyMem_Realloc(out, grown_cap * sizeof(slot_t));
+            if (grown == NULL) {
+                PyErr_NoMemory();
+                goto done;
+            }
+            out = grown;
+            out_cap = grown_cap;
+        }
+        for (size_t u = 0; u < len; u++) {
+            slot_t *slot = &slots[used[u]];
+            if (slot->val)
+                out[out_len++] = *slot;
+            *slot = (slot_t){.key = 0, .val = 0};
+        }
+    }
+    if (sort_pairs(out, (Py_ssize_t)out_len, 1) == 0 && (result = terms_alloc(out_len)) != NULL
+        && out_len)
+        memcpy(result->pairs, out, out_len * sizeof(slot_t));
+done:
+    PyMem_Free(order);
+    PyMem_Free(slots);
+    PyMem_Free(used);
+    PyMem_Free(out);
+    return (PyObject *)result;
 }
 
 static PyObject *
@@ -486,7 +830,7 @@ signed_perm_action(PyObject *module, PyObject *args)
         long long s = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(signs, i));
         if (s == -1 && PyErr_Occurred())
             break;
-        int usable = 0 <= j && j < MASK_BITS && -COEFF_LIMIT < s && s < COEFF_LIMIT;
+        int usable = 0 <= j && j < MASK_BITS && -COEFF_MAX <= s && s <= COEFF_MAX;
         target[i] = usable ? (int)j : -1;
         factor[i] = usable ? -s : 0;
     }
@@ -495,17 +839,11 @@ signed_perm_action(PyObject *module, PyObject *args)
     if (PyErr_Occurred())
         return NULL;
 
-    terms_t a;
-    table_t t;
-    if (terms_load(terms, &a) < 0)
+    pairs_t a;
+    if (pairs_load(terms, COEFF_MAX, &a) < 0)
         return NULL;
-    PyObject *out = NULL;
-    if (table_init(&t, (size_t)a.n) == 0) {
-        if (perm_action(&t, &a, target, factor) == 0)
-            out = table_items(&t);
-        table_free(&t);
-    }
-    terms_free(&a);
+    PyObject *out = perm_action(&a, target, factor);
+    pairs_release(&a);
     return out;
 }
 
@@ -528,22 +866,6 @@ signed_perm_action(PyObject *module, PyObject *args)
 #define TERM_C ",\n      \"c\": \""
 #define TERM_CLOSE "\"\n    }"
 #define LIT_LEN(s) (sizeof(s) - 1)
-
-static PyObject *
-decline(const char *what)
-{
-    PyErr_SetString(PyExc_OverflowError, what);
-    return NULL;
-}
-
-static inline uint64_t
-bit_reverse(uint64_t x)
-{
-    x = (x >> 1 & 0x5555555555555555ull) | (x & 0x5555555555555555ull) << 1;
-    x = (x >> 2 & 0x3333333333333333ull) | (x & 0x3333333333333333ull) << 2;
-    x = (x >> 4 & 0x0F0F0F0F0F0F0F0Full) | (x & 0x0F0F0F0F0F0F0F0Full) << 4;
-    return __builtin_bswap64(x);
-}
 
 static size_t
 decimal_len(uint64_t v)
@@ -576,20 +898,6 @@ put(char *p, const char *s, size_t len)
 }
 
 #define PUT(p, lit) put((p), (lit), LIT_LEN(lit))
-
-typedef struct {
-    uint64_t rev; /* the mask, bit-reversed */
-    int64_t val;
-} wire_term_t;
-
-/* Lexicographic order of index tuples: for one degree, the descending order
- * of the bit-reversed masks. */
-static int
-wire_term_cmp(const void *pa, const void *pb)
-{
-    uint64_t a = ((const wire_term_t *)pa)->rev, b = ((const wire_term_t *)pb)->rev;
-    return (a < b) - (a > b);
-}
 
 static size_t
 term_len(uint64_t mask, int64_t val)
@@ -628,99 +936,72 @@ put_term(char *p, uint64_t mask, int64_t val)
     return PUT(p, TERM_CLOSE);
 }
 
-/* The terms {mask: int} of the k-form on R^n as an array in wire order, of
- * PyDict_GET_SIZE(terms) entries; NULL with an exception set.  Declines a
- * rational or |c| >= 2^63 coefficient and a mask of MASK_BITS bits or more. */
-static wire_term_t *
-wire_terms(Py_ssize_t n, Py_ssize_t k, PyObject *terms)
+/* The pairs of the k-form on R^n with `terms` in wire order: a Terms as it
+ * is, any other sequence of pairs copied and sorted; -1 with an exception
+ * set.  Declines what pairs_load declines at |c| < 2^63, and n or k out of
+ * range. */
+static int
+wire_pairs(Py_ssize_t n, Py_ssize_t k, PyObject *terms, pairs_t *out)
 {
     if (n < 1 || n > MASK_BITS || k < 0) {
         decline("form out of compiled-kernel range");
-        return NULL;
+        return -1;
     }
-    Py_ssize_t count = PyDict_GET_SIZE(terms);
-    wire_term_t *items = PyMem_Malloc((count + 1) * sizeof(wire_term_t));
-    if (items == NULL) {
-        PyErr_NoMemory();
-        return NULL;
+    if (pairs_load(terms, INT64_MAX, out) < 0)
+        return -1;
+    if (out->owned != NULL && sort_pairs(out->owned, out->n, 1) < 0) {
+        pairs_release(out);
+        return -1;
     }
-    PyObject *key, *value;
-    Py_ssize_t pos = 0, i = 0; /* no Python code runs here, so terms keeps its size */
-    while (PyDict_Next(terms, &pos, &key, &value)) {
-        if (!PyLong_CheckExact(key) || !PyLong_CheckExact(value)) {
-            decline("coefficient out of compiled-kernel range");
-            goto fail;
-        }
-        uint64_t mask = PyLong_AsUnsignedLongLong(key); /* OverflowError past 64 bits */
-        if (mask == (uint64_t)-1 && PyErr_Occurred())
-            goto fail;
-        int64_t val = PyLong_AsLongLong(value);
-        if (val == -1 && PyErr_Occurred())
-            goto fail;
-        if (val == INT64_MIN) {
-            decline("coefficient out of compiled-kernel range");
-            goto fail;
-        }
-        items[i].rev = bit_reverse(mask);
-        items[i].val = val;
-        i++;
-    }
-    qsort(items, count, sizeof(wire_term_t), wire_term_cmp);
-    return items;
-fail:
-    PyMem_Free(items);
-    return NULL;
+    return 0;
 }
 
-/* The text forms.form_to_json_text writes for the k-form on R^n with terms
- * {mask: int}; declines what wire_terms declines. */
+/* The text forms.form_to_json_text writes for the k-form on R^n with the
+ * integer `terms`; declines what wire_pairs declines. */
 static PyObject *
 form_json_text(PyObject *module, PyObject *args)
 {
     Py_ssize_t n, k;
     PyObject *terms;
-    if (!PyArg_ParseTuple(args, "nnO!:form_json_text", &n, &k, &PyDict_Type, &terms))
+    pairs_t p;
+    if (!PyArg_ParseTuple(args, "nnO:form_json_text", &n, &k, &terms) || wire_pairs(n, k, terms, &p) < 0)
         return NULL;
-    wire_term_t *items = wire_terms(n, k, terms);
-    if (items == NULL)
-        return NULL;
-    Py_ssize_t count = PyDict_GET_SIZE(terms);
     size_t len = LIT_LEN(HEAD_N) + decimal_len((uint64_t)n) + LIT_LEN(HEAD_K)
                  + decimal_len((uint64_t)k) + LIT_LEN(HEAD_TERMS);
-    for (Py_ssize_t i = 0; i < count; i++)
-        len += term_len(bit_reverse(items[i].rev), items[i].val);
-    if (count == 0)
+    for (Py_ssize_t i = 0; i < p.n; i++)
+        len += term_len(p.at[i].key, p.at[i].val);
+    if (p.n == 0)
         len += LIT_LEN(NO_TERMS);
     else
-        len += LIT_LEN(TERMS_OPEN) + (count - 1) * LIT_LEN(TERMS_SEP) + LIT_LEN(TERMS_CLOSE);
+        len += LIT_LEN(TERMS_OPEN) + (p.n - 1) * LIT_LEN(TERMS_SEP) + LIT_LEN(TERMS_CLOSE);
 
     PyObject *out = PyUnicode_New((Py_ssize_t)len, 127);
     if (out == NULL)
         goto done;
-    char *start = (char *)PyUnicode_1BYTE_DATA(out), *p = start;
-    p = PUT(p, HEAD_N);
-    p = put_decimal(p, (uint64_t)n);
-    p = PUT(p, HEAD_K);
-    p = put_decimal(p, (uint64_t)k);
-    p = PUT(p, HEAD_TERMS);
-    if (count == 0) {
-        p = PUT(p, NO_TERMS);
+    char *start = (char *)PyUnicode_1BYTE_DATA(out), *s = start;
+    s = PUT(s, HEAD_N);
+    s = put_decimal(s, (uint64_t)n);
+    s = PUT(s, HEAD_K);
+    s = put_decimal(s, (uint64_t)k);
+    s = PUT(s, HEAD_TERMS);
+    if (p.n == 0) {
+        s = PUT(s, NO_TERMS);
     }
     else {
-        p = PUT(p, TERMS_OPEN);
-        for (Py_ssize_t i = 0; i < count; i++) {
+        s = PUT(s, TERMS_OPEN);
+        for (Py_ssize_t i = 0; i < p.n; i++) {
             if (i)
-                p = PUT(p, TERMS_SEP);
-            p = put_term(p, bit_reverse(items[i].rev), items[i].val);
+                s = PUT(s, TERMS_SEP);
+            s = put_term(s, p.at[i].key, p.at[i].val);
         }
-        p = PUT(p, TERMS_CLOSE);
+        s = PUT(s, TERMS_CLOSE);
     }
-    if ((size_t)(p - start) != len) {
+    if ((size_t)(s - start) != len) {
         Py_CLEAR(out);
         PyErr_SetString(PyExc_SystemError, "form_json_text: length mismatch");
     }
 done:
-    PyMem_Free(items);
+    pairs_release(&p);
     return out;
 }
 
@@ -758,25 +1039,22 @@ term_dict(uint64_t mask, int64_t val)
     return term;
 }
 
-/* The dict forms.form_to_json returns for the k-form on R^n with terms
- * {mask: int}: {"N": n, "k": k, "terms": [...]}, the terms in wire order;
- * declines what wire_terms declines. */
+/* The dict forms.form_to_json returns for the k-form on R^n with the integer
+ * `terms`: {"N": n, "k": k, "terms": [...]}, the terms in wire order;
+ * declines what wire_pairs declines. */
 static PyObject *
 form_json_dict(PyObject *module, PyObject *args)
 {
     Py_ssize_t n, k;
     PyObject *terms;
-    if (!PyArg_ParseTuple(args, "nnO!:form_json_dict", &n, &k, &PyDict_Type, &terms))
+    pairs_t p;
+    if (!PyArg_ParseTuple(args, "nnO:form_json_dict", &n, &k, &terms) || wire_pairs(n, k, terms, &p) < 0)
         return NULL;
-    wire_term_t *items = wire_terms(n, k, terms);
-    if (items == NULL)
-        return NULL;
-    Py_ssize_t count = PyDict_GET_SIZE(terms);
-    PyObject *out = NULL, *list = PyList_New(count);
+    PyObject *out = NULL, *list = PyList_New(p.n);
     if (list == NULL)
         goto done;
-    for (Py_ssize_t i = 0; i < count; i++) {
-        PyObject *term = term_dict(bit_reverse(items[i].rev), items[i].val);
+    for (Py_ssize_t i = 0; i < p.n; i++) {
+        PyObject *term = term_dict(p.at[i].key, p.at[i].val);
         if (term == NULL)
             goto done;
         PyList_SET_ITEM(list, i, term);
@@ -784,7 +1062,7 @@ form_json_dict(PyObject *module, PyObject *args)
     out = Py_BuildValue("{s:n,s:n,s:O}", "N", n, "k", k, "terms", list);
 done:
     Py_XDECREF(list);
-    PyMem_Free(items);
+    pairs_release(&p);
     return out;
 }
 
@@ -846,9 +1124,9 @@ read_term(PyObject *term, Py_ssize_t n, Py_ssize_t k, uint64_t *mask, int64_t *v
     return parse_coefficient(s, len, val);
 }
 
-/* {mask: int} from the list `items` of terms of a form document on R^n of
- * degree k, zero coefficients dropped.  Declines any document that is not
- * canonical and integral, and a duplicate idx, whatever its coefficient;
+/* The terms of the list `items` of terms of a form document on R^n of degree
+ * k, as a Terms, zero coefficients dropped.  Declines any document that is
+ * not canonical and integral, and a duplicate idx, whatever its coefficient;
  * the pure reader then reads it and raises what it raises. */
 static PyObject *
 form_json_terms(PyObject *module, PyObject *args)
@@ -859,43 +1137,31 @@ form_json_terms(PyObject *module, PyObject *args)
         return NULL;
     if (n < 1 || n > MASK_BITS || k < 0 || k > n)
         return decline("form out of compiled-kernel range");
-    PyObject *out = PyDict_New();
+    Py_ssize_t count = PyList_GET_SIZE(items); /* no Python code runs below, so items keeps it */
+    TermsObject *out = terms_alloc(count);
     if (out == NULL)
         return NULL;
-    Py_ssize_t zeros = 0;
-    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(items); i++) {
-        uint64_t mask;
-        int64_t val;
-        if (!read_term(PyList_GET_ITEM(items, i), n, k, &mask, &val)) {
+    slot_t *p = out->pairs;
+    for (Py_ssize_t i = 0; i < count; i++) {
+        if (!read_term(PyList_GET_ITEM(items, i), n, k, &p[i].key, &p[i].val)) {
             if (!PyErr_Occurred())
                 decline("term outside the compiled reader");
             goto fail;
         }
-        PyObject *key = PyLong_FromUnsignedLongLong(mask);
-        PyObject *coeff = PyLong_FromLongLong(val);
-        int rc = (key && coeff) ? PyDict_SetItem(out, key, coeff) : -1;
-        Py_XDECREF(key);
-        Py_XDECREF(coeff);
-        if (rc < 0)
-            goto fail;
-        if (PyDict_GET_SIZE(out) != i + 1) {
+    }
+    if (sort_pairs(p, count, 1) < 0)
+        goto fail;
+    Py_ssize_t kept = 0;
+    for (Py_ssize_t i = 0; i < count; i++) {
+        if (i && p[i].key == p[i - 1].key) { /* the sort is stable and leaves them adjacent */
             decline("an idx occurs twice");
             goto fail;
         }
-        zeros += val == 0;
+        if (p[i].val)
+            p[kept++] = p[i];
     }
-    if (zeros) {
-        PyObject *nonzero = PyDict_New();
-        PyObject *key, *value;
-        Py_ssize_t pos = 0;
-        while (nonzero && PyDict_Next(out, &pos, &key, &value)) {
-            if (PyObject_IsTrue(value) && PyDict_SetItem(nonzero, key, value) < 0)
-                Py_CLEAR(nonzero);
-        }
-        Py_DECREF(out);
-        return nonzero;
-    }
-    return out;
+    Py_SET_SIZE(out, kept);
+    return (PyObject *)out;
 fail:
     Py_DECREF(out);
     return NULL;
@@ -903,13 +1169,13 @@ fail:
 
 static PyMethodDef module_methods[] = {
     {"signed_perm_action", signed_perm_action, METH_VARARGS,
-     "Derivation action: replace letter i by perm[i] with factor -signs[i]."},
+     "Derivation action: replace letter i by perm[i] with factor -signs[i]; a Terms."},
     {"form_json_text", form_json_text, METH_VARARGS,
      "form_json_text(n, k, terms): the JSON text of an integral form."},
     {"form_json_dict", form_json_dict, METH_VARARGS,
      "form_json_dict(n, k, terms): the JSON document of an integral form, as a dict."},
     {"form_json_terms", form_json_terms, METH_VARARGS,
-     "form_json_terms(n, k, items): {mask: int} from a canonical integer document's terms."},
+     "form_json_terms(n, k, items): the Terms of a canonical integer document's terms."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -924,14 +1190,15 @@ static struct PyModuleDef wedge_module = {
 PyMODINIT_FUNC
 PyInit__wedge_c(void)
 {
-    if (PyType_Ready(&AccumulatorType) < 0)
+    for (int b = 0; b < 256; b++)
+        WIRE_DIGIT[b] = (unsigned char)(255 - (bit_reverse((uint64_t)b) >> 56));
+    if (PyType_Ready(&AccumulatorType) < 0 || PyType_Ready(&TermsType) < 0)
         return NULL;
     PyObject *module = PyModule_Create(&wedge_module);
     if (module == NULL)
         return NULL;
-    Py_INCREF(&AccumulatorType);
-    if (PyModule_AddObject(module, "Accumulator", (PyObject *)&AccumulatorType) < 0) {
-        Py_DECREF(&AccumulatorType);
+    if (PyModule_AddObjectRef(module, "Accumulator", (PyObject *)&AccumulatorType) < 0
+        || PyModule_AddObjectRef(module, "Terms", (PyObject *)&TermsType) < 0) {
         Py_DECREF(module);
         return NULL;
     }

@@ -57,9 +57,13 @@ class KForm:
     Terms are keyed by strictly increasing index tuples (stored as
     bitmasks); zero coefficients are never kept.  Values are immutable by
     convention: no method mutates an existing form.
+
+    A form made from kernel output keeps the kernel's (mask, coeff) pair
+    sequence as it came, and builds its {mask: coeff} dict `_terms` only
+    when Python code first asks for it.
     """
 
-    __slots__ = ("n", "k", "_terms", "_ints")
+    __slots__ = ("n", "k", "_map", "_pairs", "_ints")
 
     def __init__(self, n: int, k: int, terms: Mapping[int, object] | None = None):
         if n <= 0 or k < 0:
@@ -77,18 +81,31 @@ class KForm:
             if not isinstance(c, int):
                 ints = False
             clean[mask] = c
-        self._terms = clean
+        self._map = clean
+        self._pairs = None
         self._ints = ints
 
     @classmethod
-    def _trusted(cls, n: int, k: int, terms: dict[int, object], ints: bool) -> "KForm":
-        """A form that takes `terms` as they are, unchecked: masks of k bits
-        below 2^n mapped to nonzero ints (all of them when `ints`) or
-        non-integral Fractions.  For kernel outputs, sums and multiples of
-        integer forms, and validated input."""
+    def _trusted(cls, n: int, k: int, terms, ints: bool) -> "KForm":
+        """A form that takes `terms` as they are, unchecked: a {mask: coeff}
+        dict, or a sequence of (mask, coeff) pairs with distinct masks, whose
+        masks have k bits below 2^n and whose coefficients are nonzero ints
+        (all of them when `ints`) or non-integral Fractions.  For kernel
+        outputs, sums and multiples of integer forms, and validated input."""
         form = object.__new__(cls)
-        form.n, form.k, form._terms, form._ints = n, k, terms, ints
+        form.n, form.k, form._ints = n, k, ints
+        if isinstance(terms, dict):
+            form._map, form._pairs = terms, None
+        else:
+            form._map, form._pairs = None, terms
         return form
+
+    @property
+    def _terms(self) -> dict[int, object]:
+        """{mask: coeff}, built from the pair sequence on first use."""
+        if self._map is None:
+            self._map = dict(self._pairs)
+        return self._map
 
     # -- constructors --------------------------------------------------------
 
@@ -116,17 +133,21 @@ class KForm:
         """Terms as (indices, coeff), sorted lexicographically by indices."""
         return ((sum(indices, ()), c) for indices, c in _rendered_terms(self, _byte_indices))
 
-    def mask_items(self) -> list[tuple[int, object]]:
-        return list(self._terms.items())
+    def mask_items(self) -> Sequence[tuple[int, object]]:
+        """The (mask, coeff) pairs: the kernel's sequence when the form came
+        from the kernel, a fresh list otherwise."""
+        if self._pairs is not None:
+            return self._pairs
+        return list(self._map.items())
 
     def coefficient(self, indices: Sequence[int]):
         return self._terms.get(_mask_from_indices(indices, self.n), 0)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return self.num_terms() == 0
 
     def num_terms(self) -> int:
-        return len(self._terms)
+        return len(self._map if self._pairs is None else self._pairs)
 
     def content(self) -> int:
         """gcd of the coefficients; requires them integral, 0 for the zero form."""
@@ -239,10 +260,11 @@ class KForm:
 
 def _kernel_form(n: int, k: int, pairs, ints: bool) -> KForm:
     """The form over kernel output `pairs`: nonzero terms of degree k.  With
-    integer inputs they are clean ints; Fraction inputs may give Fraction(p, 1),
-    which the checking constructor normalises."""
+    integer inputs they are clean ints, kept as the kernel's sequence;
+    Fraction inputs may give Fraction(p, 1), which the checking constructor
+    normalises."""
     if ints:
-        return KForm._trusted(n, k, dict(pairs), True)
+        return KForm._trusted(n, k, pairs, True)
     return KForm(n, k, dict(pairs))
 
 
@@ -299,11 +321,10 @@ class FormMatrix:
     def entry(self, i: int, j: int) -> KForm:
         if not (0 <= i < self.size and 0 <= j < self.size):
             raise ValueError("index out of range")
-        if i == j:
+        form = self._upper.get((i, j) if i < j else (j, i))
+        if form is None:
             return KForm.zero(self.n, 2)
-        if i < j:
-            return self._upper.get((i, j), KForm.zero(self.n, 2))
-        return -self._upper.get((j, i), KForm.zero(self.n, 2))
+        return form if i < j else -form
 
     def upper_items(self) -> Iterator[tuple[tuple[int, int], KForm]]:
         return iter(sorted(self._upper.items()))
@@ -392,7 +413,7 @@ def _psi_ints(psi: FormMatrix) -> bool:
     return all(form._ints for _, form in psi.upper_items())
 
 
-def _tau_terms(psi: FormMatrix, subsets) -> list[tuple[int, object]]:
+def _tau_terms(psi: FormMatrix, subsets):
     """Terms of the sum of the squared Pfaffians over `subsets`."""
 
     def fill(acc):
@@ -475,17 +496,17 @@ def canonical_form(name: str) -> KForm:
 _BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
-def _sorted_masks(masks: Iterable[int], width: int) -> list[int]:
-    """`masks` of one degree, each below 2^(8 width), in lexicographic order
-    of their index tuples.
+def _sorted_terms(terms: Iterable[tuple[int, object]], width: int) -> list[tuple[int, object]]:
+    """(mask, coeff) `terms` of one degree, each mask below 2^(8 width), in
+    lexicographic order of the masks' index tuples.
 
     For one degree that order is the descending order of the masks with
     their bits reversed.  The little-endian bytes of a mask, each byte
     bit-reversed, spell that reversal big-endian over whole bytes, which
     shifts it but keeps the order."""
     return sorted(
-        masks,
-        key=lambda m: m.to_bytes(width, "little").translate(_BIT_REVERSED),
+        terms,
+        key=lambda t: t[0].to_bytes(width, "little").translate(_BIT_REVERSED),
         reverse=True,
     )
 
@@ -494,14 +515,14 @@ def _rendered_terms(a: KForm, table) -> Iterator[tuple[Iterator, object]]:
     """(pieces, coefficient) per term of `a` in lexicographic order.  The
     pieces are `table(p)[b]` for each byte p of the mask whose value b is
     nonzero, so a table renders the indices 8p+1..8p+8 that b holds."""
-    terms = a._terms
-    used = reduce(or_, terms, 0)
+    terms = a.mask_items()
+    used = reduce(or_, (m for m, _ in terms), 0)
     width = (used.bit_length() + 7) // 8
     # tables only for the byte positions some mask uses, so that a sparse form
     # on a large R^n builds few; an unused position only ever looks up entry 0
     tables = [table(p) if b else ("",) for p, b in enumerate(used.to_bytes(width, "little"))]
-    for m in _sorted_masks(terms, width):
-        yield filter(None, map(getitem, tables, m.to_bytes(width, "little"))), terms[m]
+    for m, c in _sorted_terms(terms, width):
+        yield filter(None, map(getitem, tables, m.to_bytes(width, "little"))), c
 
 
 @lru_cache(maxsize=64)
@@ -527,7 +548,7 @@ def form_to_json(a: KForm) -> dict:
     """{"N": n, "k": k, "terms": [{"idx": [...], "c": "p/q"}, ...]},
     sorted lexicographically by index tuple: built by the C kernel for an
     integral form it takes, by `_json_dict` otherwise."""
-    return kernel.form_json_dict(a.n, a.k, a._terms, a._ints, lambda: _json_dict(a))
+    return kernel.form_json_dict(a.n, a.k, a.mask_items(), a._ints, lambda: _json_dict(a))
 
 
 def _json_dict(a: KForm) -> dict:
@@ -540,7 +561,7 @@ def form_to_json_text(a: KForm) -> str:
     """The text of `json.dumps(form_to_json(a), indent=2) + "\\n"`, byte for
     byte, rendered straight from the masks: by the C kernel for an integral
     form it takes, by `_json_text` otherwise."""
-    return kernel.form_json_text(a.n, a.k, a._terms, a._ints, lambda: _json_text(a))
+    return kernel.form_json_text(a.n, a.k, a.mask_items(), a._ints, lambda: _json_text(a))
 
 
 def _json_text(a: KForm) -> str:

@@ -3,14 +3,27 @@
 Both backends export `Accumulator` (with `add_product`, `add_square` and
 `items`), `signed_perm_action` and `BACKEND`.  The C extension `_wedge_c`
 also exports `MASK_BITS`, the width of its masks, `BATCH`, the number of
-(key, value) pairs its loops queue, with each key's table slot
-prefetched, before adding them to the table in order, and the wire format
-of integral forms: `form_json_text`, the text `forms.form_to_json_text`
-writes, `form_json_dict`, the dict `forms.form_to_json` returns, and
-`form_json_terms`, the `{mask: coeff}` dict of a parsed form document's
-`terms`.  The pure side of the wire format stays in `forms`, which passes
-it here as `pure`.  `_wedge_c` is used when it was built, the pure-Python
-`_wedge_py` otherwise; set CLIFFSYS_PURE=1 to force the pure one.
+(key, value) pairs its product and square loops queue, with each key's
+table slot prefetched, before adding them to the table in order, and the
+wire format of integral forms: `form_json_text`, the text
+`forms.form_to_json_text` writes, `form_json_dict`, the dict
+`forms.form_to_json` returns, and `form_json_terms`, the terms of a parsed
+form document's `terms`.  The pure side of the wire format stays in
+`forms`, which passes it here as `pure`.  `_wedge_c` is used when it was
+built, the pure-Python `_wedge_py` otherwise; set CLIFFSYS_PURE=1 to force
+the pure one.
+
+Terms travel as sequences of (mask, coeff) pairs.  The pure kernel returns
+lists of tuples.  The C kernel returns a `Terms`, also exported: an
+immutable, picklable block of (uint64 mask, int64 coeff) pairs in wire
+order (the lexicographic order of index tuples), whose `len` is the term
+count and whose items are (mask, coeff) tuples.  `items()`,
+`signed_perm_action` and `form_json_terms` return one; every C entry point
+reads a `Terms` without converting it and copies any other sequence of
+pairs.  A `forms.KForm` made from kernel output keeps the sequence as it
+came and builds its {mask: coeff} dict only when Python code first needs
+it, so a form read, acted on, counted and written on the C kernel never
+has one.
 
 The C kernel accumulates integer coefficients with |c| < 2^31 into values
 with |acc| < 2^62; it writes and reads coefficients with |c| < 2^63 and
@@ -62,9 +75,9 @@ def new_accumulator(ints: bool):
 
 
 def accumulate(fill, ints: bool, n: int):
-    """The nonzero terms [(mask, coeff), ...] on R^n that `fill(acc)`
-    accumulates into a fresh accumulator; `fill` runs again on a pure
-    accumulator when the compiled one declines."""
+    """The nonzero (mask, coeff) terms on R^n that `fill(acc)` accumulates
+    into a fresh accumulator; `fill` runs again on a pure accumulator when
+    the compiled one declines."""
 
     def run(acc):
         fill(acc)
@@ -82,19 +95,20 @@ def signed_perm_action(terms, perm, signs, ints: bool):
     )
 
 
-def form_json_text(n: int, k: int, terms: dict, ints: bool, pure):
-    """The JSON text of the k-form on R^n with `terms` {mask: coeff}."""
+def form_json_text(n: int, k: int, terms, ints: bool, pure):
+    """The JSON text of the k-form on R^n with the (mask, coeff) `terms`."""
     return _run(lambda: _impl.form_json_text(n, k, terms), pure, ints, n)
 
 
-def form_json_dict(n: int, k: int, terms: dict, ints: bool, pure):
-    """The JSON document of the k-form on R^n with `terms` {mask: coeff}, as
-    the dict that `json.loads` would give for its text."""
+def form_json_dict(n: int, k: int, terms, ints: bool, pure):
+    """The JSON document of the k-form on R^n with the (mask, coeff) `terms`,
+    as the dict that `json.loads` would give for its text."""
     return _run(lambda: _impl.form_json_dict(n, k, terms), pure, ints, n)
 
 
 def form_json_terms(n: int, k: int, items: list, pure):
-    """({mask: coeff}, ints) from the `terms` list of a form document on
-    R^n of degree k; `pure()` reads the documents the C kernel declines and
-    owns the input contract."""
+    """(terms, ints) from the `terms` list of a form document on R^n of
+    degree k: a `Terms` from the C kernel, the {mask: coeff} dict of `pure()`,
+    which reads the documents the C kernel declines and owns the input
+    contract."""
     return _run(lambda: (_impl.form_json_terms(n, k, items), True), pure, True, n)

@@ -3,12 +3,16 @@
 The C kernel is compiled from `src/cliffsys/_wedge_c.c` with the system
 `cc`, so the compiled-against-pure checks run on every machine with a C
 compiler and the Python headers, whether or not the package was built.
+Where `cc` accepts it, the build traps undefined behaviour
+(`-fsanitize=undefined -fno-sanitize-recover=all`): a signed overflow or a
+bad shift in the kernel's loops aborts the test run.
 """
 
 import importlib.machinery
 import importlib.util
 import shutil
 import subprocess
+import sys
 import sysconfig
 from contextlib import contextmanager
 from pathlib import Path
@@ -28,17 +32,25 @@ def compile_c_kernel(directory: Path):
     if not (Path(include) / "Python.h").is_file():
         return None, f"no Python.h in {include}"
     out = directory / ("_wedge_c" + sysconfig.get_config_var("EXT_SUFFIX"))
-    build = subprocess.run(
-        [cc, "-O2", "-Wall", "-Wextra", "-Wno-unused-parameter", "-Werror", "-shared", "-fPIC",
-         f"-I{include}", str(SOURCE), "-o", str(out)],
-        capture_output=True,
-        text=True,
-    )
+    flags = ["-O2", "-Wall", "-Wextra", "-Wno-unused-parameter", "-Werror", "-shared", "-fPIC",
+             f"-I{include}", str(SOURCE), "-o", str(out)]
+    sanitize = ["-fsanitize=undefined", "-fno-sanitize-recover=all"]
+    build = subprocess.run([cc, *sanitize, *flags], capture_output=True, text=True)
+    if build.returncode != 0:  # a compiler without the sanitizer
+        build = subprocess.run([cc, *flags], capture_output=True, text=True)
     assert build.returncode == 0, build.stderr
-    loader = importlib.machinery.ExtensionFileLoader("cliffsys._wedge_c", str(out))
-    spec = importlib.util.spec_from_file_location("cliffsys._wedge_c", out, loader=loader)
+    name = "cliffsys._wedge_c"
+    installed = sys.modules.get(name)
+    loader = importlib.machinery.ExtensionFileLoader(name, str(out))
+    spec = importlib.util.spec_from_file_location(name, out, loader=loader)
     module = importlib.util.module_from_spec(spec)
     loader.exec_module(module)
+    # loading registers the module under its name; keep the package's own
+    # kernel there, so that pickle finds the classes of the kernel in use
+    if installed is None:
+        sys.modules.pop(name, None)
+    else:
+        sys.modules[name] = installed
     return module, None
 
 

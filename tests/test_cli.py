@@ -407,6 +407,12 @@ def test_traced_tau4_counts_every_kernel_pair(tmp_path):
     assert counts["kernel.product.pairs"] == 24192
     assert counts["kernel.square.pairs"] == 701484
     assert counts["kernel.accum.keys"] == 13638
+    # one KForm per Kaehler form of psi^C; FormMatrix.entry builds no zero
+    # form for an entry it holds
+    kform_calls = sum(span["calls"] for span in trace["spans"]
+                      if span["path"].split("/")[-1] == "forms.kform"
+                      and "forms.kform" not in span["path"].split("/")[:-1])
+    assert kform_calls == 36
 
 
 def test_traced_readback_counts_every_letter(tmp_path):

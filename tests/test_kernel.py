@@ -7,7 +7,9 @@ package was built.
 """
 
 import json
+import pickle
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,10 +18,12 @@ from cliffsys import _wedge_py
 from cliffsys import forms as forms_module
 from cliffsys import kernel
 from cliffsys.clifford import build
+from cliffsys.evencliff import build_e10
 from cliffsys.exactmat import SignedPermMatrix
 from cliffsys.forms import (
     FormMatrix,
     KForm,
+    _indices_from_mask,
     _pfaffian_terms,
     canonical_form,
     form_from_json,
@@ -527,10 +531,10 @@ def check_writer(wc, a):
     expected = pure_text(a)
     assert expected == json.dumps(form_to_json(a), indent=2) + "\n"
     if in_wire_range(a):
-        assert wc.form_json_text(a.n, a.k, a._terms) == expected
+        assert wc.form_json_text(a.n, a.k, a.mask_items()) == expected
     elif a._ints:
         with pytest.raises(OverflowError):
-            wc.form_json_text(a.n, a.k, a._terms)
+            wc.form_json_text(a.n, a.k, a.mask_items())
     with dispatch_to(wc):
         assert form_to_json_text(a) == expected
 
@@ -588,10 +592,10 @@ def check_dict_writer(backends, a):
         expected = form_to_json(a)
     for module in backends:
         if module is not _wedge_py and in_wire_range(a):
-            assert module.form_json_dict(a.n, a.k, a._terms) == expected
+            assert module.form_json_dict(a.n, a.k, a.mask_items()) == expected
         elif module is not _wedge_py and a._ints:
             with pytest.raises(OverflowError):
-                module.form_json_dict(a.n, a.k, a._terms)
+                module.form_json_dict(a.n, a.k, a.mask_items())
         with dispatch_to(module):
             data = form_to_json(a)
             assert data == expected
@@ -623,11 +627,11 @@ def test_wire_format_past_the_mask_width_skips_the_compiled_kernel(wc):
 def test_compiled_reader_reads_canonical_integer_documents(wc):
     a = canonical_form("Spin9")
     items = form_to_json(a)["terms"]
-    assert wc.form_json_terms(16, 8, items) == a._terms
+    assert dict(wc.form_json_terms(16, 8, items)) == a._terms
     zero_dropped = [{"idx": [1, 2], "c": "0"}, {"idx": [1, 64], "c": str(-WIRE_MAX)}]
-    assert wc.form_json_terms(64, 2, zero_dropped) == {1 | 1 << 63: -WIRE_MAX}
-    assert wc.form_json_terms(1, 0, [{"idx": [], "c": "7"}]) == {0: 7}
-    assert wc.form_json_terms(3, 1, []) == {}
+    assert wc.form_json_terms(64, 2, zero_dropped) == [(1 | 1 << 63, -WIRE_MAX)]
+    assert wc.form_json_terms(1, 0, [{"idx": [], "c": "7"}]) == [(0, 7)]
+    assert wc.form_json_terms(3, 1, []) == []
 
 
 @pytest.mark.parametrize(
@@ -713,7 +717,7 @@ def read(data):
 )
 def test_compiled_reader_matches_pure_on_perturbed_documents(wc, a, how, where):
     text = form_to_json_text(a)
-    assert wc.form_json_terms(a.n, a.k, json.loads(text)["terms"]) == a._terms
+    assert dict(wc.form_json_terms(a.n, a.k, json.loads(text)["terms"])) == a._terms
     data = json.loads(text)
     perturb(data, how, where % len(data["terms"]))
     with dispatch_to(_wedge_py):
@@ -722,3 +726,183 @@ def test_compiled_reader_matches_pure_on_perturbed_documents(wc, a, how, where):
         assert read(data) == expected
     if isinstance(expected, KForm):
         assert_clean(expected)
+
+
+# -- the grouped derivation action: equal to the pure one, or declines -------------
+
+
+def wire_order(terms):
+    """`terms` of one degree in wire order: lexicographic in index tuples."""
+    return sorted(terms, key=lambda t: _indices_from_mask(t[0]))
+
+
+def bounded_action(terms, perm, signs):
+    """True when the C kernel must take the action: every mask and
+    coefficient in its range, every letter of every mask with a target
+    below 64 and a factor below 2^31, and every sum, taken in the pure
+    kernel's loop order, inside +-2^62 at every step."""
+    acc = {}
+    for mask, c in terms:
+        if mask >> 64 or abs(c) > C_MAX:
+            return False
+        for i in (b - 1 for b in _indices_from_mask(mask)):
+            j = perm[i]
+            if j >= 64 or abs(signs[i]) > C_MAX:
+                return False
+            without = mask & ~(1 << i)
+            if j != i and without >> j & 1:
+                continue
+            lo, hi = min(i, j), max(i, j)
+            crossed = (without & ((1 << hi) - (2 << lo))).bit_count() if j != i else 0
+            key = without | 1 << j
+            acc[key] = acc.get(key, 0) - signs[i] * (-1) ** crossed * c
+            if abs(acc[key]) >= ACC_LIMIT:
+                return False
+    return True
+
+
+@st.composite
+def signed_perms(draw):
+    """(perm, signs) on n <= 70 letters, cut into fixed letters, 2-cycles and
+    longer cycles; with n > 64 some cycles carry a letter past bit 63.  Most
+    signs are +-1; some are +-(2^31 - 1), which can overflow a sum, and some
+    +-2^31, a factor the C kernel leaves to the pure one."""
+    n = draw(st.one_of(st.integers(1, 70), st.integers(62, 70)), label="n")
+    letters = draw(st.permutations(range(n)), label="letters")
+    perm = list(range(n))
+    pos = 0
+    while pos < n:
+        cycle = letters[pos:pos + draw(st.sampled_from([1, 2, 2, 3, 4, 7]))]
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            perm[a] = b
+        pos += len(cycle)
+    sign = st.sampled_from([1, -1] * 8 + [C_MAX, -C_MAX, C_MAX + 1, -C_MAX - 1])
+    signs = draw(st.lists(sign, min_size=n, max_size=n), label="signs")
+    return perm, signs
+
+
+@st.composite
+def action_cases(draw):
+    perm, signs = draw(signed_perms())
+    n = len(perm)
+    top = [n - 1, 63] if n >= 64 else [n - 1]
+    letter = st.one_of(st.integers(0, n - 1), st.sampled_from(top))  # bit 63 often
+    degree = draw(st.integers(0, min(n, 5)), label="degree")
+    mask = st.sets(letter, min_size=degree, max_size=degree).map(lambda s: sum(1 << b for b in s))
+    terms = draw(st.lists(st.tuples(mask, coeffs), max_size=12), label="terms")
+    return terms, perm, signs
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=action_cases())
+def test_grouped_action_matches_pure_property(wc, case):
+    terms, perm, signs = case
+    expected = _wedge_py.signed_perm_action(terms, perm, signs)
+    if bounded_action(terms, perm, signs):
+        got = wc.signed_perm_action(terms, perm, signs)
+        assert type(got) is wc.Terms
+        assert list(got) == wire_order(expected)
+    else:
+        with pytest.raises(OverflowError):
+            wc.signed_perm_action(terms, perm, signs)
+    with dispatch_to(wc):
+        assert sorted(kernel.signed_perm_action(terms, perm, signs, True)) == sorted(expected)
+
+
+def test_grouped_action_on_the_rank10_generators(wc):
+    """Signed permutations with 16 2-cycles, as in the rank-10 read-back, on a
+    seeded 8-form on R^32: equal to the pure action, run by run."""
+    rng = random.Random(13)
+    terms = {}
+    while len(terms) < 2000:
+        terms[sum(1 << b for b in rng.sample(range(32), 8))] = rng.choice((-3, -2, -1, 1, 2, 3))
+    terms = list(terms.items())
+    e10 = build_e10()
+    for x in e10.pairwise_products()[:6] + list(e10.complex_generators):
+        inv = x.transpose()
+        expected = _wedge_py.signed_perm_action(terms, inv.perm, inv.signs)
+        assert list(wc.signed_perm_action(terms, inv.perm, inv.signs)) == wire_order(expected)
+
+
+# -- Terms: the C kernel's packed pair sequence ---------------------------------------
+
+
+def test_terms_of_the_compiled_kernel_equal_the_pure_ones(wc):
+    rng = random.Random(14)
+    for _ in range(100):
+        n = rng.randint(4, 64)
+        k = rng.choice((1, 2, 3))
+        ta, tb = random_terms(rng, n, k, rng.randint(1, 20)), random_terms(rng, n, k, rng.randint(1, 20))
+        results = [(product(wc, ta, tb), product(_wedge_py, ta, tb))]
+        if k % 2 == 0:
+            results.append((square(wc, ta), square(_wedge_py, ta)))
+        for got, expected in results:
+            assert type(got) is wc.Terms and len(got) == len(expected)
+            assert list(got) == wire_order(expected)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        signs = [rng.choice((1, -1)) for _ in range(n)]
+        got = wc.signed_perm_action(ta, perm, signs)
+        assert list(got) == wire_order(_wedge_py.signed_perm_action(ta, perm, signs))
+        # the reader gives the terms of the pure reader, in wire order
+        form = KForm(n, k, dict(ta))
+        items = json.loads(form_to_json_text(form))["terms"]
+        assert list(wc.form_json_terms(n, k, items)) == wire_order(form._terms.items())
+
+
+def test_terms_sequence_protocol(wc):
+    t = wc.Terms([(6, -2), (1 << 63 | 1, 5), (3, 7), (5, 1)])
+    # wire order: (1, 2), (1, 3), (1, 64), (2, 3)
+    assert list(t) == [(3, 7), (5, 1), (1 << 63 | 1, 5), (6, -2)]
+    assert len(t) == 4 and t[0] == (3, 7) and t[-1] == (6, -2)
+    assert t == [(3, 7), (5, 1), (1 << 63 | 1, 5), (6, -2)] == t
+    assert t == tuple(t) and t != list(t)[:3] and t != wc.Terms([])
+    assert dict(t) == {3: 7, 5: 1, 1 << 63 | 1: 5, 6: -2}
+    with pytest.raises(IndexError):
+        t[4]
+    with pytest.raises(TypeError):
+        hash(t)
+    with pytest.raises(OverflowError):
+        wc.Terms([(1 << 64, 1)])
+    with pytest.raises(OverflowError):
+        wc.Terms([(1, -(1 << 63))])
+    with pytest.raises(ValueError):
+        wc.Terms(b"0123456789")
+
+
+def test_terms_survive_a_pickle_round_trip(wc, monkeypatch):
+    # pickle finds the class under its module name, as it does for the
+    # package's own kernel
+    monkeypatch.setitem(sys.modules, "cliffsys._wedge_c", wc)
+    acc = wc.Accumulator()
+    acc.add_product([(1, C_MAX), (4, -3)], [(2, C_MAX), (1 << 63, 1)])
+    for t in (acc.items(), wc.Terms([]), wc.Terms([(0, -(1 << 62)), (7, WIRE_MAX)])):
+        copy = pickle.loads(pickle.dumps(t))
+        assert type(copy) is wc.Terms and copy == t and len(copy) == len(t)
+
+
+def test_readback_on_the_c_kernel_never_builds_the_dict(wc, monkeypatch):
+    """form_from_json, three lie_action, num_terms and form_to_json: the
+    C kernel's Terms go from one step to the next, and no {mask: coeff}
+    dict is built."""
+    rng = random.Random(15)
+    terms = {}
+    while len(terms) < 300:
+        terms[sum(1 << b for b in rng.sample(range(32), 8))] = rng.choice((-3, -2, -1, 1, 2, 3))
+    text = form_to_json_text(KForm(32, 8, terms))
+    e10 = build_e10()
+    actions = [e10.pairwise_products()[5], e10.complex_generators[0],
+               SignedPermMatrix(32, tuple(i ^ 1 for i in range(32)), tuple([1, -1] * 16))]
+
+    def readback():
+        form = form_from_json(json.loads(text))
+        acted = [lie_action(x, form) for x in actions]
+        return form.num_terms(), [a.num_terms() for a in acted], form_to_json(acted[-1])
+
+    with dispatch_to(_wedge_py):
+        expected = readback()
+    assert expected[1][-1] > 0
+    with dispatch_to(wc):
+        monkeypatch.setattr(KForm, "_terms", property(lambda self: pytest.fail("built the dict")))
+        got = readback()
+    assert got == expected
