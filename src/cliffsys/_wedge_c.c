@@ -13,9 +13,10 @@
  * slot, so the degree-0 monomial (mask 0) is kept in its own field.
  *
  * Terms are returned as a Terms: an immutable block of (uint64 mask, int64
- * coeff) pairs in wire order, the order of the JSON documents.  Every entry
- * point reads a Terms's block as it is, and any other sequence of
- * (mask, coeff) pairs by copying it.
+ * coeff) pairs in wire order, the order of the JSON documents.  Only this
+ * kernel makes one, and it never leaves the process.  Every entry point
+ * reads a Terms's block as it is, and any other sequence of (mask, coeff)
+ * pairs by copying it.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -72,15 +73,9 @@ table_free(table_t *t)
 
 /* Fibonacci hashing: the top 64 - shift bits of key * 2^64/phi. */
 static inline size_t
-home_slot(uint64_t key, int shift)
-{
-    return (size_t)((key * 0x9E3779B97F4A7C15ull) >> shift);
-}
-
-static inline size_t
 table_home(const table_t *t, uint64_t key)
 {
-    return home_slot(key, t->shift);
+    return (size_t)((key * 0x9E3779B97F4A7C15ull) >> t->shift);
 }
 
 static int
@@ -228,28 +223,28 @@ bit_reverse(uint64_t x)
     return __builtin_bswap64(x);
 }
 
-/* Whether key a may come before key b: in wire order, or ascending. */
+/* Whether key a may come before key b in wire order. */
 static inline int
-in_order(uint64_t a, uint64_t b, int wire)
+in_order(uint64_t a, uint64_t b)
 {
-    return wire ? bit_reverse(a) >= bit_reverse(b) : a <= b;
+    return bit_reverse(a) >= bit_reverse(b);
 }
 
 /* Digit d (0: least significant) of a key for sort_pairs. */
 static inline unsigned
-sort_digit(uint64_t key, int d, int wire)
+sort_digit(uint64_t key, int d)
 {
-    return wire ? WIRE_DIGIT[key >> 8 * (7 - d) & 255] : key >> 8 * d & 255;
+    return WIRE_DIGIT[key >> 8 * (7 - d) & 255];
 }
 
-/* Sort p[0..n) stably by key, into wire order or ascending: a byte-wise radix
- * sort that skips the passes whose byte is the same everywhere.  -1 with
- * MemoryError set when out of memory. */
+/* Sort p[0..n) stably by key into wire order: a byte-wise radix sort that
+ * skips the passes whose byte is the same everywhere.  -1 with MemoryError
+ * set when out of memory. */
 static int
-sort_pairs(slot_t *p, Py_ssize_t n, int wire)
+sort_pairs(slot_t *p, Py_ssize_t n)
 {
     Py_ssize_t i = 1;
-    while (i < n && in_order(p[i - 1].key, p[i].key, wire))
+    while (i < n && in_order(p[i - 1].key, p[i].key))
         i++;
     if (i >= n)
         return 0;
@@ -261,12 +256,12 @@ sort_pairs(slot_t *p, Py_ssize_t n, int wire)
     Py_ssize_t count[8][256] = {{0}};
     for (i = 0; i < n; i++) {
         for (int d = 0; d < 8; d++)
-            count[d][sort_digit(p[i].key, d, wire)]++;
+            count[d][sort_digit(p[i].key, d)]++;
     }
     slot_t *src = p, *dst = tmp;
     for (int d = 0; d < 8; d++) {
         Py_ssize_t *start = count[d];
-        if (start[sort_digit(p[0].key, d, wire)] == n)
+        if (start[sort_digit(p[0].key, d)] == n)
             continue;
         for (Py_ssize_t b = 0, sum = 0; b < 256; b++) {
             Py_ssize_t c = start[b];
@@ -274,7 +269,7 @@ sort_pairs(slot_t *p, Py_ssize_t n, int wire)
             sum += c;
         }
         for (i = 0; i < n; i++)
-            dst[start[sort_digit(src[i].key, d, wire)]++] = src[i];
+            dst[start[sort_digit(src[i].key, d)]++] = src[i];
         slot_t *swap = src;
         src = dst;
         dst = swap;
@@ -394,48 +389,6 @@ Terms_item(TermsObject *self, Py_ssize_t i)
     return term_tuple(self->pairs[i].key, self->pairs[i].val);
 }
 
-/* Terms(pairs): any sequence of (mask, coeff) pairs with ints 0 <= mask < 2^64
- * and |coeff| < 2^63, or the bytes of a pickled Terms, put in wire order. */
-static PyObject *
-Terms_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
-{
-    PyObject *src;
-    if (kwds && PyDict_GET_SIZE(kwds)) {
-        PyErr_SetString(PyExc_TypeError, "Terms() takes no keyword arguments");
-        return NULL;
-    }
-    if (!PyArg_ParseTuple(args, "O:Terms", &src))
-        return NULL;
-    pairs_t p = {.owned = NULL};
-    if (PyBytes_Check(src)) {
-        if (PyBytes_GET_SIZE(src) % sizeof(slot_t)) {
-            PyErr_SetString(PyExc_ValueError, "Terms bytes must hold whole (mask, coeff) pairs");
-            return NULL;
-        }
-        p.n = PyBytes_GET_SIZE(src) / (Py_ssize_t)sizeof(slot_t);
-        p.at = (const slot_t *)PyBytes_AS_STRING(src);
-    }
-    else if (pairs_load(src, INT64_MAX, &p) < 0) {
-        return NULL;
-    }
-    TermsObject *self = terms_alloc(p.n);
-    if (self != NULL) {
-        memcpy(self->pairs, p.at, p.n * sizeof(slot_t));
-        if (sort_pairs(self->pairs, p.n, 1) < 0)
-            Py_CLEAR(self);
-    }
-    pairs_release(&p);
-    return (PyObject *)self;
-}
-
-/* Pickled as the bytes of its block, in this machine's byte order. */
-static PyObject *
-Terms_reduce(TermsObject *self, PyObject *Py_UNUSED(ignored))
-{
-    return Py_BuildValue("(O(y#))", (PyObject *)Py_TYPE(self), (const char *)self->pairs,
-                         (Py_ssize_t)(Py_SIZE(self) * sizeof(slot_t)));
-}
-
 /* Equal to a Terms, list or tuple of the same pairs in the same order. */
 static PyObject *
 Terms_richcompare(PyObject *self, PyObject *other, int op)
@@ -451,11 +404,6 @@ Terms_richcompare(PyObject *self, PyObject *other, int op)
     return out;
 }
 
-static PyMethodDef Terms_methods[] = {
-    {"__reduce__", (PyCFunction)Terms_reduce, METH_NOARGS, NULL},
-    {NULL, NULL, 0, NULL},
-};
-
 static PySequenceMethods Terms_as_sequence = {
     .sq_length = (lenfunc)Terms_length,
     .sq_item = (ssizeargfunc)Terms_item,
@@ -464,16 +412,28 @@ static PySequenceMethods Terms_as_sequence = {
 static PyTypeObject TermsType = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "cliffsys._wedge_c.Terms",
-    .tp_doc = "Terms(pairs): an immutable block of (mask, coeff) pairs in wire order.",
+    .tp_doc = "An immutable block of (mask, coeff) pairs in wire order, made by this kernel.",
     .tp_basicsize = offsetof(TermsObject, pairs),
     .tp_itemsize = sizeof(slot_t),
     .tp_flags = Py_TPFLAGS_DEFAULT,
-    .tp_new = Terms_new,
     .tp_as_sequence = &Terms_as_sequence,
     .tp_richcompare = Terms_richcompare,
     .tp_hash = PyObject_HashNotImplemented,
-    .tp_methods = Terms_methods,
 };
+
+/* Write the nonzero entries of t to p, mask 0 first; their count. */
+static size_t
+table_collect(const table_t *t, slot_t *p)
+{
+    slot_t *start = p;
+    if (t->zero_val)
+        *p++ = (slot_t){.key = 0, .val = t->zero_val};
+    for (size_t i = 0; i <= t->mask; i++) {
+        if (t->slots[i].key && t->slots[i].val)
+            *p++ = t->slots[i];
+    }
+    return (size_t)(p - start);
+}
 
 /* The nonzero entries of t as a Terms. */
 static PyObject *
@@ -485,14 +445,8 @@ table_terms(const table_t *t)
     TermsObject *out = terms_alloc(count);
     if (out == NULL)
         return NULL;
-    slot_t *p = out->pairs;
-    if (t->zero_val)
-        *p++ = (slot_t){.key = 0, .val = t->zero_val};
-    for (size_t i = 0; i <= t->mask; i++) {
-        if (t->slots[i].key && t->slots[i].val)
-            *p++ = t->slots[i];
-    }
-    if (sort_pairs(out->pairs, count, 1) < 0)
+    table_collect(t, out->pairs);
+    if (sort_pairs(out->pairs, count) < 0)
         Py_CLEAR(out);
     return (PyObject *)out;
 }
@@ -686,7 +640,7 @@ cycle_weights(const int *target, uint64_t *weight)
  *
  * The action keeps each mask's sum of cycle weights, its class key.  So the
  * terms are sorted by the top 32 bits of their keys, and each run of equal
- * bits is summed in a small table that is emptied for the next run: two
+ * bits is summed in a table of its own, sized for one key per letter: two
  * classes that share those bits only share a run.  The sort is stable and
  * the letters of a term are taken in order, so every sum receives its parts
  * in the order of the terms, and overflows as it would in one table. */
@@ -705,10 +659,8 @@ perm_action(const pairs_t *a, const int *target, const int64_t *factor)
     }
     Py_ssize_t n = a->n;
     slot_t *order = PyMem_Malloc((n + 1) * sizeof(slot_t)); /* (key bits, term index) */
-    slot_t *slots = NULL; /* the run's table, probed as table_t's */
-    size_t *used = NULL;  /* its occupied slots, in the order they were taken */
-    size_t room = 0;      /* the slots allocated */
-    slot_t *out = NULL;   /* the nonzero sums, run by run */
+    table_t sums = {.slots = NULL}; /* the run's sums */
+    slot_t *out = NULL;             /* the nonzero sums, run by run */
     size_t out_len = 0, out_cap = 0;
     TermsObject *result = NULL;
     if (order == NULL) {
@@ -721,31 +673,15 @@ perm_action(const pairs_t *a, const int *target, const int64_t *factor)
             key += weight[__builtin_ctzll(m)];
         order[i] = (slot_t){.key = key >> 32, .val = i};
     }
-    if (sort_pairs(order, n, 0) < 0)
+    if (sort_pairs(order, n) < 0)
         goto done;
     for (Py_ssize_t run = 0, end; run < n; run = end) {
         size_t letters = 0;
         for (end = run; end < n && order[end].key == order[run].key; end++)
             letters += (size_t)__builtin_popcountll(a->at[order[end].val].key);
-        /* at most one key per letter, at half load */
-        size_t cap = 16;
-        int shift = 60;
-        while (cap < 2 * letters) {
-            cap *= 2;
-            shift -= 1;
-        }
-        if (cap > room) {
-            PyMem_Free(slots);
-            PyMem_Free(used);
-            slots = PyMem_Calloc(cap, sizeof(slot_t));
-            used = PyMem_Malloc(cap / 2 * sizeof(size_t));
-            room = cap;
-            if (slots == NULL || used == NULL) {
-                PyErr_NoMemory();
-                goto done;
-            }
-        }
-        size_t len = 0;
+        table_free(&sums);
+        if (table_init(&sums, letters) < 0) /* at most one key per letter */
+            goto done;
         for (Py_ssize_t idx = run; idx < end; idx++) {
             uint64_t mask = a->at[order[idx].val].key;
             int64_t c = a->at[order[idx].val].val;
@@ -758,22 +694,15 @@ perm_action(const pairs_t *a, const int *target, const int64_t *factor)
                 uint64_t without = mask & ~((uint64_t)1 << i);
                 if (without & jbit[i])
                     continue;
-                uint64_t key = without | jbit[i];
-                size_t s = home_slot(key, shift);
-                while (slots[s].key != key && slots[s].key)
-                    s = (s + 1) & (cap - 1);
-                if (slots[s].key == 0) {
-                    slots[s].key = key;
-                    used[len++] = s;
-                }
                 /* |c| and |factor[i]| are below 2^31, so the product fits in int64 */
                 int64_t v = signed_by(c * factor[i], __builtin_popcountll(without & between[i]));
-                if (add_checked(&slots[s].val, v) < 0)
+                if (table_add(&sums, without | jbit[i], v) < 0)
                     goto done;
             }
         }
-        if (out_len + len > out_cap) {
-            size_t grown_cap = 2 * out_cap > out_len + len ? 2 * out_cap : out_len + len;
+        size_t need = out_len + sums.len + 1; /* its keys and mask 0 */
+        if (need > out_cap) {
+            size_t grown_cap = 2 * out_cap > need ? 2 * out_cap : need;
             slot_t *grown = PyMem_Realloc(out, grown_cap * sizeof(slot_t));
             if (grown == NULL) {
                 PyErr_NoMemory();
@@ -782,20 +711,14 @@ perm_action(const pairs_t *a, const int *target, const int64_t *factor)
             out = grown;
             out_cap = grown_cap;
         }
-        for (size_t u = 0; u < len; u++) {
-            slot_t *slot = &slots[used[u]];
-            if (slot->val)
-                out[out_len++] = *slot;
-            *slot = (slot_t){.key = 0, .val = 0};
-        }
+        out_len += table_collect(&sums, out + out_len);
     }
-    if (sort_pairs(out, (Py_ssize_t)out_len, 1) == 0 && (result = terms_alloc(out_len)) != NULL
+    if (sort_pairs(out, (Py_ssize_t)out_len) == 0 && (result = terms_alloc(out_len)) != NULL
         && out_len)
         memcpy(result->pairs, out, out_len * sizeof(slot_t));
 done:
     PyMem_Free(order);
-    PyMem_Free(slots);
-    PyMem_Free(used);
+    table_free(&sums);
     PyMem_Free(out);
     return (PyObject *)result;
 }
@@ -949,7 +872,7 @@ wire_pairs(Py_ssize_t n, Py_ssize_t k, PyObject *terms, pairs_t *out)
     }
     if (pairs_load(terms, INT64_MAX, out) < 0)
         return -1;
-    if (out->owned != NULL && sort_pairs(out->owned, out->n, 1) < 0) {
+    if (out->owned != NULL && sort_pairs(out->owned, out->n) < 0) {
         pairs_release(out);
         return -1;
     }
@@ -1149,7 +1072,7 @@ form_json_terms(PyObject *module, PyObject *args)
             goto fail;
         }
     }
-    if (sort_pairs(p, count, 1) < 0)
+    if (sort_pairs(p, count) < 0)
         goto fail;
     Py_ssize_t kept = 0;
     for (Py_ssize_t i = 0; i < count; i++) {

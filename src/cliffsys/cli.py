@@ -89,8 +89,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("evencliff", help="rank-10 structure data and classification")
     p.add_argument("--rank", type=int)
-    p.add_argument("--emit", choices=("psiD", "tau4"))
-    p.add_argument("--classify", type=int)
+    what = p.add_mutually_exclusive_group(required=True)
+    what.add_argument("--emit", choices=("psiD", "tau4"))
+    what.add_argument("--classify", type=int)
 
     p = sub.add_parser("sphere-fields", help="maximal tangent fields on S^{n-1}")
     p.add_argument("--n", type=int, required=True, help=f"at most {SPHERE_MAX_N}")
@@ -100,9 +101,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--m", type=int, required=True)
 
     p = sub.add_parser("octonion", help="multiplication table and operators")
-    p.add_argument("--table", action="store_true")
-    p.add_argument("--right", metavar="UNIT")
-    p.add_argument("--left", metavar="UNIT")
+    what = p.add_mutually_exclusive_group(required=True)
+    what.add_argument("--table", action="store_true")
+    what.add_argument("--right", metavar="UNIT")
+    what.add_argument("--left", metavar="UNIT")
 
     p = sub.add_parser("selftest", help="run the acceptance suite")
     p.add_argument("--slow", action="store_true")
@@ -300,7 +302,7 @@ def _cmd_evencliff(config: RunConfig) -> int:
             _json({"rank": record.rank, "verdict": record.verdict, "note": record.note}),
         )
         return EXIT_OK
-    if rank != 10 or emit is None:
+    if rank != 10:
         raise UsageError("need --rank 10 --emit psiD|tau4, or --classify <rank>")
     if emit == "tau4":
         _emit(config, _form_payload(tau4_psi_d(jobs=config.jobs), config.format))
@@ -364,14 +366,12 @@ def _cmd_octonion(config: RunConfig) -> int:
     from .algebras import algebra_table, left_mult, right_mult
     from .exactmat import matrix_to_json
 
-    if config.params.get("table"):
+    if config.params["table"]:
         _emit(config, algebra_table(8).text_grid() + "\n")
         return EXIT_OK
-    unit = config.params.get("right") or config.params.get("left")
-    if not unit:
-        raise UsageError("octonion needs --table, --right UNIT or --left UNIT")
+    right = config.params["right"]
     try:
-        mat = right_mult(unit, 8) if config.params.get("right") else left_mult(unit, 8)
+        mat = right_mult(right, 8) if right is not None else left_mult(config.params["left"], 8)
     except ValueError as exc:
         raise UsageError(str(exc))
     _emit(config, _json(matrix_to_json(mat)))

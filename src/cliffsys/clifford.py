@@ -44,9 +44,11 @@ def delta(m: int) -> int:
     """Dimension of the irreducible module; period-8 rule delta(m+8) = 16 delta(m)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    if m <= 16:
-        return _DELTA_TABLE[m]
-    return 16 * delta(m - 8)
+    scale = 1
+    while m > 16:
+        m -= 8
+        scale *= 16
+    return scale * _DELTA_TABLE[m]
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ block of eight.
 
 from __future__ import annotations
 
+import os
 import re
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -391,9 +392,10 @@ def tau(psi: FormMatrix, k: int, jobs: int = 1) -> KForm:
     Entries commute (even degree), so each minor is an honest determinant;
     for skew matrices it equals the square of the minor's Pfaffian, which
     is the evaluation path used here.  tau_0 is the constant 1, the
-    determinant of the one empty minor.  Partial sums over minor subsets
-    may be evaluated in parallel; exact arithmetic makes the merge
-    order-independent.
+    determinant of the one empty minor.  Where the pure kernel accumulates
+    the minors, partial sums over minor subsets may be evaluated in up to
+    `jobs` worker processes, no more than the CPUs this process may use;
+    exact arithmetic makes the merge order-independent.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -404,9 +406,20 @@ def tau(psi: FormMatrix, k: int, jobs: int = 1) -> KForm:
     if k == 0:
         return KForm(psi.n, 0, {0: 1})
     subsets = list(combinations(range(psi.size), k))
-    if jobs > 1 and len(subsets) >= 2 * jobs:
-        return _tau_parallel(psi, k, subsets, jobs)
-    return _kernel_form(psi.n, 2 * k, _tau_terms(psi, subsets), _psi_ints(psi))
+    ints = _psi_ints(psi)
+    if jobs > 1 and not kernel.tries_compiled(ints, psi.n):
+        workers = min(jobs, _usable_cpus())
+        if workers > 1 and len(subsets) >= 2 * workers:
+            return _tau_parallel(psi, k, subsets, workers)
+    return _kernel_form(psi.n, 2 * k, _tau_terms(psi, subsets), ints)
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
 
 
 def _psi_ints(psi: FormMatrix) -> bool:

@@ -15,23 +15,24 @@ the pure one.
 
 Terms travel as sequences of (mask, coeff) pairs.  The pure kernel returns
 lists of tuples.  The C kernel returns a `Terms`, also exported: an
-immutable, picklable block of (uint64 mask, int64 coeff) pairs in wire
-order (the lexicographic order of index tuples), whose `len` is the term
-count and whose items are (mask, coeff) tuples.  `items()`,
-`signed_perm_action` and `form_json_terms` return one; every C entry point
-reads a `Terms` without converting it and copies any other sequence of
-pairs.  A `forms.KForm` made from kernel output keeps the sequence as it
-came and builds its {mask: coeff} dict only when Python code first needs
-it, so a form read, acted on, counted and written on the C kernel never
-has one.
+immutable block of (uint64 mask, int64 coeff) pairs in wire order (the
+lexicographic order of index tuples), whose `len` is the term count and
+whose items are (mask, coeff) tuples.  `items()`, `signed_perm_action` and
+`form_json_terms` return one, and only they make one, so a `Terms` never
+leaves the process; every C entry point reads a `Terms` without converting
+it and copies any other sequence of pairs.  A `forms.KForm` made from
+kernel output keeps the sequence as it came and builds its {mask: coeff}
+dict only when Python code first needs it, so a form read, acted on,
+counted and written on the C kernel never has one.
 
 The C kernel accumulates integer coefficients with |c| < 2^31 into values
 with |acc| < 2^62; it writes and reads coefficients with |c| < 2^63 and
 reads only canonical integer documents.  It declines anything else by
 raising OverflowError.  Callers say whether their coefficients are all
 ints (`ints`) and the dimension n of their R^n; only for ints on R^n with
-n <= MASK_BITS is the C kernel tried, and a decline restarts the work on
-the pure side in `_run`, so results are exact and equal on both backends.
+n <= MASK_BITS is the C kernel tried (`tries_compiled`), and a decline
+restarts the work on the pure side in `_run`, so results are exact and
+equal on both backends.
 """
 
 from __future__ import annotations
@@ -56,10 +57,15 @@ def _compiled() -> bool:
     return _impl is not _wedge_py
 
 
+def tries_compiled(ints: bool, n: int) -> bool:
+    """Whether work with these coefficients on R^n goes to the C kernel first."""
+    return ints and _compiled() and n <= _impl.MASK_BITS
+
+
 def _run(compiled, pure, ints: bool, n: int):
     """compiled() when the C kernel may take ints on R^n and does not
     decline, pure() otherwise."""
-    if ints and _compiled() and n <= _impl.MASK_BITS:
+    if tries_compiled(ints, n):
         try:
             return compiled()
         except OverflowError:

@@ -12,7 +12,6 @@ import importlib.machinery
 import importlib.util
 import shutil
 import subprocess
-import sys
 import sysconfig
 from contextlib import contextmanager
 from pathlib import Path
@@ -40,17 +39,10 @@ def compile_c_kernel(directory: Path):
         build = subprocess.run([cc, *flags], capture_output=True, text=True)
     assert build.returncode == 0, build.stderr
     name = "cliffsys._wedge_c"
-    installed = sys.modules.get(name)
     loader = importlib.machinery.ExtensionFileLoader(name, str(out))
     spec = importlib.util.spec_from_file_location(name, out, loader=loader)
     module = importlib.util.module_from_spec(spec)
     loader.exec_module(module)
-    # loading registers the module under its name; keep the package's own
-    # kernel there, so that pickle finds the classes of the kernel in use
-    if installed is None:
-        sys.modules.pop(name, None)
-    else:
-        sys.modules[name] = installed
     return module, None
 
 

@@ -163,7 +163,8 @@ def _broken_handler(config):
 
 
 # one row per documented exit path: argv ({tmp} is a directory holding
-# bad.json, which is not JSON, and corrupt.json, a system failing verify),
+# bad.json, which is not JSON, corrupt.json, a system failing verify, and
+# huge-m.json, m = 9000 with 9,001 copies of one 2x2 generator),
 # environment, a handler put in place of the subcommand's, expected code
 EXIT_PATHS = [
     pytest.param(["octonion", "--table"], {}, None, EXIT_OK, id="ok"),
@@ -188,6 +189,15 @@ EXIT_PATHS = [
                  id="is-a-directory"),
     pytest.param(["verify", "--in", "{tmp}/corrupt.json"], {}, None, EXIT_VERIFY,
                  id="failed-verification"),
+    pytest.param(["verify", "--in", "{tmp}/huge-m.json"], {}, None, EXIT_VERIFY,
+                 id="huge-m"),
+    pytest.param(["octonion", "--right", "i", "--left", "j"], {}, None, EXIT_USAGE,
+                 id="right-and-left"),
+    pytest.param(["octonion", "--table", "--left", "j"], {}, None, EXIT_USAGE,
+                 id="table-and-left"),
+    pytest.param(["octonion"], {}, None, EXIT_USAGE, id="octonion-without-operator"),
+    pytest.param(["evencliff", "--classify", "10", "--emit", "psiD"], {}, None, EXIT_USAGE,
+                 id="classify-and-emit"),
     pytest.param(["octonion", "--table"], {}, _broken_handler, EXIT_INTERNAL,
                  id="internal-error"),
 ]
@@ -200,6 +210,9 @@ def test_exit_codes(tmp_path, capsys, monkeypatch, argv, env, handler, expected)
     data = json.loads((tmp_path / "corrupt.json").read_text())
     data["generators"][1] = data["generators"][2]
     (tmp_path / "corrupt.json").write_text(json.dumps(data))
+    swap = {"n": 2, "entries": [[1, 2, 1], [2, 1, 1]]}
+    huge = {"m": 9000, "n": 2, "generators": [swap] * 9001}
+    (tmp_path / "huge-m.json").write_text(json.dumps(huge))
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     if handler is not None:

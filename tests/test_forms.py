@@ -1,13 +1,17 @@
+import concurrent.futures
 import json
+import os
 import random
-import sys
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cliffsys import _wedge_py
+from cliffsys import forms as forms_module
 from cliffsys.clifford import build
+from cliffsys.evencliff import psi_d
 from cliffsys.exactmat import SignedPermMatrix, block_diag, swap
 from cliffsys.forms import (
     FormMatrix,
@@ -197,15 +201,62 @@ def test_tau4_pfaffian_path_matches_permutation_expansion():
         assert got == perm_expansion_det(psi_c, rows), rows
 
 
-def test_tau_parallel_matches_serial(kernel_backends, monkeypatch):
+def test_tau_parallel_matches_serial(monkeypatch):
     psi_c = psi_matrix("C")
-    for module in kernel_backends:
-        if module.BACKEND == "c":  # the workers pickle the C kernel's Terms
-            monkeypatch.setitem(sys.modules, "cliffsys._wedge_c", module)
-        with dispatch_to(module):
-            parallel = tau(psi_c, 4, jobs=2)
-            assert parallel == tau(psi_c, 4, jobs=1)
-        assert_clean(parallel)  # the merge drops the terms that cancel across chunks
+    monkeypatch.setattr(forms_module, "_usable_cpus", lambda: 2)
+    with dispatch_to(_wedge_py):
+        parallel = tau(psi_c, 4, jobs=2)
+        assert parallel == tau(psi_c, 4, jobs=1)
+    assert_clean(parallel)  # the merge drops the terms that cancel across chunks
+
+
+def test_tau_on_the_c_kernel_runs_serially(wc, monkeypatch):
+    def no_pool(*args, **kwargs):
+        pytest.fail("tau started worker processes on the C kernel")
+
+    monkeypatch.setattr(forms_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    psi = psi_d()
+    with dispatch_to(wc):
+        assert tau(psi, 4, jobs=2) == tau(psi, 4, jobs=1)
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its worker count and maps
+    in this process, starting none."""
+
+    started: list = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, args):
+        return map(fn, args)
+
+
+@pytest.mark.parametrize("affinity, cpu_count, workers", [
+    ({0, 1}, 64, [2]),
+    (None, 3, [3]),  # no sched_getaffinity: os.cpu_count()
+    ({5}, 64, []),  # one usable CPU: no pool
+])
+def test_tau_workers_are_capped_at_the_usable_cpus(monkeypatch, affinity, cpu_count, workers):
+    monkeypatch.setattr(RecordingPool, "started", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    psi_a = psi_matrix("A")
+    with dispatch_to(_wedge_py):
+        assert tau(psi_a, 2, jobs=105) == tau(psi_a, 2)
+    assert RecordingPool.started == workers
 
 
 def test_hodge_star_basics():
