@@ -293,6 +293,8 @@ def _cmd_evencliff(config: RunConfig) -> int:
     emit = config.params.get("emit")
     classify_arg = config.params.get("classify")
     if classify_arg is not None:
+        if rank is not None:
+            raise UsageError("--rank goes with --emit, not with --classify")
         try:
             record = classify_rank(classify_arg)
         except ValueError as exc:

@@ -3,9 +3,9 @@
 Both backends export `Accumulator` (with `add_product`, `add_square` and
 `items`), `signed_perm_action` and `BACKEND`.  The C extension `_wedge_c`
 also exports `MASK_BITS`, the width of its masks, `BATCH`, the number of
-(key, value) pairs its product and square loops queue, with each key's
-table slot prefetched, before adding them to the table in order, and the
-wire format of integral forms: `form_json_text`, the text
+(key, value) pairs its product, square and derivation-action loops queue,
+with each key's table slot prefetched, before adding them to the table in
+order, and the wire format of integral forms: `form_json_text`, the text
 `forms.form_to_json_text` writes, `form_json_dict`, the dict
 `forms.form_to_json` returns, and `form_json_terms`, the terms of a parsed
 form document's `terms`.  The pure side of the wire format stays in

@@ -21,15 +21,24 @@ from cliffsys import kernel
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "cliffsys" / "_wedge_c.c"
 
 
+def why_no_c_build():
+    """Why this machine cannot build the C kernel, or None when it can."""
+    if shutil.which("cc") is None:
+        return "no C compiler: `cc` is not on PATH"
+    include = sysconfig.get_paths()["include"]
+    if not (Path(include) / "Python.h").is_file():
+        return f"no Python.h in {include}"
+    return None
+
+
 def compile_c_kernel(directory: Path):
     """(module, None) with the C kernel built in `directory`, or (None, why)
     when this machine cannot build it."""
+    why = why_no_c_build()
+    if why is not None:
+        return None, why
     cc = shutil.which("cc")
-    if cc is None:
-        return None, "no C compiler: `cc` is not on PATH"
     include = sysconfig.get_paths()["include"]
-    if not (Path(include) / "Python.h").is_file():
-        return None, f"no Python.h in {include}"
     out = directory / ("_wedge_c" + sysconfig.get_config_var("EXT_SUFFIX"))
     flags = ["-O2", "-Wall", "-Wextra", "-Wno-unused-parameter", "-Werror", "-shared", "-fPIC",
              f"-I{include}", str(SOURCE), "-o", str(out)]

@@ -12,6 +12,7 @@ import cliffsys
 from cliffsys import cli
 from cliffsys.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 
+from backends import why_no_c_build
 from test_exactmat import ILL_FORMED_MATRIX_JSON
 
 
@@ -198,6 +199,8 @@ EXIT_PATHS = [
     pytest.param(["octonion"], {}, None, EXIT_USAGE, id="octonion-without-operator"),
     pytest.param(["evencliff", "--classify", "10", "--emit", "psiD"], {}, None, EXIT_USAGE,
                  id="classify-and-emit"),
+    pytest.param(["evencliff", "--rank", "9", "--classify", "12"], {}, None, EXIT_USAGE,
+                 id="rank-and-classify"),
     pytest.param(["octonion", "--table"], {}, _broken_handler, EXIT_INTERNAL,
                  id="internal-error"),
 ]
@@ -336,7 +339,9 @@ def test_output_is_byte_identical_across_runs_and_jobs():
 
 def test_installed_entry_point(tmp_path):
     """Install a copy of this checkout with its own setup.py into tmp_path
-    and run the `cliffsys` console script that the install generates."""
+    and run the `cliffsys` console script that the install generates.  On a
+    machine that can build the C kernel, the install must have built it:
+    setup.py skips an extension that fails to compile, silently."""
     pytest.importorskip("setuptools")
     repo = Path(__file__).resolve().parents[1]
     copy = tmp_path / "copy"
@@ -368,6 +373,13 @@ def test_installed_entry_point(tmp_path):
     )
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["verdict"] == "Essential"
+    if why_no_c_build() is None:
+        env.pop("CLIFFSYS_PURE", None)
+        backend = subprocess.run(
+            [sys.executable, "-c", "import cliffsys; print(cliffsys.KERNEL_BACKEND)"],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
+        )
+        assert backend.stdout == "c\n", backend.stdout + backend.stderr
 
 
 REPO = Path(__file__).resolve().parents[1]

@@ -283,8 +283,8 @@ def test_batches_fill_several_times_and_end_partial(wc, batches, extra):
     sq = [(1, 2)] + spaced(count)
     assert sorted(square(wc, sq)) == sorted(square(_wedge_py, sq))
     # each letter moves to its neighbour (e_1 <-> e_2, e_3 <-> e_4, ...), so
-    # most keys are new and the table, sized from the term count, grows
-    # inside a batch
+    # most keys are new: up to two per term, which the action's table, sized
+    # for two keys per term, takes without growing
     terms = [(1 | 2 << j, j + 1) for j in range(count % 62 + 1)]
     perm = [i ^ 1 for i in range(64)]
     assert sorted(wc.signed_perm_action(terms, perm, [1] * 64)) == sorted(
@@ -726,7 +726,7 @@ def test_compiled_reader_matches_pure_on_perturbed_documents(wc, a, how, where):
         assert_clean(expected)
 
 
-# -- the grouped derivation action: equal to the pure one, or declines -------------
+# -- the derivation action, summed in one table: equal to the pure one, or declines -
 
 
 def wire_order(terms):
@@ -809,7 +809,7 @@ def test_grouped_action_matches_pure_property(wc, case):
 
 def test_grouped_action_on_the_rank10_generators(wc):
     """Signed permutations with 16 2-cycles, as in the rank-10 read-back, on a
-    seeded 8-form on R^32: equal to the pure action, run by run."""
+    seeded 8-form on R^32: equal to the pure action, in wire order."""
     rng = random.Random(13)
     terms = {}
     while len(terms) < 2000:
@@ -820,6 +820,29 @@ def test_grouped_action_on_the_rank10_generators(wc):
         inv = x.transpose()
         expected = _wedge_py.signed_perm_action(terms, inv.perm, inv.signs)
         assert list(wc.signed_perm_action(terms, inv.perm, inv.signs)) == wire_order(expected)
+
+
+@pytest.mark.parametrize("count", [2, 4, 5, 9])
+def test_action_table_grows_inside_and_across_a_batch(wc, count):
+    # `count` 8-forms on e_1..e_16 whose letters all move to free letters
+    # (e_i <-> e_{i+16}): 8 distinct keys per term, against the 2 per term
+    # the table is sized for.  A fresh table has at least 16 slots and grows
+    # past half load, so it grows inside the first batch of 32 keys and, from
+    # 5 terms on, in a later one.
+    rng = random.Random(count)
+    terms = {}
+    while len(terms) < count:
+        terms[sum(1 << b for b in rng.sample(range(16), 8))] = rng.choice((-5, -1, 1, 2, 7))
+    terms = list(terms.items())
+    perm = [i ^ 16 for i in range(32)]
+    signs = [rng.choice((1, -1, 3)) for _ in range(32)]
+    expected = _wedge_py.signed_perm_action(terms, perm, signs)
+    assert len(expected) == 8 * count  # one key per letter of each term
+    got = wc.signed_perm_action(terms, perm, signs)
+    assert type(got) is wc.Terms
+    assert list(got) == wire_order(expected)
+    with dispatch_to(wc):
+        assert list(kernel.signed_perm_action(terms, perm, signs, True)) == wire_order(expected)
 
 
 # -- Terms: the C kernel's packed pair sequence ---------------------------------------
