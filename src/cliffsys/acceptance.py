@@ -9,7 +9,6 @@ the full printed form is asserted to keep failing)."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Callable
 
 from . import _golden as golden
@@ -44,12 +43,14 @@ XFAIL = "XFAIL"
 XPASS = "XPASS"
 
 
-@dataclass
 class CheckResult:
-    name: str
-    status: str
-    detail: str
-    seconds: float
+    __slots__ = ("name", "status", "detail", "seconds")
+
+    def __init__(self, name: str, status: str, detail: str, seconds: float):
+        self.name = name
+        self.status = status
+        self.detail = detail
+        self.seconds = seconds
 
     def line(self) -> str:
         return f"{self.status:5s} {self.name}: {self.detail}"

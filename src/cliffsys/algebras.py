@@ -8,12 +8,11 @@ cross-check lives in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .exactmat import RationalMatrix, SignedPermMatrix, block2
+from .exactmat import RationalMatrix, Record, SignedPermMatrix, block2
 
 OCTONION_LABELS = ("1", "i", "j", "k", "e", "f", "g", "h")
 
@@ -62,20 +61,23 @@ _RIGHT4 = {"1": _ID4, "i": _RH_I, "j": _RH_J, "k": _RH_K}
 _LEFT4 = {"1": _ID4, "i": _LH_I, "j": _LH_J, "k": _LH_K}
 
 
-@dataclass(frozen=True)
-class AlgebraTable:
+class AlgebraTable(Record):
     """Structure constants e_a * e_b = sign * e_c of a composition algebra."""
 
-    dim: int
-    labels: tuple[str, ...]
-    table: dict[tuple[int, int], tuple[int, int]]
+    __slots__ = ("dim", "labels", "table")
 
-    def __post_init__(self):
-        if self.dim not in (1, 2, 4, 8):
+    def __init__(
+        self,
+        dim: int,
+        labels: tuple[str, ...],
+        table: dict[tuple[int, int], tuple[int, int]],
+    ):
+        if dim not in (1, 2, 4, 8):
             raise ValueError("dim must be 1, 2, 4 or 8")
-        for a in range(self.dim):
-            if self.table[(0, a)] != (a, 1) or self.table[(a, 0)] != (a, 1):
+        for a in range(dim):
+            if table[(0, a)] != (a, 1) or table[(a, 0)] != (a, 1):
                 raise ValueError("e_1 must be a two-sided unit")
+        super().__init__(dim, labels, table)
 
     def product(self, a: int, b: int) -> tuple[int, int]:
         """Index/sign of e_a * e_b (0-based indices)."""

@@ -10,8 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
-from dataclasses import dataclass, field
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -32,20 +32,28 @@ class VerificationFailure(Exception):
     pass
 
 
-@dataclass
 class RunConfig:
-    subcommand: str
-    params: dict = field(default_factory=dict)
-    out: str | None = None
-    format: str = "json"
-    jobs: int = 1
-    slow: bool = False
+    __slots__ = ("subcommand", "params", "out", "format", "jobs", "slow")
 
-    def __post_init__(self):
-        if self.format not in ("json", "text"):
-            raise UsageError(f"unknown format {self.format!r}")
-        if self.jobs < 1:
+    def __init__(
+        self,
+        subcommand: str,
+        params: dict | None = None,
+        out: str | None = None,
+        format: str = "json",
+        jobs: int = 1,
+        slow: bool = False,
+    ):
+        if format not in ("json", "text"):
+            raise UsageError(f"unknown format {format!r}")
+        if jobs < 1:
             raise UsageError("parallelism degree must be >= 1")
+        self.subcommand = subcommand
+        self.params = {} if params is None else params
+        self.out = out
+        self.format = format
+        self.jobs = jobs
+        self.slow = slow
 
 
 class _Parser(argparse.ArgumentParser):
@@ -169,10 +177,25 @@ _CANONICAL_NAMES = {
 }
 
 
+def _writes_text(config: RunConfig) -> bool:
+    """Whether the command has text output; the others write JSON only."""
+    params = config.params
+    return (
+        config.subcommand in ("form", "selftest")
+        or params.get("emit") == "tau4"
+        or bool(params.get("table"))
+    )
+
+
 def dispatch(config: RunConfig) -> int:
     handler = _HANDLERS.get(config.subcommand)
     if handler is None:
         raise UsageError(f"unknown subcommand {config.subcommand!r}")
+    if config.format == "text" and not _writes_text(config):
+        raise UsageError(
+            "--format text applies only to form, evencliff --emit tau4, octonion --table "
+            "and selftest"
+        )
     return handler(config)
 
 
@@ -251,14 +274,15 @@ def _cmd_liealg(config: RunConfig) -> int:
     from .liealg import MatrixSpan, commutant_dim, normalizer_dim, triple_span_decomposition
 
     label = config.params["system"]
-    if not label.startswith("C") or not label[1:].isdigit():
+    if not re.fullmatch("C[1-9][0-9]*", label):
         raise UsageError("--system expects C<m>, e.g. C8")
-    m = int(label[1:])
+    checks = [c.strip() for c in config.params["check"].split(",") if c.strip()]
+    if not checks:
+        raise UsageError("--check needs at least one check name")
     try:
-        system = build(m)
+        system = build(int(label[1:]))
     except ValueError as exc:
         raise UsageError(str(exc))
-    checks = [c.strip() for c in config.params["check"].split(",") if c.strip()]
     report: dict = {"system": label, "n": system.n}
     span = None
     for token in checks:

@@ -11,11 +11,11 @@ R^128 and R^256).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebras import block_extension, left_mult, right_mult
 from .exactmat import (
+    Record,
     SignedPermMatrix,
     antidiag,
     block2,
@@ -51,8 +51,7 @@ def delta(m: int) -> int:
     return scale * _DELTA_TABLE[m]
 
 
-@dataclass(frozen=True)
-class CliffordSystem:
+class CliffordSystem(Record):
     """m, ambient order, generators (P_0, ..., P_m), and the class tag.
 
     The tag is "plus" for the canonical construction, "minus" for the
@@ -60,20 +59,18 @@ class CliffordSystem:
     signed invariant itself is `class_trace`.
     """
 
-    m: int
-    n: int
-    generators: tuple[SignedPermMatrix, ...]
-    class_tag: str
+    __slots__ = ("m", "n", "generators", "class_tag")
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __init__(self, m: int, n: int, generators: tuple[SignedPermMatrix, ...], class_tag: str):
+        if m < 1:
             raise ValueError("m must be >= 1")
-        if len(self.generators) != self.m + 1:
+        if len(generators) != m + 1:
             raise ValueError("need m+1 generators")
-        if any(g.n != self.n for g in self.generators):
+        if any(g.n != n for g in generators):
             raise ValueError("generators must share the ambient order")
-        if self.class_tag not in (PLUS, MINUS, NOT_APPLICABLE):
+        if class_tag not in (PLUS, MINUS, NOT_APPLICABLE):
             raise ValueError("bad class tag")
+        super().__init__(m, n, generators, class_tag)
 
     def composition(self, alpha: int, beta: int) -> SignedPermMatrix:
         return self.generators[alpha].mul(self.generators[beta])
@@ -88,16 +85,15 @@ class CliffordSystem:
         ]
 
 
-@dataclass(frozen=True)
-class CliffordRepresentation:
+class CliffordRepresentation(Record):
     """Anticommuting skew complex structures E_1, ..., E_{m-1} on R^delta."""
 
-    delta: int
-    matrices: tuple[SignedPermMatrix, ...]
+    __slots__ = ("delta", "matrices")
 
-    def __post_init__(self):
-        if any(e.n != self.delta for e in self.matrices):
+    def __init__(self, delta: int, matrices: tuple[SignedPermMatrix, ...]):
+        if any(e.n != delta for e in matrices):
             raise ValueError("matrices must act on R^delta")
+        super().__init__(delta, matrices)
 
     @property
     def count(self) -> int:
@@ -114,13 +110,21 @@ class CliffordRepresentation:
                     raise ValueError(f"E_{i + 1}, E_{j + 1} do not anticommute")
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    symmetric: bool
-    involutions: bool
-    anticommuting: bool
-    irreducible_dimension: bool
-    first_failure: str | None = None
+class VerifyReport(Record):
+    __slots__ = ("symmetric", "involutions", "anticommuting", "irreducible_dimension",
+                 "first_failure")
+
+    def __init__(
+        self,
+        symmetric: bool,
+        involutions: bool,
+        anticommuting: bool,
+        irreducible_dimension: bool,
+        first_failure: str | None = None,
+    ):
+        super().__init__(
+            symmetric, involutions, anticommuting, irreducible_dimension, first_failure
+        )
 
     def all_ok(self) -> bool:
         return (

@@ -9,25 +9,29 @@ so I commutes with every S_alpha and all pairwise products are skew.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import TYPE_CHECKING
 
 from .clifford import ESSENTIAL, build, classify_essential
-from .exactmat import SignedPermMatrix, antidiag, block_diag
+from .exactmat import Record, SignedPermMatrix, antidiag, block_diag
 
 if TYPE_CHECKING:  # forms is imported where it is used, so classify() runs without it
     from .forms import FormMatrix, KForm
 
 
-@dataclass(frozen=True)
-class EvenCliffordStructure:
+class EvenCliffordStructure(Record):
     """rank-r generator family split into skew (complex) and symmetric parts."""
 
-    rank: int
-    n: int
-    complex_generators: tuple[SignedPermMatrix, ...]
-    symmetric_generators: tuple[SignedPermMatrix, ...]
+    __slots__ = ("rank", "n", "complex_generators", "symmetric_generators")
+
+    def __init__(
+        self,
+        rank: int,
+        n: int,
+        complex_generators: tuple[SignedPermMatrix, ...],
+        symmetric_generators: tuple[SignedPermMatrix, ...],
+    ):
+        super().__init__(rank, n, complex_generators, symmetric_generators)
 
     def generators(self) -> tuple[SignedPermMatrix, ...]:
         return self.complex_generators + self.symmetric_generators
@@ -128,11 +132,11 @@ def _max_anticommuting(mats: list[SignedPermMatrix]) -> int:
     return best
 
 
-@dataclass(frozen=True)
-class EvenCliffordRecord:
-    rank: int
-    verdict: str
-    note: str
+class EvenCliffordRecord(Record):
+    __slots__ = ("rank", "verdict", "note")
+
+    def __init__(self, rank: int, verdict: str, note: str):
+        super().__init__(rank, verdict, note)
 
 
 _PARALLEL_RANKS = {

@@ -11,7 +11,6 @@ function, so everything here can be shared freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -20,8 +19,48 @@ SKEW_COMPLEX_STRUCTURE = "skew-complex-structure"
 NEITHER = "neither"
 
 
-@dataclass(frozen=True)
-class SignedPermMatrix:
+class Record:
+    """Immutable value whose fields are the names in its class's `__slots__`,
+    listed in constructor order.
+
+    Two records are equal when they are of one class with equal fields; the
+    hash and the `Name(field=value, ...)` repr are taken over the fields.
+    A subclass's `__init__` checks its arguments and passes them on to this
+    one; copies and pickles call it again.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *fields):
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class SignedPermMatrix(Record):
     """Matrix with one entry +-1 per row and column.
 
     Column a carries the single nonzero, so the matrix maps
@@ -29,19 +68,18 @@ class SignedPermMatrix:
     formats are 1-based).
     """
 
-    n: int
-    perm: tuple[int, ...]
-    signs: tuple[int, ...]
+    __slots__ = ("n", "perm", "signs")
 
-    def __post_init__(self):
-        if self.n <= 0:
+    def __init__(self, n: int, perm: tuple[int, ...], signs: tuple[int, ...]):
+        if n <= 0:
             raise ValueError("order must be positive")
-        if len(self.perm) != self.n or len(self.signs) != self.n:
+        if len(perm) != n or len(signs) != n:
             raise ValueError("perm/signs length must equal order")
-        if sorted(self.perm) != list(range(self.n)):
+        if sorted(perm) != list(range(n)):
             raise ValueError("targets do not form a permutation")
-        if any(s not in (1, -1) for s in self.signs):
+        if any(s not in (1, -1) for s in signs):
             raise ValueError("signs must be +-1")
+        super().__init__(n, perm, signs)
 
     # -- constructors ------------------------------------------------------
 

@@ -9,14 +9,13 @@ representation attached to the Clifford system of size sigma(N) + 1).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
 from typing import NamedTuple, Sequence
 
 from .clifford import CliffordRepresentation, build, to_representation
-from .exactmat import SignedPermMatrix, block_diag
+from .exactmat import Record, SignedPermMatrix, block_diag
 
 
 class HurwitzRadon(NamedTuple):
@@ -42,11 +41,11 @@ def hurwitz_radon(n: int) -> HurwitzRadon:
     return HurwitzRadon(2**p + 8 * q - 1, p, q, (odd - 1) // 2)
 
 
-@dataclass(frozen=True)
-class VectorFieldSystem:
-    n: int
-    sigma: int
-    structures: tuple[SignedPermMatrix, ...]
+class VectorFieldSystem(Record):
+    __slots__ = ("n", "sigma", "structures")
+
+    def __init__(self, n: int, sigma: int, structures: tuple[SignedPermMatrix, ...]):
+        super().__init__(n, sigma, structures)
 
     def validate(self) -> None:
         js = self.structures

@@ -10,7 +10,9 @@ import pytest
 
 import cliffsys
 from cliffsys import cli
-from cliffsys.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from cliffsys.cli import (
+    EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, RunConfig, UsageError, main,
+)
 
 from backends import why_no_c_build
 from test_exactmat import ILL_FORMED_MATRIX_JSON
@@ -201,6 +203,34 @@ EXIT_PATHS = [
                  id="classify-and-emit"),
     pytest.param(["evencliff", "--rank", "9", "--classify", "12"], {}, None, EXIT_USAGE,
                  id="rank-and-classify"),
+    pytest.param(["liealg", "--system", "C8", "--check", ""], {}, None, EXIT_USAGE,
+                 id="empty-check-list"),
+    pytest.param(["liealg", "--system", "C8", "--check", ","], {}, None, EXIT_USAGE,
+                 id="check-list-without-a-name"),
+    pytest.param(["liealg", "--system", "C8", "--check", "span,,bracket"], {}, None, EXIT_OK,
+                 id="check-list-with-an-empty-name"),
+    pytest.param(["liealg", "--system", "C08", "--check", "span"], {}, None, EXIT_USAGE,
+                 id="system-with-leading-zero"),
+    pytest.param(["liealg", "--system", "C\uff18", "--check", "span"], {}, None, EXIT_USAGE,
+                 id="system-with-fullwidth-digit"),
+    # --format text only where a command has text output
+    *[pytest.param(["--format", "text", *argv], {}, None, EXIT_USAGE, id=f"text-{name}")
+      for name, argv in [
+          ("gen", ["gen", "--m", "2"]),
+          ("verify", ["verify", "--in", "{tmp}/corrupt.json"]),
+          ("rep", ["rep", "--m", "2"]),
+          ("liealg", ["liealg", "--system", "C2"]),
+          ("sphere-fields", ["sphere-fields", "--n", "4"]),
+          ("classify-essential", ["classify-essential", "--m", "2"]),
+          ("evencliff-classify", ["evencliff", "--classify", "10"]),
+          ("evencliff-psiD", ["evencliff", "--rank", "10", "--emit", "psiD"]),
+          ("octonion-right", ["octonion", "--right", "i"]),
+          ("octonion-left", ["octonion", "--left", "i"]),
+      ]],
+    pytest.param(["--format", "text", "form", "--name", "omegaL"], {}, None, EXIT_OK,
+                 id="text-form"),
+    pytest.param(["--format", "text", "octonion", "--table"], {}, None, EXIT_OK,
+                 id="text-octonion-table"),
     pytest.param(["octonion", "--table"], {}, _broken_handler, EXIT_INTERNAL,
                  id="internal-error"),
 ]
@@ -229,6 +259,14 @@ def test_exit_codes(tmp_path, capsys, monkeypatch, argv, env, handler, expected)
     else:
         assert out == ""
         assert json.loads(err) == {"error": "RuntimeError: broken handler"}
+
+
+def test_run_config_checks_its_arguments():
+    assert RunConfig("gen").params is not RunConfig("gen").params
+    with pytest.raises(UsageError, match="^unknown format 'xml'$"):
+        RunConfig("gen", format="xml")
+    with pytest.raises(UsageError, match="^parallelism degree must be >= 1$"):
+        RunConfig("gen", jobs=0)
 
 
 def test_sphere_fields_with_no_points(capsys):
@@ -476,14 +514,16 @@ def test_traced_readback_counts_every_letter(tmp_path):
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 # prints the sorted cliffsys submodules loaded after running the given code,
-# leaving out the kernel backends, which depend on what was built
+# leaving out the kernel backends, which depend on what was built, and which
+# of dataclasses and inspect are loaded (importing dataclasses, which loads
+# inspect, adds about 16 ms to a fresh interpreter on a 2-CPU host)
 LOADED = """
 import contextlib, io, json, sys
 {code}
-print(json.dumps(sorted(
+print(json.dumps([sorted(
     name[len("cliffsys."):] for name in sys.modules
     if name.startswith("cliffsys.") and name not in ("cliffsys._wedge_py", "cliffsys._wedge_c")
-)))
+), [name for name in ("dataclasses", "inspect") if name in sys.modules]]))
 """
 RUN_CLI = """
 import cliffsys.cli
@@ -498,7 +538,8 @@ def loaded_modules(code, *argv):
         [sys.executable, "-c", LOADED.format(code=code), *argv],
         capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
     )
-    return set(json.loads(out.stdout.splitlines()[-1]))
+    package, stdlib = json.loads(out.stdout.splitlines()[-1])
+    return set(package), stdlib
 
 
 SYSTEMS = {"cli", "clifford", "exactmat", "algebras"}
@@ -527,11 +568,15 @@ ALL_MODULES = {p.stem for p in SRC.joinpath("cliffsys").glob("*.py")} - {
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, expected):
     assert main(["--out", str(tmp_path / "c3.json"), "gen", "--m", "3"]) == EXIT_OK
     argv = [a.format(tmp=tmp_path) for a in argv]
-    assert loaded_modules(RUN_CLI, *argv) == expected
+    assert loaded_modules(RUN_CLI, *argv) == (expected, [])
 
 
 def test_import_cliffsys_loads_no_submodule():
-    assert loaded_modules("import cliffsys") == set()
+    assert loaded_modules("import cliffsys") == (set(), [])
+
+
+def test_import_of_the_cli_loads_neither_dataclasses_nor_inspect():
+    assert loaded_modules("import cliffsys, cliffsys.cli") == ({"cli"}, [])
 
 
 def test_public_names_resolve_on_first_use_and_are_listed():

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -16,7 +18,10 @@ from cliffsys.exactmat import (
     matrix_to_json,
     swap,
 )
-from cliffsys.algebras import block_extension, right_mult
+from cliffsys.algebras import AlgebraTable, block_extension, right_mult
+from cliffsys.clifford import CliffordRepresentation, CliffordSystem, VerifyReport
+from cliffsys.evencliff import EvenCliffordRecord, EvenCliffordStructure
+from cliffsys.spheres import VectorFieldSystem
 
 from oracles import dense_mul
 
@@ -198,3 +203,67 @@ def test_apply_vector():
 
     vec = [Fraction(3, 5), Fraction(4, 5)]
     assert N01.apply_vector(vec) == [Fraction(-4, 5), Fraction(3, 5)]
+
+
+# the immutable value classes: class, constructor arguments, arguments of an
+# unequal value, repr, a field, and arguments the constructor rejects with
+# its message (None where it checks nothing)
+P = "SignedPermMatrix(n=2, perm=(1, 0), signs=(1, 1))"
+J = "SignedPermMatrix(n=2, perm=(1, 0), signs=(1, -1))"
+ODD = "periodic rule for irreducible rank-3 structures"
+VALUE_CLASSES = [
+    pytest.param(SignedPermMatrix, (2, (1, 0), (1, 1)), (2, (1, 0), (1, -1)), P, "perm",
+                 (2, (0, 0), (1, 1)), "targets do not form a permutation",
+                 id="SignedPermMatrix"),
+    pytest.param(AlgebraTable, (1, ("1",), {(0, 0): (0, 1)}), (1, ("e",), {(0, 0): (0, 1)}),
+                 "AlgebraTable(dim=1, labels=('1',), table={(0, 0): (0, 1)})", "table",
+                 (3, ("1", "i", "j"), {}), "dim must be 1, 2, 4 or 8", id="AlgebraTable"),
+    pytest.param(CliffordSystem, (1, 2, (N0, N1), "n/a"), (1, 2, (N0, N1), "plus"),
+                 "CliffordSystem(m=1, n=2, generators=(" + P + ", SignedPermMatrix(n=2, "
+                 "perm=(0, 1), signs=(1, -1))), class_tag='n/a')", "generators",
+                 (1, 2, (N0,), "n/a"), "need m\\+1 generators", id="CliffordSystem"),
+    pytest.param(CliffordRepresentation, (2, (N01,)), (2, (-N01,)),
+                 f"CliffordRepresentation(delta=2, matrices=({J},))", "delta",
+                 (4, (N01,)), "matrices must act on R\\^delta", id="CliffordRepresentation"),
+    pytest.param(VerifyReport, (True, True, False, True, "generators 0, 1 do not anticommute"),
+                 (True, True, True, True),
+                 "VerifyReport(symmetric=True, involutions=True, anticommuting=False, "
+                 "irreducible_dimension=True, first_failure='generators 0, 1 do not "
+                 "anticommute')", "first_failure", None, None, id="VerifyReport"),
+    pytest.param(EvenCliffordStructure, (2, 2, (N01,), (N0,)), (2, 2, (N01,), (N1,)),
+                 f"EvenCliffordStructure(rank=2, n=2, complex_generators=({J},), "
+                 f"symmetric_generators=({P},))", "rank", None, None,
+                 id="EvenCliffordStructure"),
+    pytest.param(EvenCliffordRecord, (4, "Essential", ODD), (4, "NonEssential", ODD),
+                 f"EvenCliffordRecord(rank=4, verdict='Essential', note='{ODD}')", "verdict",
+                 None, None, id="EvenCliffordRecord"),
+    pytest.param(VectorFieldSystem, (2, 1, (N01,)), (2, 0, ()),
+                 f"VectorFieldSystem(n=2, sigma=1, structures=({J},))", "structures",
+                 None, None, id="VectorFieldSystem"),
+]
+
+
+@pytest.mark.parametrize("cls, args, other, text, field, bad, message", VALUE_CLASSES)
+def test_value_classes_compare_hash_print_and_copy_by_fields(
+    cls, args, other, text, field, bad, message
+):
+    value = cls(*args)
+    assert value == cls(*args) and not value != cls(*args)
+    assert value != cls(*other) and not value == cls(*other)
+    lookalike = type("Lookalike", (cls,), {"__slots__": ()})(*args)
+    assert value != lookalike and lookalike != value
+    if cls is AlgebraTable:  # it holds a dict
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(value) == hash(cls(*args))
+    assert repr(value) == text
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    assert copy.copy(value) == value
+    assert pickle.loads(pickle.dumps(value)) == value
+    if bad is not None:
+        with pytest.raises(ValueError, match=message):
+            cls(*bad)
