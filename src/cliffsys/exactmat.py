@@ -12,6 +12,7 @@ function, so everything here can be shared freely across threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterator, Sequence
 
 SYMMETRIC_INVOLUTION = "symmetric-involution"
@@ -21,7 +22,7 @@ NEITHER = "neither"
 
 class Record:
     """Immutable value whose fields are the names in its class's `__slots__`,
-    listed in constructor order.
+    two or more, listed in constructor order.
 
     Two records are equal when they are of one class with equal fields; the
     hash and the `Name(field=value, ...)` repr are taken over the fields.
@@ -31,20 +32,23 @@ class Record:
 
     __slots__ = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the field tuple of an instance, in one C call
+        cls._fields = staticmethod(attrgetter(*cls.__slots__))
+
     def __init__(self, *fields):
         for name, value in zip(self.__slots__, fields):
             object.__setattr__(self, name, value)
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._fields() == other._fields()
+        fields = self._fields
+        return fields(self) == fields(other)
 
     def __hash__(self):
-        return hash(self._fields())
+        return hash(self._fields(self))
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
@@ -57,7 +61,7 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), self._fields()
+        return type(self), self._fields(self)
 
 
 class SignedPermMatrix(Record):
@@ -80,6 +84,17 @@ class SignedPermMatrix(Record):
         if any(s not in (1, -1) for s in signs):
             raise ValueError("signs must be +-1")
         super().__init__(n, perm, signs)
+
+    @classmethod
+    def _trusted(cls, n: int, perm: tuple[int, ...], signs: tuple[int, ...]) -> "SignedPermMatrix":
+        """A matrix that takes its fields as they are, unchecked: for results
+        of the closed operations (product, transpose, negation) of checked
+        matrices."""
+        mat = object.__new__(cls)
+        object.__setattr__(mat, "n", n)
+        object.__setattr__(mat, "perm", perm)
+        object.__setattr__(mat, "signs", signs)
+        return mat
 
     # -- constructors ------------------------------------------------------
 
@@ -140,9 +155,9 @@ class SignedPermMatrix(Record):
         if self.n != other.n:
             raise ValueError(f"order mismatch: {self.n} != {other.n}")
         sp, ss, op, os_ = self.perm, self.signs, other.perm, other.signs
-        perm = tuple(sp[op[a]] for a in range(self.n))
-        signs = tuple(os_[a] * ss[op[a]] for a in range(self.n))
-        return SignedPermMatrix(self.n, perm, signs)
+        perm = tuple([sp[b] for b in op])
+        signs = tuple([s * ss[b] for b, s in zip(op, os_)])
+        return SignedPermMatrix._trusted(self.n, perm, signs)
 
     __matmul__ = mul
 
@@ -153,10 +168,10 @@ class SignedPermMatrix(Record):
         for a in range(n):
             perm[self.perm[a]] = a
             signs[self.perm[a]] = self.signs[a]
-        return SignedPermMatrix(n, tuple(perm), tuple(signs))
+        return SignedPermMatrix._trusted(n, tuple(perm), tuple(signs))
 
     def __neg__(self) -> "SignedPermMatrix":
-        return SignedPermMatrix(self.n, self.perm, tuple(-s for s in self.signs))
+        return SignedPermMatrix._trusted(self.n, self.perm, tuple([-s for s in self.signs]))
 
     def is_symmetric(self) -> bool:
         return all(
@@ -174,11 +189,19 @@ class SignedPermMatrix(Record):
             for a in range(self.n)
         )
 
+    def _square_sign(self) -> int:
+        """s if the square is s * Id (s = +-1), else 0; read column by column."""
+        perm, signs = self.perm, self.signs
+        if any(perm[b] != a for a, b in enumerate(perm)):
+            return 0
+        square = {s * signs[b] for b, s in zip(perm, signs)}
+        return square.pop() if len(square) == 1 else 0
+
     def is_involution(self) -> bool:
-        return self.mul(self) == SignedPermMatrix.identity(self.n)
+        return self._square_sign() == 1
 
     def is_complex_structure(self) -> bool:
-        return self.mul(self) == -SignedPermMatrix.identity(self.n)
+        return self._square_sign() == -1
 
     def classify(self) -> str:
         if self.is_symmetric() and self.is_involution():
@@ -187,15 +210,23 @@ class SignedPermMatrix(Record):
             return SKEW_COMPLEX_STRUCTURE
         return NEITHER
 
-    def anticommutes(self, other: "SignedPermMatrix") -> bool:
+    def _commutation_sign(self, other: "SignedPermMatrix") -> int:
+        """s if self @ other = s * other @ self (s = +-1), else 0; read column
+        by column, with no product built."""
         if self.n != other.n:
             raise ValueError("order mismatch")
-        return self.mul(other) == -(other.mul(self))
+        sp, ss, op, os_ = self.perm, self.signs, other.perm, other.signs
+        # column a of self @ other is signs os_[a] * ss[op[a]] at row sp[op[a]]
+        if any(sp[b] != op[c] for b, c in zip(op, sp)):
+            return 0
+        ratio = {s * ss[b] * t * os_[c] for b, s, c, t in zip(op, os_, sp, ss)}
+        return ratio.pop() if len(ratio) == 1 else 0
+
+    def anticommutes(self, other: "SignedPermMatrix") -> bool:
+        return self._commutation_sign(other) == -1
 
     def commutes(self, other: "SignedPermMatrix") -> bool:
-        if self.n != other.n:
-            raise ValueError("order mismatch")
-        return self.mul(other) == other.mul(self)
+        return self._commutation_sign(other) == 1
 
     # -- block constructions --------------------------------------------------
 

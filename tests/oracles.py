@@ -8,6 +8,7 @@ and sphere-field checks in Fractions.
 
 from fractions import Fraction
 from itertools import permutations
+from operator import mul
 
 from cliffsys.forms import KForm
 
@@ -21,11 +22,8 @@ def assert_clean(form):
 
 
 def dense_mul(a, b):
-    n = len(a)
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def brute_wedge(idx_a, idx_b, n):
@@ -116,20 +114,20 @@ def naive_span_dim(mats):
 
 
 def naive_rank(vectors):
-    """Rank over Q by dense rational row reduction."""
-    rank = 0
+    """Rank over Q by dense rational row reduction (each pivot row also
+    keeps the list of its nonzero columns, the only ones it changes)."""
     pivot_rows = []
     for vec in vectors:
-        vec = [Fraction(v) for v in vec]
-        for prow, pcol in pivot_rows:
+        vec = list(vec)
+        for prow, pcol, nonzero in pivot_rows:
             if vec[pcol]:
-                f = vec[pcol] / prow[pcol]
-                vec = [v - f * p for v, p in zip(vec, prow)]
-        lead = next((c for c, v in enumerate(vec) if v), None)
-        if lead is not None:
-            pivot_rows.append((vec, lead))
-            rank += 1
-    return rank
+                f = Fraction(vec[pcol]) / prow[pcol]
+                for c in nonzero:
+                    vec[c] -= f * prow[c]
+        nonzero = [c for c, v in enumerate(vec) if v]
+        if nonzero:
+            pivot_rows.append((vec, nonzero[0], nonzero))
+    return len(pivot_rows)
 
 
 def _skew_basis(n):
@@ -162,17 +160,20 @@ def naive_commutant_dim(mats):
 
 
 def naive_normalizer_dim(mats):
-    """Nullity of (X, c) -> ([X, P_a] - sum_b c_ab P_b)_a over skew X and
-    rational c, one image vector per unknown, ranked densely."""
+    """dim {X skew: [X, P_a] in span(P_b) for every a}: the nullity of
+    X -> ([X, P_a] mod span(P_b))_a.  That map's rank is the rank of the
+    images together with a copy of span(P_b) in every slot a, less the rank
+    of those copies; all ranked densely."""
     dense = [m.dense() for m in mats]
     n, count = len(dense[0]), len(dense)
     images = _commutator_images(dense)
+    spans = []
     for a in range(count):
         for q in dense:
-            image = [0] * (count * n * n)
-            image[a * n * n:(a + 1) * n * n] = [-v for row in q for v in row]
-            images.append(image)
-    return len(images) - naive_rank(images)
+            vec = [0] * (count * n * n)
+            vec[a * n * n:(a + 1) * n * n] = [v for row in q for v in row]
+            spans.append(vec)
+    return len(images) - (naive_rank(spans + images) - naive_rank(spans))
 
 
 def fraction_verify_pointwise(system, points):

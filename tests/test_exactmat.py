@@ -3,6 +3,7 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cliffsys.exactmat import (
     NEITHER,
@@ -62,8 +63,9 @@ def test_signed_perm_closure_random_pairs():
     for _ in range(1000):
         n = rng.choice((2, 3, 4, 8, 16, 32, 64, 128, 256))
         a, b = random_spm(rng, n), random_spm(rng, n)
-        prod = a.mul(b)  # constructor revalidates the invariant
+        prod = a.mul(b)
         assert prod.n == n
+        assert SignedPermMatrix(n, prod.perm, prod.signs) == prod
 
 
 def test_mul_matches_dense_oracle_small_orders():
@@ -106,6 +108,58 @@ def test_anticommutes():
                 assert not pauli[i].anticommutes(pauli[j])
             else:
                 assert pauli[i].anticommutes(pauli[j])
+
+
+@st.composite
+def signed_perm_pairs(draw):
+    """Two signed permutations of one order 1..16; now and then the second
+    is a product or sign change of the first, or a commuting diagonal."""
+    n = draw(st.integers(1, 16))
+    matrix = st.builds(
+        lambda perm, signs: SignedPermMatrix(n, tuple(perm), tuple(signs)),
+        st.permutations(range(n)),
+        st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n),
+    )
+    a = draw(matrix)
+    b = draw(st.one_of(
+        matrix,
+        st.just(a),
+        st.just(-a),
+        st.just(a.mul(a)),
+        st.builds(lambda d: d.mul(a), matrix),
+        st.builds(lambda signs: SignedPermMatrix(n, tuple(range(n)), tuple(signs)),
+                  st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n)),
+    ))
+    return a, b
+
+
+def _checked(m):
+    """`m` as the validating constructor builds it from its fields."""
+    return SignedPermMatrix(m.n, tuple(m.perm), tuple(m.signs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(signed_perm_pairs())
+def test_closed_operations_give_valid_matrices(pair):
+    a, b = pair
+    for result in (a.mul(b), b.mul(a), a.transpose(), -a, -(a.mul(b))):
+        assert _checked(result) == result
+        assert type(result.perm) is tuple and type(result.signs) is tuple
+    assert a.mul(b).dense() == dense_mul(a.dense(), b.dense())
+    assert a.transpose().dense() == [list(col) for col in zip(*a.dense())]
+    assert (-a).dense() == [[-v for v in row] for row in a.dense()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(signed_perm_pairs())
+def test_commutation_tests_agree_with_products(pair):
+    a, b = pair
+    ab, ba = a.mul(b), b.mul(a)
+    assert a.commutes(b) == (ab == ba) == b.commutes(a)
+    assert a.anticommutes(b) == (ab == -ba) == b.anticommutes(a)
+    ident = SignedPermMatrix.identity(a.n)
+    assert a.is_involution() == (a.mul(a) == ident)
+    assert a.is_complex_structure() == (a.mul(a) == -ident)
 
 
 def test_trace_of_full_generator_product():

@@ -1,11 +1,13 @@
 import random
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cliffsys.clifford import build
 from cliffsys.exactmat import SignedPermMatrix
 from cliffsys.liealg import (
     MatrixSpan,
+    _SignedClasses,
     bracket_closed,
     commutant_dim,
     normalizer_dim,
@@ -110,6 +112,51 @@ def test_commutant_dims():
     assert commutant_dim(build(8).generators) == 0
 
 
+@pytest.mark.parametrize("m, commutant, normalizer", [
+    (9, 0, 45),
+    (10, 1, 56),
+    (11, 3, 69),
+    pytest.param(12, 3, 81, marks=pytest.mark.slow),
+])
+def test_stabilizer_dims_of_large_systems(m, commutant, normalizer):
+    gens = build(m).generators
+    assert commutant_dim(gens) == commutant
+    assert normalizer_dim(gens) == normalizer
+
+
+def test_normalizer_depends_only_on_the_span():
+    ident = SignedPermMatrix.identity(2)
+    assert normalizer_dim([ident]) == normalizer_dim([ident, ident]) == 1
+    assert normalizer_dim([ident, -ident]) == 1
+    gens = list(build(3).generators)
+    assert normalizer_dim(gens) == 9
+    assert normalizer_dim(gens + [gens[0]]) == 9
+    assert normalizer_dim(gens + [-gens[0]]) == 9
+    assert normalizer_dim(gens + [gens[2], gens[1]]) == 9
+
+
+def test_span_rejects_matrices_that_are_not_skew():
+    with pytest.raises(ValueError, match="not skew"):
+        span_dim(build(3).generators)
+    span = MatrixSpan(build(3).compositions())
+    with pytest.raises(ValueError, match="not skew"):
+        span.contains(build(3).generators[0])
+    with pytest.raises(ValueError, match="not skew"):
+        MatrixSpan([SignedPermMatrix.identity(4)])
+
+
+def test_merging_two_zero_classes_adds_no_rank():
+    classes = _SignedClasses(3)
+    classes.union(0, 0, -1)  # 2 x_0 = 0
+    classes.union(1, 1, -1)  # 2 x_1 = 0
+    assert classes.rank == 2
+    classes.union(0, 1, 1)
+    assert classes.rank == 2
+    classes.union(2, 0, -1)  # a free class joins a zero one
+    assert classes.rank == 3
+    assert classes.substitute({0: 1, 1: 2, 2: 3}) == {}
+
+
 def test_normalizer_dims():
     assert normalizer_dim(build(2).generators) == 4
     assert normalizer_dim(build(3).generators) == 9
@@ -138,5 +185,41 @@ def signed_perm_families(draw):
 @settings(max_examples=150, deadline=None)
 @given(signed_perm_families())
 def test_stabilizer_dims_match_dense_oracle(family):
+    assert commutant_dim(family) == naive_commutant_dim(family)
+    assert normalizer_dim(family) == naive_normalizer_dim(family)
+
+
+# Conjugation by diag(1, -1, 1, -1) forces x_01 and x_23 to zero, and the
+# swap (0 2)(1 3) then merges those two zero classes (in this order only).
+ZERO_MERGE = [
+    SignedPermMatrix(4, (0, 1, 2, 3), (1, -1, 1, -1)),
+    SignedPermMatrix(4, (2, 3, 0, 1), (1, 1, 1, 1)),
+]
+
+
+@st.composite
+def structured_families(draw):
+    """1-4 matrices of order up to 16: skew complex structures, or up to
+    three generators of one of C_1..C_8 in any order; now and then one of
+    them repeated or negated."""
+    if draw(st.booleans()):
+        n = draw(st.sampled_from((2, 4, 8, 16)))
+        family = skew_part_family(random.Random(draw(st.integers(0, 2**32))), n,
+                                  draw(st.integers(1, 3)))
+    else:
+        gens = build(draw(st.integers(1, 8))).generators
+        family = draw(st.lists(st.sampled_from(gens), min_size=1, max_size=3, unique=True))
+    if draw(st.booleans()):
+        p = draw(st.sampled_from(family))
+        family.append(p if draw(st.booleans()) else -p)
+    return family
+
+
+@settings(max_examples=20, deadline=None)
+@given(structured_families())
+@example(ZERO_MERGE)
+@example(ZERO_MERGE[::-1])
+@example(build(8).generators[:3])
+def test_structured_stabilizer_dims_match_dense_oracle(family):
     assert commutant_dim(family) == naive_commutant_dim(family)
     assert normalizer_dim(family) == naive_normalizer_dim(family)
