@@ -8,11 +8,13 @@ cross-check lives in the test suite.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .exactmat import RationalMatrix, Record, SignedPermMatrix, block2
+
+if TYPE_CHECKING:  # imported where it is used, so signed-permutation work runs without it
+    from fractions import Fraction
 
 OCTONION_LABELS = ("1", "i", "j", "k", "e", "f", "g", "h")
 
@@ -177,11 +179,15 @@ def block_extension(u: str, order: int) -> SignedPermMatrix:
 
 
 def octonion_conjugate(u: Sequence[Fraction]) -> list[Fraction]:
+    from fractions import Fraction
+
     return [Fraction(u[0])] + [-Fraction(c) for c in u[1:]]
 
 
 def right_mult_general(u: Sequence[Fraction]) -> RationalMatrix:
     """Right multiplication by a general octonion with rational coordinates."""
+    from fractions import Fraction
+
     if len(u) != 8:
         raise ValueError("octonion needs 8 coordinates")
     rows = [[Fraction(0)] * 8 for _ in range(8)]
@@ -202,6 +208,8 @@ def spin9_symmetric(u: Sequence[Fraction], r: Fraction) -> RationalMatrix:
     u is an octonion with rational coordinates, r a rational, and
     u*ubar + r^2 must equal 1 exactly.
     """
+    from fractions import Fraction
+
     u = [Fraction(c) for c in u]
     r = Fraction(r)
     norm = sum(c * c for c in u) + r * r

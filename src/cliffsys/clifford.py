@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .algebras import block_extension, left_mult, right_mult
+from .algebras import OCTONION_LABELS, block_extension, left_mult, right_mult
 from .exactmat import (
     Record,
     SignedPermMatrix,
@@ -144,13 +144,17 @@ class VerifyReport(Record):
         }
 
 
+def _from_structures(n: int, js) -> tuple[SignedPermMatrix, ...]:
+    """Generators on R^{2n} from skew structures J_a on R^n: the swap,
+    antidiag(J_a) for each a, and diag(Id, -Id)."""
+    return (swap(n),) + tuple(antidiag(j) for j in js) + (diag_split(n),)
+
+
 def _double_generators(
     gens: tuple[SignedPermMatrix, ...]
 ) -> tuple[SignedPermMatrix, ...]:
-    n = gens[0].n
     p0 = gens[0]
-    mids = tuple(antidiag(p0.mul(p)) for p in gens[1:])
-    return (swap(n),) + mids + (diag_split(n),)
+    return _from_structures(p0.n, (p0.mul(p) for p in gens[1:]))
 
 
 def _augment(
@@ -230,17 +234,10 @@ def double(system: CliffordSystem) -> CliffordSystem:
 def tilde(m: int) -> CliffordSystem:
     """Representative of the second equivalence class for m in {4, 8},
     built from left instead of right multiplications."""
-    if m == 4:
-        extras = tuple(antidiag(left_mult(u, 4)) for u in ("i", "j", "k"))
-        gens = (swap(4),) + extras + (diag_split(4),)
-        return CliffordSystem(4, 8, gens, MINUS)
-    if m == 8:
-        extras = tuple(
-            antidiag(left_mult(u, 8)) for u in ("i", "j", "k", "e", "f", "g", "h")
-        )
-        gens = (swap(8),) + extras + (diag_split(8),)
-        return CliffordSystem(8, 16, gens, MINUS)
-    raise ValueError("tilde systems exist for m in {4, 8}")
+    if m not in (4, 8):
+        raise ValueError("tilde systems exist for m in {4, 8}")
+    gens = _from_structures(m, (left_mult(u, m) for u in OCTONION_LABELS[1:m]))
+    return CliffordSystem(m, 2 * m, gens, MINUS)
 
 
 def verify(system: CliffordSystem) -> VerifyReport:
@@ -316,14 +313,9 @@ def from_representation(rep: CliffordRepresentation) -> CliffordSystem:
     """Clifford system on R^{2 delta}: P_0(u,v) = (v,u),
     P_a(u,v) = (-E_a v, E_a u), P_m(u,v) = (u,-v)."""
     rep.validate()
-    half = rep.delta
-    gens = (
-        (swap(half),)
-        + tuple(antidiag(e) for e in rep.matrices)
-        + (diag_split(half),)
-    )
+    gens = _from_structures(rep.delta, rep.matrices)
     m = rep.count + 1
-    return CliffordSystem(m, 2 * half, gens, PLUS if m % 4 == 0 else NOT_APPLICABLE)
+    return CliffordSystem(m, 2 * rep.delta, gens, PLUS if m % 4 == 0 else NOT_APPLICABLE)
 
 
 def classify_essential(m: int) -> str:

@@ -9,7 +9,6 @@ so I commutes with every S_alpha and all pairwise products are skew.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import TYPE_CHECKING
 
 from .clifford import ESSENTIAL, build, classify_essential
@@ -77,14 +76,9 @@ def build_e10() -> EvenCliffordStructure:
 
 def psi_d() -> FormMatrix:
     """10x10 skew matrix of Kaehler forms on R^32, rows (I, S_0, ..., S_8)."""
-    from .forms import FormMatrix, kaehler_form
+    from .forms import kaehler_matrix
 
-    e10 = build_e10()
-    gens = e10.generators()
-    upper = {}
-    for i, j in combinations(range(10), 2):
-        upper[(i, j)] = kaehler_form(gens[i].mul(gens[j]))
-    return FormMatrix(10, 32, upper)
+    return kaehler_matrix(build_e10().generators())
 
 
 def tau4_psi_d(jobs: int = 1) -> KForm:

@@ -11,9 +11,11 @@ function, so everything here can be shared freely across threads.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import attrgetter
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
+
+if TYPE_CHECKING:  # imported where it is used, so signed-permutation work runs without it
+    from fractions import Fraction
 
 SYMMETRIC_INVOLUTION = "symmetric-involution"
 SKEW_COMPLEX_STRUCTURE = "skew-complex-structure"
@@ -371,10 +373,14 @@ class RationalMatrix:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "RationalMatrix":
+        from fractions import Fraction
+
         return RationalMatrix([[Fraction(v) for v in row] for row in rows])
 
     @staticmethod
     def identity(n: int) -> "RationalMatrix":
+        from fractions import Fraction
+
         return RationalMatrix(
             [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
         )

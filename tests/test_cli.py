@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -11,7 +12,7 @@ import pytest
 import cliffsys
 from cliffsys import cli
 from cliffsys.cli import (
-    EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, RunConfig, UsageError, main,
+    EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main,
 )
 
 from backends import why_no_c_build
@@ -161,7 +162,7 @@ def test_usage_errors_exit_one(capsys):
     assert run_cli(["gen", "--m", "5", "--class", "minus"], capsys)[0] == EXIT_USAGE
 
 
-def _broken_handler(config):
+def _broken_handler(args):
     raise RuntimeError("broken handler")
 
 
@@ -175,8 +176,15 @@ EXIT_PATHS = [
                  id="malformed-json"),
     pytest.param(["verify", "--in", "{tmp}/missing.json"], {}, None, EXIT_USAGE,
                  id="missing-file"),
-    pytest.param(["octonion", "--table"], {"CLIFFSYS_JOBS": "two"}, None, EXIT_USAGE,
+    pytest.param(["--jobs", "two", "octonion", "--table"], {}, None, EXIT_USAGE,
                  id="non-integer-jobs"),
+    pytest.param(["--jobs", "0", "octonion", "--table"], {}, None, EXIT_USAGE,
+                 id="zero-jobs"),
+    # --jobs is the only way to set the parallelism degree
+    pytest.param(["octonion", "--table"], {"CLIFFSYS_JOBS": "two"}, None, EXIT_OK,
+                 id="jobs-environment-ignored"),
+    pytest.param(["--format", "xml", "octonion", "--table"], {}, None, EXIT_USAGE,
+                 id="unknown-format"),
     pytest.param(["sphere-fields", "--n", "16", "--points", "-1"], {}, None, EXIT_USAGE,
                  id="negative-points"),
     pytest.param(["sphere-fields", "--n", "16", "--points", str(cli.SPHERE_MAX_POINTS)], {}, None,
@@ -249,7 +257,7 @@ def test_exit_codes(tmp_path, capsys, monkeypatch, argv, env, handler, expected)
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     if handler is not None:
-        monkeypatch.setitem(cli._HANDLERS, argv[0], handler)
+        monkeypatch.setattr(cli, "_cmd_" + argv[0].replace("-", "_"), handler)
     code, out, err = run_cli([a.format(tmp=tmp_path) for a in argv], capsys)
     assert code == expected, err
     if expected in (EXIT_OK, EXIT_VERIFY):
@@ -261,12 +269,14 @@ def test_exit_codes(tmp_path, capsys, monkeypatch, argv, env, handler, expected)
         assert json.loads(err) == {"error": "RuntimeError: broken handler"}
 
 
-def test_run_config_checks_its_arguments():
-    assert RunConfig("gen").params is not RunConfig("gen").params
-    with pytest.raises(UsageError, match="^unknown format 'xml'$"):
-        RunConfig("gen", format="xml")
-    with pytest.raises(UsageError, match="^parallelism degree must be >= 1$"):
-        RunConfig("gen", jobs=0)
+def test_each_subcommand_runs_its_handler():
+    """The parser is the one registry: each subcommand runs its own
+    _cmd_* function, and every _cmd_* function is some subcommand's."""
+    commands = next(a for a in cli._build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    handlers = {name: parser.get_default("run") for name, parser in commands.items()}
+    assert handlers == {name: getattr(cli, "_cmd_" + name.replace("-", "_")) for name in commands}
+    assert set(handlers.values()) == {f for n, f in vars(cli).items() if n.startswith("_cmd_")}
 
 
 def test_sphere_fields_with_no_points(capsys):
@@ -365,13 +375,14 @@ def test_selftest_slow_subprocess():
 
 
 def test_output_is_byte_identical_across_runs_and_jobs():
-    env = dict(os.environ)
-    cmd = [sys.executable, "-m", "cliffsys.cli", "form", "--tau", "4", "--psi", "C"]
-    runs = []
-    for jobs in ("1", "2", "1"):
-        env["CLIFFSYS_JOBS"] = jobs
-        out = subprocess.run(cmd, capture_output=True, env=env, check=True)
-        runs.append(out.stdout)
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", "cliffsys.cli", "--jobs", jobs,
+             "form", "--tau", "4", "--psi", "C"],
+            capture_output=True, check=True,
+        ).stdout
+        for jobs in ("1", "2", "1")
+    ]
     assert runs[0] == runs[1] == runs[2]
 
 
@@ -515,15 +526,16 @@ def test_traced_readback_counts_every_letter(tmp_path):
 SRC = Path(__file__).resolve().parents[1] / "src"
 # prints the sorted cliffsys submodules loaded after running the given code,
 # leaving out the kernel backends, which depend on what was built, and which
-# of dataclasses and inspect are loaded (importing dataclasses, which loads
-# inspect, adds about 16 ms to a fresh interpreter on a 2-CPU host)
+# of dataclasses, inspect and fractions are loaded (importing dataclasses,
+# which loads inspect, adds about 16 ms to a fresh interpreter on a 2-CPU
+# host; fractions, which loads decimal, about 11 ms without bytecode)
 LOADED = """
 import contextlib, io, json, sys
 {code}
 print(json.dumps([sorted(
     name[len("cliffsys."):] for name in sys.modules
     if name.startswith("cliffsys.") and name not in ("cliffsys._wedge_py", "cliffsys._wedge_c")
-), [name for name in ("dataclasses", "inspect") if name in sys.modules]]))
+), [name for name in ("dataclasses", "inspect", "fractions") if name in sys.modules]]))
 """
 RUN_CLI = """
 import cliffsys.cli
@@ -548,27 +560,29 @@ ALL_MODULES = {p.stem for p in SRC.joinpath("cliffsys").glob("*.py")} - {
     "__init__", "_wedge_py"}
 
 
-@pytest.mark.parametrize("argv, expected", [
-    pytest.param(["gen", "--m", "3"], SYSTEMS, id="gen"),
-    pytest.param(["verify", "--in", "{tmp}/c3.json"], SYSTEMS, id="verify"),
-    pytest.param(["rep", "--m", "3"], SYSTEMS, id="rep"),
-    pytest.param(["classify-essential", "--m", "3"], SYSTEMS, id="classify-essential"),
-    pytest.param(["octonion", "--table"], {"cli", "algebras", "exactmat"}, id="octonion"),
-    pytest.param(["form", "--name", "spin9"], FORMS, id="form-name"),
-    pytest.param(["form", "--tau", "2", "--psi", "A"], FORMS, id="form-tau"),
-    pytest.param(["evencliff", "--rank", "10", "--emit", "psiD"], FORMS | {"evencliff"},
+# the commands on signed permutations load no fractions: only the rational
+# matrices, forms and sphere points use it
+@pytest.mark.parametrize("argv, expected, fractions", [
+    pytest.param(["gen", "--m", "3"], SYSTEMS, False, id="gen"),
+    pytest.param(["verify", "--in", "{tmp}/c3.json"], SYSTEMS, False, id="verify"),
+    pytest.param(["rep", "--m", "3"], SYSTEMS, False, id="rep"),
+    pytest.param(["classify-essential", "--m", "3"], SYSTEMS, False, id="classify-essential"),
+    pytest.param(["octonion", "--table"], {"cli", "algebras", "exactmat"}, False, id="octonion"),
+    pytest.param(["form", "--name", "spin9"], FORMS, True, id="form-name"),
+    pytest.param(["form", "--tau", "2", "--psi", "A"], FORMS, True, id="form-tau"),
+    pytest.param(["evencliff", "--rank", "10", "--emit", "psiD"], FORMS | {"evencliff"}, True,
                  id="evencliff-emit"),
-    pytest.param(["evencliff", "--classify", "10"], SYSTEMS | {"evencliff"},
+    pytest.param(["evencliff", "--classify", "10"], SYSTEMS | {"evencliff"}, False,
                  id="evencliff-classify"),
-    pytest.param(["liealg", "--system", "C4"], SYSTEMS | {"liealg"}, id="liealg"),
-    pytest.param(["sphere-fields", "--n", "16", "--points", "2"], SYSTEMS | {"spheres"},
+    pytest.param(["liealg", "--system", "C4"], SYSTEMS | {"liealg"}, False, id="liealg"),
+    pytest.param(["sphere-fields", "--n", "16", "--points", "2"], SYSTEMS | {"spheres"}, True,
                  id="sphere-fields"),
-    pytest.param(["selftest"], ALL_MODULES, id="selftest"),
+    pytest.param(["selftest"], ALL_MODULES, True, id="selftest"),
 ])
-def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, expected):
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, expected, fractions):
     assert main(["--out", str(tmp_path / "c3.json"), "gen", "--m", "3"]) == EXIT_OK
     argv = [a.format(tmp=tmp_path) for a in argv]
-    assert loaded_modules(RUN_CLI, *argv) == (expected, [])
+    assert loaded_modules(RUN_CLI, *argv) == (expected, ["fractions"] if fractions else [])
 
 
 def test_import_cliffsys_loads_no_submodule():
