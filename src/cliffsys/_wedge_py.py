@@ -9,6 +9,8 @@ kernel is tested against.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 BACKEND = "pure-python"
 
 
@@ -24,6 +26,15 @@ def merge_sign(ma: int, mb: int) -> int:
         s ^= (ma >> low.bit_length()).bit_count() & 1
         m ^= low
     return -1 if s else 1
+
+
+def _nonzero(acc: dict):
+    """The nonzero (mask, coeff) items of `acc`, a Fraction(p, 1) as p."""
+    return [
+        (m, c.numerator if type(c) is Fraction and c.denominator == 1 else c)
+        for m, c in acc.items()
+        if c
+    ]
 
 
 class Accumulator:
@@ -73,7 +84,7 @@ class Accumulator:
                 acc[key] = get(key, 0) - v if s else get(key, 0) + v
 
     def items(self):
-        return [(m, c) for m, c in self._acc.items() if c]
+        return _nonzero(self._acc)
 
 
 def signed_perm_action(terms, perm, signs):
@@ -103,4 +114,4 @@ def signed_perm_action(terms, perm, signs):
                 factor = -factor
             new = without | jbit
             acc[new] = get(new, 0) + c * factor
-    return [(m, c) for m, c in acc.items() if c]
+    return _nonzero(acc)

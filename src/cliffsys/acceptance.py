@@ -26,7 +26,7 @@ from .clifford import (
     verify,
 )
 from .evencliff import build_e10, involution_span_obstruction, tau4_psi_d
-from .exactmat import SignedPermMatrix
+from .exactmat import SignedPermMatrix, pairwise_products
 from .forms import KForm, canonical_form, hodge_star, kaehler_matrix, lie_action, psi_matrix, tau, wedge
 from .liealg import (
     MatrixSpan,
@@ -174,7 +174,7 @@ def _so8_stabilizer_dim(phi: KForm) -> int:
     signed permutations E_i and E_i E_j of the representation of C_8 act on
     phi; their span is all of so(8), which their rank certifies."""
     e = to_representation(build(8)).matrices
-    basis = list(e) + [e[i].mul(e[j]) for i in range(len(e)) for j in range(i + 1, len(e))]
+    basis = list(e) + pairwise_products(e)
     assert MatrixSpan(basis).rank == 28, "E_i, E_i E_j do not span so(8)"
     ech = _SparseEchelon()
     mono_index: dict[int, int] = {}
@@ -185,12 +185,13 @@ def _so8_stabilizer_dim(phi: KForm) -> int:
 
 
 def check_lie_dims() -> str:
+    gens = build(8).generators
     expected = [
         (build(4).compositions(), 10),
         (build(5).compositions(), 15),
-        (_family(1, 8), 21),
-        (_family(0, 8), 28),
-        (_family(0, 9), 36),
+        (pairwise_products(gens[1:8]), 21),
+        (pairwise_products(gens[:8]), 28),
+        (pairwise_products(gens), 36),
         (build(9).compositions(), 45),
     ]
     for mats, want in expected:
@@ -202,13 +203,6 @@ def check_lie_dims() -> str:
         f"decomposition ({d36}, {d84}, {orthogonal}, {total})"
     )
     return "span dims (10, 15, 21, 28, 36, 45) all bracket-closed; 36+84 orthogonal, total 120"
-
-
-def _family(lo: int, hi: int) -> list[SignedPermMatrix]:
-    gens = build(8).generators
-    return [
-        gens[a].mul(gens[b]) for a in range(lo, hi) for b in range(a + 1, hi)
-    ]
 
 
 def check_stabilizers() -> str:

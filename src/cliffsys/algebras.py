@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
-from .exactmat import RationalMatrix, Record, SignedPermMatrix, block2
+from .exactmat import RationalMatrix, Record, SignedPermMatrix, antidiag, cross, split
 
 if TYPE_CHECKING:  # imported where it is used, so signed-permutation work runs without it
     from fractions import Fraction
@@ -39,24 +39,15 @@ _LH_K = SignedPermMatrix.from_dense(
 
 _ID4 = SignedPermMatrix.identity(4)
 
-
-def _diag(a: SignedPermMatrix) -> SignedPermMatrix:
-    return block2(a, None, None, -a)
-
-
-def _cross(a: SignedPermMatrix) -> SignedPermMatrix:
-    return block2(None, a, a, None)
-
-
 _RIGHT8 = {
     "1": SignedPermMatrix.identity(8),
-    "i": _diag(_RH_I),
-    "j": _diag(_RH_J),
-    "k": _diag(_RH_K),
-    "e": block2(None, -_ID4, _ID4, None),
-    "f": _cross(_LH_I),
-    "g": _cross(_LH_J),
-    "h": _cross(_LH_K),
+    "i": split(_RH_I),
+    "j": split(_RH_J),
+    "k": split(_RH_K),
+    "e": antidiag(_ID4),
+    "f": cross(_LH_I),
+    "g": cross(_LH_J),
+    "h": cross(_LH_K),
 }
 
 _RIGHT4 = {"1": _ID4, "i": _RH_I, "j": _RH_J, "k": _RH_K}

@@ -31,6 +31,8 @@ _CANONICAL_NAMES = {
     "spin9": "Spin9",
 }
 
+_LIEALG_CHECKS = ("span", "bracket", "commutant", "normalizer", "decomposition")
+
 
 class UsageError(Exception):
     pass
@@ -54,8 +56,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("gen", help="emit a Clifford system")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--class", dest="cls", choices=("plus", "minus"), default="plus")
-    p.add_argument("--tilde", action="store_true")
+    which = p.add_mutually_exclusive_group()  # a tilde system is of the minus class
+    which.add_argument("--class", dest="cls", choices=("plus", "minus"))
+    which.add_argument("--tilde", action="store_true")
     p.set_defaults(run=_cmd_gen)
 
     p = sub.add_parser("verify", help="verify a system from its JSON form")
@@ -150,7 +153,12 @@ def _writes_text(args) -> bool:
 def _cmd_gen(args) -> int:
     from .clifford import build, system_to_json, tilde
 
-    system = _usage(tilde, args.m) if args.tilde else _usage(build, args.m, args.cls)
+    if args.tilde:
+        system = _usage(tilde, args.m)
+    elif args.cls is None:  # build's own default class
+        system = _usage(build, args.m)
+    else:
+        system = _usage(build, args.m, args.cls)
     _emit(args, _json(system_to_json(system)))
     return EXIT_OK
 
@@ -194,6 +202,8 @@ def _cmd_form(args) -> int:
     if (args.name is None) == (args.tau is None):
         raise UsageError("form needs exactly one of --name or --tau K --psi F")
     if args.name is not None:
+        if args.psi is not None:
+            raise UsageError("--psi goes with --tau, not with --name")
         form = canonical_form(_CANONICAL_NAMES[args.name])
     elif args.psi is None:
         raise UsageError("--tau needs --psi A|B|C")
@@ -214,6 +224,9 @@ def _cmd_liealg(args) -> int:
     if not checks:
         raise UsageError("--check needs at least one check name")
     system = _usage(build, int(label[1:]))
+    for token in checks:
+        if token not in _LIEALG_CHECKS:
+            raise UsageError(f"unknown check {token!r}")
     report: dict = {"system": label, "n": system.n}
     span = None
     for token in checks:
@@ -227,7 +240,7 @@ def _cmd_liealg(args) -> int:
             report["commutantDim"] = commutant_dim(system.generators)
         elif token == "normalizer":
             report["normalizerDim"] = normalizer_dim(system.generators)
-        elif token == "decomposition":
+        else:  # decomposition
             d36, d84, orth, total = triple_span_decomposition()
             report["decomposition"] = {
                 "pairSpan": d36,
@@ -235,8 +248,6 @@ def _cmd_liealg(args) -> int:
                 "orthogonal": orth,
                 "totalRank": total,
             }
-        else:
-            raise UsageError(f"unknown check {token!r}")
     _emit(args, _json(report))
     return EXIT_OK
 

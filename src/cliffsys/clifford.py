@@ -18,11 +18,13 @@ from .exactmat import (
     Record,
     SignedPermMatrix,
     antidiag,
-    block2,
     block_diag,
+    cross,
     diag_split,
     matrix_from_json,
     matrix_to_json,
+    pairwise_products,
+    split,
     swap,
 )
 
@@ -77,12 +79,7 @@ class CliffordSystem(Record):
 
     def compositions(self) -> list[SignedPermMatrix]:
         """All P_a P_b with a < b."""
-        gens = self.generators
-        return [
-            gens[a].mul(gens[b])
-            for a in range(len(gens))
-            for b in range(a + 1, len(gens))
-        ]
+        return pairwise_products(self.generators)
 
 
 class CliffordRepresentation(Record):
@@ -189,13 +186,6 @@ def _order128_extras() -> tuple[SignedPermMatrix, ...]:
     and carry an imaginary unit of the (quaternionic) commutant of those
     compositions in each off-diagonal slot.
     """
-
-    def cross(x: SignedPermMatrix) -> SignedPermMatrix:  # sigma_1 (x) X
-        return block2(None, x, x, None)
-
-    def split(x: SignedPermMatrix) -> SignedPermMatrix:  # sigma_3 (x) X
-        return block2(x, None, None, -x)
-
     first = right_mult("h", 8).kron_identity(16)
     second = cross(antidiag(split(swap(8))))
     inner = antidiag(swap(8))

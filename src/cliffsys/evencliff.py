@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .clifford import ESSENTIAL, build, classify_essential
-from .exactmat import Record, SignedPermMatrix, antidiag, block_diag
+from .exactmat import Record, SignedPermMatrix, antidiag, block_diag, pairwise_products
 
 if TYPE_CHECKING:  # forms is imported where it is used, so classify() runs without it
     from .forms import FormMatrix, KForm
@@ -37,12 +37,7 @@ class EvenCliffordStructure(Record):
 
     def pairwise_products(self) -> list[SignedPermMatrix]:
         """Products g_i g_j for i < j over the ordered generator list."""
-        gens = self.generators()
-        return [
-            gens[i].mul(gens[j])
-            for i in range(len(gens))
-            for j in range(i + 1, len(gens))
-        ]
+        return pairwise_products(self.generators())
 
     def validate(self) -> None:
         for i, c in enumerate(self.complex_generators):

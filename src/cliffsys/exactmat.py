@@ -11,6 +11,7 @@ function, so everything here can be shared freely across threads.
 
 from __future__ import annotations
 
+from itertools import combinations
 from operator import attrgetter
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -296,22 +297,35 @@ def block_diag(blocks: Sequence[SignedPermMatrix]) -> SignedPermMatrix:
     return SignedPermMatrix(offset, tuple(perm), tuple(signs))
 
 
+def cross(a: SignedPermMatrix) -> SignedPermMatrix:
+    """[[0, A], [A, 0]], that is sigma_1 (x) A."""
+    return block2(None, a, a, None)
+
+
+def split(a: SignedPermMatrix) -> SignedPermMatrix:
+    """diag(A, -A), that is sigma_3 (x) A."""
+    return block2(a, None, None, -a)
+
+
 def swap(half: int) -> SignedPermMatrix:
     """[[0, Id], [Id, 0]] of order 2*half."""
-    ident = SignedPermMatrix.identity(half)
-    return block2(None, ident, ident, None)
+    return cross(SignedPermMatrix.identity(half))
 
 
 def diag_split(half: int) -> SignedPermMatrix:
     """diag(Id, -Id) of order 2*half."""
-    ident = SignedPermMatrix.identity(half)
-    return block2(ident, None, None, -ident)
+    return split(SignedPermMatrix.identity(half))
 
 
 def antidiag(a: SignedPermMatrix) -> SignedPermMatrix:
     """[[0, -A], [A, 0]]: a skew complex structure when A is one, a
     symmetric involution when A is a symmetric involution."""
     return block2(None, -a, a, None)
+
+
+def pairwise_products(mats: Sequence[SignedPermMatrix]) -> list[SignedPermMatrix]:
+    """The products P_a P_b of `mats` for a < b, in that order."""
+    return [a.mul(b) for a, b in combinations(mats, 2)]
 
 
 # -- JSON wire format ---------------------------------------------------------

@@ -64,7 +64,7 @@ class KForm:
     when Python code first asks for it.
     """
 
-    __slots__ = ("n", "k", "_map", "_pairs", "_ints")
+    __slots__ = ("n", "k", "_map", "_pairs")
 
     def __init__(self, n: int, k: int, terms: Mapping[int, object] | None = None):
         if n <= 0 or k < 0:
@@ -72,29 +72,26 @@ class KForm:
         self.n = n
         self.k = k
         clean: dict[int, object] = {}
-        ints = True
         for mask, c in (terms or {}).items():
             c = _norm_coeff(c)
             if not c:
                 continue
             if mask.bit_count() != k or mask >= (1 << n):
                 raise ValueError("term does not match degree/ambient")
-            if not isinstance(c, int):
-                ints = False
             clean[mask] = c
         self._map = clean
         self._pairs = None
-        self._ints = ints
 
     @classmethod
-    def _trusted(cls, n: int, k: int, terms, ints: bool) -> "KForm":
+    def _trusted(cls, n: int, k: int, terms) -> "KForm":
         """A form that takes `terms` as they are, unchecked: a {mask: coeff}
         dict, or a sequence of (mask, coeff) pairs with distinct masks, whose
         masks have k bits below 2^n and whose coefficients are nonzero ints
-        (all of them when `ints`) or non-integral Fractions.  For kernel
-        outputs, sums and multiples of integer forms, and validated input."""
+        or non-integral Fractions.  For kernel outputs, which both kernels
+        give in that shape (the pure one turns a Fraction(p, 1) into p), and
+        validated input."""
         form = object.__new__(cls)
-        form.n, form.k, form._ints = n, k, ints
+        form.n, form.k = n, k
         if isinstance(terms, dict):
             form._map, form._pairs = terms, None
         else:
@@ -152,9 +149,10 @@ class KForm:
 
     def content(self) -> int:
         """gcd of the coefficients; requires them integral, 0 for the zero form."""
-        if not self._ints:
+        coeffs = [c for _, c in self.mask_items()]
+        if not all(isinstance(c, int) for c in coeffs):
             raise ValueError("content needs integer coefficients")
-        return gcd(*self._terms.values())
+        return gcd(*coeffs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, KForm):
@@ -175,21 +173,10 @@ class KForm:
         acc = dict(self._terms)
         for mask, c in other._terms.items():
             acc[mask] = acc.get(mask, 0) + c
-        return self._sum_form(other, acc)
+        return KForm(self.n, self.k, acc)
 
     def __sub__(self, other: "KForm") -> "KForm":
-        self._need_match(other)
-        acc = dict(self._terms)
-        for mask, c in other._terms.items():
-            acc[mask] = acc.get(mask, 0) - c
-        return self._sum_form(other, acc)
-
-    def _sum_form(self, other: "KForm", acc: dict[int, object]) -> "KForm":
-        """The form over `acc`, a sum or difference of the terms of self and
-        other; integer operands give integer terms, of which only zeros drop."""
-        if self._ints and other._ints:
-            return KForm._trusted(self.n, self.k, {m: c for m, c in acc.items() if c}, True)
-        return KForm(self.n, self.k, acc)
+        return self + -other
 
     def __neg__(self) -> "KForm":
         return KForm(self.n, self.k, {m: -c for m, c in self._terms.items()})
@@ -198,10 +185,7 @@ class KForm:
         c = _norm_coeff(Fraction(c)) if not isinstance(c, int) else c
         if not c:
             return KForm.zero(self.n, self.k)
-        terms = {m: v * c for m, v in self._terms.items()}
-        if self._ints and isinstance(c, int):
-            return KForm._trusted(self.n, self.k, terms, True)
-        return KForm(self.n, self.k, terms)
+        return KForm(self.n, self.k, {m: v * c for m, v in self._terms.items()})
 
     def __mul__(self, c):
         if isinstance(c, (int, Fraction)):
@@ -224,10 +208,9 @@ class KForm:
         k = self.k + other.k
         if k > self.n:
             return KForm.zero(self.n, k)
-        ints = self._ints and other._ints
         ta, tb = self.mask_items(), other.mask_items()
-        pairs = kernel.accumulate(lambda acc: acc.add_product(ta, tb), ints, self.n)
-        return _kernel_form(self.n, k, pairs, ints)
+        pairs = kernel.accumulate(lambda acc: acc.add_product(ta, tb), self.n)
+        return KForm._trusted(self.n, k, pairs)
 
     def wedge_square(self) -> "KForm":
         """self ^ self, using the even-degree shortcut (zero for odd degree)."""
@@ -237,8 +220,8 @@ class KForm:
         if k == 0:  # the shortcut skips squares of monomials, nonzero only in degree 0
             return self.wedge(self)
         ta = self.mask_items()
-        pairs = kernel.accumulate(lambda acc: acc.add_square(ta), self._ints, self.n)
-        return _kernel_form(self.n, k, pairs, self._ints)
+        pairs = kernel.accumulate(lambda acc: acc.add_square(ta), self.n)
+        return KForm._trusted(self.n, k, pairs)
 
     def restrict(self, indices: Sequence[int]) -> "KForm":
         """Pull back along the inclusion of the span of e_i, i in `indices`
@@ -257,16 +240,6 @@ class KForm:
                 new |= 1 << (pos[i] - 1)
             acc[new] = acc.get(new, 0) + c
         return KForm(len(idx), self.k, acc)
-
-
-def _kernel_form(n: int, k: int, pairs, ints: bool) -> KForm:
-    """The form over kernel output `pairs`: nonzero terms of degree k.  With
-    integer inputs they are clean ints, kept as the kernel's sequence;
-    Fraction inputs may give Fraction(p, 1), which the checking constructor
-    normalises."""
-    if ints:
-        return KForm._trusted(n, k, pairs, True)
-    return KForm(n, k, dict(pairs))
 
 
 def wedge(a: KForm, b: KForm) -> KForm:
@@ -371,19 +344,17 @@ def _pfaffian_terms(psi: FormMatrix, rows: tuple[int, ...]) -> KForm:
     first = rows[0]
     rest = rows[1:]
     parts = []
-    ints = True
     for pos, j in enumerate(rest):
         entry = psi.entry(first, j)
         sub = _pfaffian_terms(psi, tuple(r for r in rest if r != j))
         sign = -1 if pos % 2 else 1
         parts.append(([(m, sign * c) for m, c in entry.mask_items()], sub.mask_items()))
-        ints = ints and entry._ints and sub._ints
 
     def fill(acc):
         for ta, tb in parts:
             acc.add_product(ta, tb)
 
-    return _kernel_form(psi.n, len(rows), kernel.accumulate(fill, ints, psi.n), ints)
+    return KForm._trusted(psi.n, len(rows), kernel.accumulate(fill, psi.n))
 
 
 def tau(psi: FormMatrix, k: int, jobs: int = 1) -> KForm:
@@ -406,12 +377,11 @@ def tau(psi: FormMatrix, k: int, jobs: int = 1) -> KForm:
     if k == 0:
         return KForm(psi.n, 0, {0: 1})
     subsets = list(combinations(range(psi.size), k))
-    ints = _psi_ints(psi)
-    if jobs > 1 and not kernel.tries_compiled(ints, psi.n):
+    if jobs > 1 and not kernel.tries_compiled(psi.n):
         workers = min(jobs, _usable_cpus())
         if workers > 1 and len(subsets) >= 2 * workers:
             return _tau_parallel(psi, k, subsets, workers)
-    return _kernel_form(psi.n, 2 * k, _tau_terms(psi, subsets), ints)
+    return KForm._trusted(psi.n, 2 * k, _tau_terms(psi, subsets))
 
 
 def _usable_cpus() -> int:
@@ -422,10 +392,6 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _psi_ints(psi: FormMatrix) -> bool:
-    return all(form._ints for _, form in psi.upper_items())
-
-
 def _tau_terms(psi: FormMatrix, subsets):
     """Terms of the sum of the squared Pfaffians over `subsets`."""
 
@@ -433,7 +399,7 @@ def _tau_terms(psi: FormMatrix, subsets):
         for rows in subsets:
             acc.add_square(_pfaffian_terms(psi, rows).mask_items())
 
-    return kernel.accumulate(fill, _psi_ints(psi), psi.n)
+    return kernel.accumulate(fill, psi.n)
 
 
 def _tau_worker(args):
@@ -454,7 +420,7 @@ def _tau_parallel(psi: FormMatrix, k: int, subsets, jobs: int) -> KForm:
             for mask, c in part:
                 acc[mask] = acc.get(mask, 0) + c
     # partial sums may cancel across chunks
-    return _kernel_form(psi.n, 2 * k, [(m, c) for m, c in acc.items() if c], _psi_ints(psi))
+    return KForm(psi.n, 2 * k, acc)
 
 
 def lie_action(x: SignedPermMatrix, a: KForm) -> KForm:
@@ -465,8 +431,8 @@ def lie_action(x: SignedPermMatrix, a: KForm) -> KForm:
     if x.n != a.n:
         raise ValueError("shape mismatch")
     inv = x.transpose()  # letter i is sent to inv.perm[i] with sign inv.signs[i]
-    pairs = kernel.signed_perm_action(a.mask_items(), inv.perm, inv.signs, a._ints)
-    return _kernel_form(a.n, a.k, pairs, a._ints)
+    pairs = kernel.signed_perm_action(a.mask_items(), inv.perm, inv.signs)
+    return KForm._trusted(a.n, a.k, pairs)
 
 
 @lru_cache(maxsize=None)
@@ -497,7 +463,7 @@ def canonical_form(name: str) -> KForm:
     if name != "Spin7Delta":
         # Spin7Delta keeps rational mixed coefficients; its summand
         # restrictions are the integral unit-coefficient 4-forms.
-        if not form._ints:
+        if not all(isinstance(c, int) for _, c in form.mask_items()):
             raise ArithmeticError(f"{name}: expected integral coefficients")
         if form.content() != 1:
             raise ArithmeticError(f"{name}: expected coefficient gcd 1")
@@ -561,7 +527,7 @@ def form_to_json(a: KForm) -> dict:
     """{"N": n, "k": k, "terms": [{"idx": [...], "c": "p/q"}, ...]},
     sorted lexicographically by index tuple: built by the C kernel for an
     integral form it takes, by `_json_dict` otherwise."""
-    return kernel.form_json_dict(a.n, a.k, a.mask_items(), a._ints, lambda: _json_dict(a))
+    return kernel.form_json_dict(a.n, a.k, a.mask_items(), lambda: _json_dict(a))
 
 
 def _json_dict(a: KForm) -> dict:
@@ -574,7 +540,7 @@ def form_to_json_text(a: KForm) -> str:
     """The text of `json.dumps(form_to_json(a), indent=2) + "\\n"`, byte for
     byte, rendered straight from the masks: by the C kernel for an integral
     form it takes, by `_json_text` otherwise."""
-    return kernel.form_json_text(a.n, a.k, a.mask_items(), a._ints, lambda: _json_text(a))
+    return kernel.form_json_text(a.n, a.k, a.mask_items(), lambda: _json_text(a))
 
 
 def _json_text(a: KForm) -> str:
@@ -628,13 +594,13 @@ def form_from_json(data: dict) -> KForm:
         raise ValueError("N must be an int >= 1 and k an int >= 0")
     if type(items) is not list:
         raise ValueError("terms must be a list")
-    terms, ints = kernel.form_json_terms(n, k, items, lambda: _read_terms(n, k, items))
-    return KForm._trusted(n, k, terms, ints)
+    terms = kernel.form_json_terms(n, k, items, lambda: _read_terms(n, k, items))
+    return KForm._trusted(n, k, terms)
 
 
-def _read_terms(n: int, k: int, items: list) -> tuple[dict[int, object], bool]:
-    """({mask: coeff}, ints) of the terms of a form document on R^n of degree
-    k, validated as `form_from_json` says."""
+def _read_terms(n: int, k: int, items: list) -> dict[int, object]:
+    """{mask: coeff} of the terms of a form document on R^n of degree k,
+    validated as `form_from_json` says."""
     try:
         index_lists = [t["idx"] for t in items]
         coeffs = [t["c"] for t in items]
@@ -642,7 +608,6 @@ def _read_terms(n: int, k: int, items: list) -> tuple[dict[int, object], bool]:
         raise ValueError('every term needs "idx" and "c"') from None
     bit = _bit_table(n, index_lists)
     terms: dict[int, object] = {}
-    ints = True
     for idx, c in zip(index_lists, coeffs):
         mask = sum(map(bit.__getitem__, idx))
         if len(idx) != k or mask.bit_count() != k or idx != sorted(idx):
@@ -653,13 +618,12 @@ def _read_terms(n: int, k: int, items: list) -> tuple[dict[int, object], bool]:
                 raise ValueError
         except (TypeError, ValueError):
             v = _ratio_from_text(c)
-            ints = False
         terms[mask] = v
     if len(terms) != len(items):
         raise ValueError("an idx occurs twice")
     if 0 in terms.values():
         terms = {m: v for m, v in terms.items() if v}
-    return terms, ints
+    return terms
 
 
 def _bit_table(n: int, index_lists: list) -> dict[int, int]:

@@ -27,10 +27,11 @@ counted and written on the C kernel never has one.
 
 The C kernel accumulates integer coefficients with |c| < 2^31 into values
 with |acc| < 2^62; it writes and reads coefficients with |c| < 2^63 and
-reads only canonical integer documents.  It declines anything else by
-raising OverflowError.  Callers say whether their coefficients are all
-ints (`ints`) and the dimension n of their R^n; only for ints on R^n with
-n <= MASK_BITS is the C kernel tried (`tries_compiled`), and a decline
+reads only canonical integer documents.  It declines anything else, a
+coefficient that is not an exact int (a Fraction, even Fraction(4, 1), or a
+bool) included, by raising OverflowError when it loads the terms.  Callers
+pass only the terms and the dimension n of their R^n: the C kernel is tried
+for all work on R^n with n <= MASK_BITS (`tries_compiled`), and a decline
 restarts the work on the pure side in `_run`, so results are exact and
 equal on both backends.
 """
@@ -57,15 +58,15 @@ def _compiled() -> bool:
     return _impl is not _wedge_py
 
 
-def tries_compiled(ints: bool, n: int) -> bool:
-    """Whether work with these coefficients on R^n goes to the C kernel first."""
-    return ints and _compiled() and n <= _impl.MASK_BITS
+def tries_compiled(n: int) -> bool:
+    """Whether work on R^n goes to the C kernel first."""
+    return _compiled() and n <= _impl.MASK_BITS
 
 
-def _run(compiled, pure, ints: bool, n: int):
-    """compiled() when the C kernel may take ints on R^n and does not
+def _run(compiled, pure, n: int):
+    """compiled() when the C kernel may take work on R^n and does not
     decline, pure() otherwise."""
-    if tries_compiled(ints, n):
+    if tries_compiled(n):
         try:
             return compiled()
         except OverflowError:
@@ -73,14 +74,12 @@ def _run(compiled, pure, ints: bool, n: int):
     return pure()
 
 
-def new_accumulator(ints: bool):
-    """Fresh accumulator; compiled when the int fast path applies."""
-    if ints and _compiled():
-        return _impl.Accumulator()
-    return _wedge_py.Accumulator()
+def new_accumulator(compiled: bool):
+    """Fresh accumulator: the C kernel's when `compiled`, the pure one's otherwise."""
+    return _impl.Accumulator() if compiled else _wedge_py.Accumulator()
 
 
-def accumulate(fill, ints: bool, n: int):
+def accumulate(fill, n: int):
     """The nonzero (mask, coeff) terms on R^n that `fill(acc)` accumulates
     into a fresh accumulator; `fill` runs again on a pure accumulator when
     the compiled one declines."""
@@ -89,32 +88,30 @@ def accumulate(fill, ints: bool, n: int):
         fill(acc)
         return acc.items()
 
-    return _run(lambda: run(new_accumulator(True)), lambda: run(new_accumulator(False)), ints, n)
+    return _run(lambda: run(new_accumulator(True)), lambda: run(new_accumulator(False)), n)
 
 
-def signed_perm_action(terms, perm, signs, ints: bool):
+def signed_perm_action(terms, perm, signs):
     return _run(
         lambda: _impl.signed_perm_action(terms, perm, signs),
         lambda: _wedge_py.signed_perm_action(terms, perm, signs),
-        ints,
         len(perm),
     )
 
 
-def form_json_text(n: int, k: int, terms, ints: bool, pure):
+def form_json_text(n: int, k: int, terms, pure):
     """The JSON text of the k-form on R^n with the (mask, coeff) `terms`."""
-    return _run(lambda: _impl.form_json_text(n, k, terms), pure, ints, n)
+    return _run(lambda: _impl.form_json_text(n, k, terms), pure, n)
 
 
-def form_json_dict(n: int, k: int, terms, ints: bool, pure):
+def form_json_dict(n: int, k: int, terms, pure):
     """The JSON document of the k-form on R^n with the (mask, coeff) `terms`,
     as the dict that `json.loads` would give for its text."""
-    return _run(lambda: _impl.form_json_dict(n, k, terms), pure, ints, n)
+    return _run(lambda: _impl.form_json_dict(n, k, terms), pure, n)
 
 
 def form_json_terms(n: int, k: int, items: list, pure):
-    """(terms, ints) from the `terms` list of a form document on R^n of
-    degree k: a `Terms` from the C kernel, the {mask: coeff} dict of `pure()`,
-    which reads the documents the C kernel declines and owns the input
-    contract."""
-    return _run(lambda: (_impl.form_json_terms(n, k, items), True), pure, True, n)
+    """The terms of the `terms` list of a form document on R^n of degree k:
+    a `Terms` from the C kernel, the {mask: coeff} dict of `pure()`, which
+    reads the documents the C kernel declines and owns the input contract."""
+    return _run(lambda: _impl.form_json_terms(n, k, items), pure, n)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Sequence
 
-from .exactmat import SignedPermMatrix
+from .exactmat import SignedPermMatrix, pairwise_products
 
 
 def _skew_index(n: int) -> list[int]:
@@ -233,11 +233,7 @@ def triple_span_decomposition() -> tuple[int, int, bool, int]:
     from .clifford import build
 
     gens = build(8).generators
-    pairs = [
-        gens[a].mul(gens[b])
-        for a in range(9)
-        for b in range(a + 1, 9)
-    ]
+    pairs = pairwise_products(gens)
     triples = [
         gens[a].mul(gens[b]).mul(gens[c])
         for a in range(9)

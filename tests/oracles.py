@@ -15,9 +15,9 @@ from cliffsys.forms import KForm
 
 def assert_clean(form):
     """`form` holds exactly what the checking constructor `KForm.__init__`
-    makes of its terms: no zero, no Fraction(p, 1), the right `_ints` flag."""
+    makes of its terms: no zero, no Fraction(p, 1)."""
     checked = KForm(form.n, form.k, form._terms)
-    assert checked._terms == form._terms and checked._ints == form._ints
+    assert checked._terms == form._terms
     assert list(map(type, checked._terms.values())) == list(map(type, form._terms.values()))
 
 

@@ -217,6 +217,11 @@ EXIT_PATHS = [
                  id="check-list-without-a-name"),
     pytest.param(["liealg", "--system", "C8", "--check", "span,,bracket"], {}, None, EXIT_OK,
                  id="check-list-with-an-empty-name"),
+    # a flag the command would ignore
+    pytest.param(["gen", "--m", "4", "--tilde", "--class", "plus"], {}, None, EXIT_USAGE,
+                 id="tilde-and-class"),
+    pytest.param(["form", "--name", "spin9", "--psi", "A"], {}, None, EXIT_USAGE,
+                 id="name-and-psi"),
     pytest.param(["liealg", "--system", "C08", "--check", "span"], {}, None, EXIT_USAGE,
                  id="system-with-leading-zero"),
     pytest.param(["liealg", "--system", "C\uff18", "--check", "span"], {}, None, EXIT_USAGE,
@@ -298,6 +303,17 @@ def test_liealg_report(capsys):
     assert report["bracketClosed"] is True
     assert report["commutantDim"] == 0
     assert report["normalizerDim"] == 36
+
+
+def test_liealg_checks_names_before_running_any(capsys, monkeypatch):
+    import cliffsys.liealg
+
+    monkeypatch.setattr(cliffsys.liealg, "normalizer_dim", lambda gens: pytest.fail("ran a check"))
+    code, out, err = run_cli(["liealg", "--system", "C12", "--check", "normalizer,nope"], capsys)
+    assert (code, out, err) == (EXIT_USAGE, "", "usage error: unknown check 'nope'\n")
+    # the system is built first, so a bad m is reported before a bad name
+    code, _, err = run_cli(["liealg", "--system", "C17", "--check", "normalizer,nope"], capsys)
+    assert (code, err) == (EXIT_USAGE, "usage error: m must be in 1..16\n")
 
 
 def test_liealg_decomposition(capsys):

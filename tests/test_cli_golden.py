@@ -55,7 +55,9 @@ COMMANDS = [
     ("format-text-gen", ["--format", "text", "gen", "--m", "2"]),
     ("gen-m-17", ["gen", "--m", "17"]),
     ("tilde-m-5", ["gen", "--m", "5", "--tilde"]),
+    ("tilde-and-class", ["gen", "--m", "4", "--tilde", "--class", "plus"]),
     ("form-neither", ["form"]),
+    ("name-and-psi", ["form", "--name", "spin9", "--psi", "A"]),
     ("form-tau-negative", ["form", "--tau", "-2", "--psi", "C"]),
     ("liealg-C08", ["liealg", "--system", "C08"]),
     ("liealg-empty-check", ["liealg", "--system", "C8", "--check", ""]),
@@ -120,8 +122,11 @@ GOLDEN = {
         'octonion --table and selftest\n', 1),
     'gen-m-17': (EMPTY, 'usage error: m must be in 1..16\n', 1),
     'tilde-m-5': (EMPTY, 'usage error: tilde systems exist for m in {4, 8}\n', 1),
+    'tilde-and-class': (EMPTY,
+        'usage error: argument --class: not allowed with argument --tilde\n', 1),
     'form-neither': (EMPTY,
         'usage error: form needs exactly one of --name or --tau K --psi F\n', 1),
+    'name-and-psi': (EMPTY, 'usage error: --psi goes with --tau, not with --name\n', 1),
     'form-tau-negative': (EMPTY, 'usage error: k must be >= 0\n', 1),
     'liealg-C08': (EMPTY, 'usage error: --system expects C<m>, e.g. C8\n', 1),
     'liealg-empty-check': (EMPTY, 'usage error: --check needs at least one check name\n', 1),

@@ -8,6 +8,7 @@ package was built.
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -60,11 +61,11 @@ def dimension(*term_lists):
 
 
 def kernel_product(ta, tb):
-    return kernel.accumulate(lambda acc: acc.add_product(ta, tb), True, dimension(ta, tb))
+    return kernel.accumulate(lambda acc: acc.add_product(ta, tb), dimension(ta, tb))
 
 
 def kernel_square(ta):
-    return kernel.accumulate(lambda acc: acc.add_square(ta), True, dimension(ta))
+    return kernel.accumulate(lambda acc: acc.add_square(ta), dimension(ta))
 
 
 def random_terms(rng, n, k, count):
@@ -211,7 +212,7 @@ def test_masks_of_64_bits_and_more_go_pure(wc, monkeypatch):
     perm[1], perm[69] = 69, 1
     signs = [1, -1] * 35
     for terms in ([(3, 5), (12, -2)], [(48, 7)]):
-        assert sorted(kernel.signed_perm_action(terms, perm, signs, True)) == sorted(
+        assert sorted(kernel.signed_perm_action(terms, perm, signs)) == sorted(
             _wedge_py.signed_perm_action(terms, perm, signs)
         )
 
@@ -228,8 +229,8 @@ def test_malformed_terms_and_letters(wc, monkeypatch):
         wc.signed_perm_action([(1, 1)], [70], [1])
     monkeypatch.setattr(kernel, "_impl", wc)
     with pytest.raises(IndexError):
-        kernel.signed_perm_action([(4, 1)], [1, 0], [1, 1], True)
-    assert kernel.signed_perm_action([(1, 1)], [70], [1], True) == [(1 << 70, -1)]
+        kernel.signed_perm_action([(4, 1)], [1, 0], [1, 1])
+    assert kernel.signed_perm_action([(1, 1)], [70], [1]) == [(1 << 70, -1)]
 
 
 def test_mask_zero_is_a_key(wc):
@@ -310,7 +311,7 @@ def test_overflow_inside_a_batch_leaves_the_pairs_before_it(wc, where):
     # what the table holds is what the pairs before the failing one added
     assert sorted(acc.items()) == accumulated(_wedge_py, load, (ta, tb[:fail]))
     with dispatch_to(wc):
-        result = kernel.accumulate(lambda a: (a.add_product(*load), a.add_product(ta, tb)), True, 64)
+        result = kernel.accumulate(lambda a: (a.add_product(*load), a.add_product(ta, tb)), 64)
     assert sorted(result) == accumulated(_wedge_py, load, (ta, tb))
 
 
@@ -378,7 +379,7 @@ def test_compiled_matches_pure_property(wc, ta, tb):
     with dispatch_to(wc):
         assert sorted(kernel_product(ta, tb)) == expected
         assert sorted(kernel_square(ta)) == sorted(square(_wedge_py, ta))
-        assert sorted(kernel.signed_perm_action(ta, perm, signs, True)) == sorted(
+        assert sorted(kernel.signed_perm_action(ta, perm, signs)) == sorted(
             _wedge_py.signed_perm_action(ta, perm, signs)
         )
 
@@ -420,7 +421,7 @@ def test_trusted_forms_equal_checked_ones(wc, data):
 
 
 def test_dispatcher_falls_back_on_big_coefficients(wc, monkeypatch):
-    # ints flag True but coefficients out of compiled range: silently exact
+    # coefficients out of compiled range: silently exact
     monkeypatch.setattr(kernel, "_impl", wc)
     big = 1 << 40
     out = kernel_product([(1, big)], [(2, big)])
@@ -479,11 +480,40 @@ def test_overflowing_perm_action_restarts_pure(wc, monkeypatch):
     with pytest.raises(OverflowError):
         wc.signed_perm_action(terms, perm, signs)
     monkeypatch.setattr(kernel, "_impl", wc)
-    assert kernel.signed_perm_action(terms, perm, signs, True) == [(3, 2 * C_MAX**2)]
+    assert kernel.signed_perm_action(terms, perm, signs) == [(3, 2 * C_MAX**2)]
     big = [(3, 1 << 40)]
-    assert kernel.signed_perm_action(big, [1, 0], [1, 1], True) == (
+    assert kernel.signed_perm_action(big, [1, 0], [1, 1]) == (
         _wedge_py.signed_perm_action(big, [1, 0], [1, 1])
     )
+
+
+@pytest.mark.parametrize("c", [Fraction(4, 1), Fraction(-1, 2), True, False],
+                         ids=["fraction-integral", "fraction", "bool-true", "bool-false"])
+def test_non_int_coefficients_are_declined_at_load(wc, c):
+    """Every C entry point declines a coefficient that is not an exact int,
+    so no caller need say whether its terms are integral; through `kernel`
+    each gives the pure result."""
+    ta, tb, perm, signs = [(1, c), (4, 3)], [(2, 5)], [1, 0, 2], [1, 1, -1]
+    declined = [
+        lambda: wc.Accumulator().add_product(ta, tb),
+        lambda: wc.Accumulator().add_product(tb, ta),
+        lambda: wc.Accumulator().add_square(ta),
+        lambda: wc.signed_perm_action(ta, perm, signs),
+        lambda: wc.form_json_text(3, 1, ta),
+        lambda: wc.form_json_dict(3, 1, ta),
+    ]
+    for call in declined:
+        with pytest.raises(OverflowError):
+            call()
+    with dispatch_to(wc):
+        got = [kernel_product(ta, tb), kernel_square(ta), kernel.signed_perm_action(ta, perm, signs),
+               kernel.form_json_text(3, 1, ta, lambda: "pure"), kernel.form_json_dict(3, 1, ta, dict)]
+    expected = [product(_wedge_py, ta, tb), square(_wedge_py, ta),
+                _wedge_py.signed_perm_action(ta, perm, signs), "pure", {}]
+    assert got == expected
+    # the pure kernel gives Fraction(p, 1) as p
+    assert {type(c) for terms in got[:3] for _, c in terms} <= {int, Fraction}
+    assert all(type(c) is int or c.denominator > 1 for terms in got[:3] for _, c in terms)
 
 
 def test_merge_sign():
@@ -519,8 +549,12 @@ def pure_text(a):
         return form_to_json_text(a)
 
 
+def is_integral(a):
+    return all(isinstance(c, int) for c in a._terms.values())
+
+
 def in_wire_range(a):
-    return a.n <= 64 and a._ints and all(abs(c) <= WIRE_MAX for c in a._terms.values())
+    return a.n <= 64 and is_integral(a) and all(abs(c) <= WIRE_MAX for c in a._terms.values())
 
 
 def check_writer(wc, a):
@@ -530,7 +564,7 @@ def check_writer(wc, a):
     assert expected == json.dumps(form_to_json(a), indent=2) + "\n"
     if in_wire_range(a):
         assert wc.form_json_text(a.n, a.k, a.mask_items()) == expected
-    elif a._ints:
+    else:
         with pytest.raises(OverflowError):
             wc.form_json_text(a.n, a.k, a.mask_items())
     with dispatch_to(wc):
@@ -591,7 +625,7 @@ def check_dict_writer(backends, a):
     for module in backends:
         if module is not _wedge_py and in_wire_range(a):
             assert module.form_json_dict(a.n, a.k, a.mask_items()) == expected
-        elif module is not _wedge_py and a._ints:
+        elif module is not _wedge_py:
             with pytest.raises(OverflowError):
                 module.form_json_dict(a.n, a.k, a.mask_items())
         with dispatch_to(module):
@@ -804,7 +838,7 @@ def test_grouped_action_matches_pure_property(wc, case):
         with pytest.raises(OverflowError):
             wc.signed_perm_action(terms, perm, signs)
     with dispatch_to(wc):
-        assert sorted(kernel.signed_perm_action(terms, perm, signs, True)) == sorted(expected)
+        assert sorted(kernel.signed_perm_action(terms, perm, signs)) == sorted(expected)
 
 
 def test_grouped_action_on_the_rank10_generators(wc):
@@ -842,7 +876,7 @@ def test_action_table_grows_inside_and_across_a_batch(wc, count):
     assert type(got) is wc.Terms
     assert list(got) == wire_order(expected)
     with dispatch_to(wc):
-        assert list(kernel.signed_perm_action(terms, perm, signs, True)) == wire_order(expected)
+        assert list(kernel.signed_perm_action(terms, perm, signs)) == wire_order(expected)
 
 
 # -- Terms: the C kernel's packed pair sequence ---------------------------------------
