@@ -21,9 +21,7 @@ _EXPORTS = {
     "RationalMatrix": "exactmat",
     "SignedPermMatrix": "exactmat",
     "algebra_table": "algebras",
-    "block2": "exactmat",
     "block_diag": "exactmat",
-    "block_extension": "algebras",
     "bracket_closed": "liealg",
     "build": "clifford",
     "canonical_form": "forms",

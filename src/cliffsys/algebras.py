@@ -147,28 +147,6 @@ def _bad_label(u: str):
     raise ValueError(f"unknown basis label {u!r}")
 
 
-_BLOCK_BASE = {
-    32: {"i": ("r", 4), "j": ("r", 4), "k": ("l", 4)},
-    64: {"i": ("r", 8), "j": ("r", 8), "e": ("r", 8), "h": ("r", 8)},
-    128: {"i": ("r", 8), "j": ("r", 8), "e": ("r", 8), "h": ("l", 8)},
-}
-
-
-def block_extension(u: str, order: int) -> SignedPermMatrix:
-    """Block-wise extension of a multiplication operator to the given order.
-
-    Each +-1 entry of the base operator becomes a +-identity block:
-    order 32 extends R^H_i, R^H_j, L^H_k; order 64 extends R_i, R_j, R_e,
-    R_h; order 128 extends R_i, R_j, R_e, L_h.
-    """
-    base_entry = _BLOCK_BASE.get(order, {}).get(u)
-    if base_entry is None:
-        raise ValueError(f"unsupported block extension ({u!r}, {order})")
-    side, dim = base_entry
-    base = right_mult(u, dim) if side == "r" else left_mult(u, dim)
-    return base.kron_identity(order // dim)
-
-
 def octonion_conjugate(u: Sequence[Fraction]) -> list[Fraction]:
     from fractions import Fraction
 

@@ -241,10 +241,10 @@ def _cmd_liealg(args) -> int:
         elif token == "normalizer":
             report["normalizerDim"] = normalizer_dim(system.generators)
         else:  # decomposition
-            d36, d84, orth, total = triple_span_decomposition()
+            pair_dim, triple_dim, orth, total = triple_span_decomposition(system.generators)
             report["decomposition"] = {
-                "pairSpan": d36,
-                "tripleSpan": d84,
+                "pairSpan": pair_dim,
+                "tripleSpan": triple_dim,
                 "orthogonal": orth,
                 "totalRank": total,
             }

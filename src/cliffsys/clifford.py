@@ -5,15 +5,15 @@ anticommuting skew complex structures.
 Each system is an (m+1)-tuple of pairwise anticommuting symmetric
 involutions on R^N; the canonical chain doubles C_m to C_{m+1} and, when
 the ambient dimension allows, augments with further multiplication
-operators (quaternionic on R^8, octonionic on R^16, block-extended on
-R^128 and R^256).
+operators (quaternionic on R^8, octonionic on R^16, their Kronecker
+products with an identity on R^128 and R^256).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .algebras import OCTONION_LABELS, block_extension, left_mult, right_mult
+from .algebras import OCTONION_LABELS, left_mult, right_mult
 from .exactmat import (
     Record,
     SignedPermMatrix,
@@ -172,7 +172,8 @@ def _canonical_generators(m: int) -> tuple[SignedPermMatrix, ...]:
         extras = tuple(right_mult(u, 8) for u in ("f", "g", "h")[: m - 5])
         return _augment(_canonical_generators(5), extras)
     if m == 12:
-        return _augment(_canonical_generators(11), (block_extension("h", 64),))
+        extra = right_mult("h", 8).kron(SignedPermMatrix.identity(8))
+        return _augment(_canonical_generators(11), (extra,))
     if m in (14, 15, 16):
         return _augment(_canonical_generators(13), _order128_extras()[: m - 13])
     raise ValueError("explicit construction covers m = 1..16 only")
@@ -186,7 +187,7 @@ def _order128_extras() -> tuple[SignedPermMatrix, ...]:
     and carry an imaginary unit of the (quaternionic) commutant of those
     compositions in each off-diagonal slot.
     """
-    first = right_mult("h", 8).kron_identity(16)
+    first = right_mult("h", 8).kron(SignedPermMatrix.identity(16))
     second = cross(antidiag(split(swap(8))))
     inner = antidiag(swap(8))
     third = cross(block_diag([inner, inner]))

@@ -1,9 +1,12 @@
 """Exact matrix kernel: signed permutation matrices and dense rational matrices.
 
 Every generator handled by the package has exactly one nonzero entry, equal
-to +-1, in each row and column.  Such matrices are closed under products,
-so compositions stay O(n) and exact up to order 256.  Dense rational
-matrices only hold the Spin(9) involutions at rational points of the sphere.
+to +-1, in each row and column.  Such matrices are closed under products
+and Kronecker products, so compositions stay O(n) and exact up to order
+256.  Every block shape of the construction is one `kron`: sigma_1 (x) A,
+sigma_3 (x) A, J (x) A or A (x) Id; `block_diag` is the direct sum.  Dense
+rational matrices only hold the Spin(9) involutions at rational points of
+the sphere.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here can be shared freely across threads.
@@ -91,8 +94,8 @@ class SignedPermMatrix(Record):
     @classmethod
     def _trusted(cls, n: int, perm: tuple[int, ...], signs: tuple[int, ...]) -> "SignedPermMatrix":
         """A matrix that takes its fields as they are, unchecked: for results
-        of the closed operations (product, transpose, negation) of checked
-        matrices."""
+        of the closed operations (product, Kronecker product, transpose,
+        negation) of checked matrices."""
         mat = object.__new__(cls)
         object.__setattr__(mat, "n", n)
         object.__setattr__(mat, "perm", perm)
@@ -233,55 +236,17 @@ class SignedPermMatrix(Record):
 
     # -- block constructions --------------------------------------------------
 
-    def kron_identity(self, t: int) -> "SignedPermMatrix":
-        """Kronecker product self (x) Id_t: every entry becomes a +-Id_t block."""
-        if t <= 0:
-            raise ValueError("block size must be positive")
-        n = self.n
-        perm = [0] * (n * t)
-        signs = [0] * (n * t)
-        for a in range(n):
-            b, s = self.perm[a], self.signs[a]
-            for r in range(t):
-                perm[a * t + r] = b * t + r
-                signs[a * t + r] = s
-        return SignedPermMatrix(n * t, tuple(perm), tuple(signs))
+    def kron(self, other: "SignedPermMatrix") -> "SignedPermMatrix":
+        """Kronecker product self (x) other: e_a (x) e_b is basis vector
+        a * q + b, q = other.n, so each entry s of self becomes the block
+        s * other."""
+        q, op, os_ = other.n, other.perm, other.signs
+        perm = tuple([p * q + b for p in self.perm for b in op])
+        signs = tuple([s * t for s in self.signs for t in os_])
+        return SignedPermMatrix._trusted(self.n * q, perm, signs)
 
     def to_rational(self) -> "RationalMatrix":
         return RationalMatrix.from_rows(self.dense())
-
-
-def block2(
-    tl: SignedPermMatrix | None,
-    tr: SignedPermMatrix | None,
-    bl: SignedPermMatrix | None,
-    br: SignedPermMatrix | None,
-) -> SignedPermMatrix:
-    """Assemble [[tl, tr], [bl, br]] from order-n blocks (None means zero).
-
-    The result must again be a signed permutation, so exactly one of the
-    two blocks in each column strip may be present.
-    """
-    blocks = [b for b in (tl, tr, bl, br) if b is not None]
-    if not blocks:
-        raise ValueError("all four blocks are zero")
-    n = blocks[0].n
-    if any(b.n != n for b in blocks):
-        raise ValueError("blocks must share one order")
-    if (tl is None) == (bl is None) or (tr is None) == (br is None):
-        raise ValueError("assembled matrix violates the signed-perm invariant")
-    perm = [0] * (2 * n)
-    signs = [0] * (2 * n)
-    for a in range(n):
-        if tl is not None:
-            perm[a], signs[a] = tl.perm[a], tl.signs[a]
-        else:
-            perm[a], signs[a] = bl.perm[a] + n, bl.signs[a]
-        if tr is not None:
-            perm[n + a], signs[n + a] = tr.perm[a], tr.signs[a]
-        else:
-            perm[n + a], signs[n + a] = br.perm[a] + n, br.signs[a]
-    return SignedPermMatrix(2 * n, tuple(perm), tuple(signs))
 
 
 def block_diag(blocks: Sequence[SignedPermMatrix]) -> SignedPermMatrix:
@@ -297,14 +262,19 @@ def block_diag(blocks: Sequence[SignedPermMatrix]) -> SignedPermMatrix:
     return SignedPermMatrix(offset, tuple(perm), tuple(signs))
 
 
+_SIGMA1 = SignedPermMatrix.from_dense([[0, 1], [1, 0]])
+_SIGMA3 = SignedPermMatrix.from_dense([[1, 0], [0, -1]])
+_J = SignedPermMatrix.from_dense([[0, -1], [1, 0]])
+
+
 def cross(a: SignedPermMatrix) -> SignedPermMatrix:
     """[[0, A], [A, 0]], that is sigma_1 (x) A."""
-    return block2(None, a, a, None)
+    return _SIGMA1.kron(a)
 
 
 def split(a: SignedPermMatrix) -> SignedPermMatrix:
     """diag(A, -A), that is sigma_3 (x) A."""
-    return block2(a, None, None, -a)
+    return _SIGMA3.kron(a)
 
 
 def swap(half: int) -> SignedPermMatrix:
@@ -318,9 +288,9 @@ def diag_split(half: int) -> SignedPermMatrix:
 
 
 def antidiag(a: SignedPermMatrix) -> SignedPermMatrix:
-    """[[0, -A], [A, 0]]: a skew complex structure when A is one, a
-    symmetric involution when A is a symmetric involution."""
-    return block2(None, -a, a, None)
+    """[[0, -A], [A, 0]], that is J (x) A: a skew complex structure when A
+    is one, a symmetric involution when A is a symmetric involution."""
+    return _J.kron(a)
 
 
 def pairwise_products(mats: Sequence[SignedPermMatrix]) -> list[SignedPermMatrix]:

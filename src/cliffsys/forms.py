@@ -22,12 +22,14 @@ from . import kernel
 from .exactmat import SignedPermMatrix, SKEW_COMPLEX_STRUCTURE, block_diag
 
 
-def _norm_coeff(c):
-    if isinstance(c, Fraction):
-        if c.denominator == 1:
-            return c.numerator
+def _coeff(c):
+    """c as a form coefficient: an int, or a Fraction that is not one; the
+    wire format carries nothing else (a bool or a float is a TypeError)."""
+    if type(c) is int:
         return c
-    return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
 
 
 def _mask_from_indices(indices: Iterable[int], n: int) -> int:
@@ -56,8 +58,10 @@ class KForm:
     """Exterior k-form on R^n with exact rational coefficients.
 
     Terms are keyed by strictly increasing index tuples (stored as
-    bitmasks); zero coefficients are never kept.  Values are immutable by
-    convention: no method mutates an existing form.
+    bitmasks); zero coefficients are never kept.  The constructor takes
+    {mask: coeff} with each mask an int >= 0 and each coefficient an int
+    or a Fraction, neither a bool: what the wire format can carry.  Values
+    are immutable by convention: no method mutates an existing form.
 
     A form made from kernel output keeps the kernel's (mask, coeff) pair
     sequence as it came, and builds its {mask: coeff} dict `_terms` only
@@ -73,9 +77,11 @@ class KForm:
         self.k = k
         clean: dict[int, object] = {}
         for mask, c in (terms or {}).items():
-            c = _norm_coeff(c)
+            c = _coeff(c)
             if not c:
                 continue
+            if type(mask) is not int or mask < 0:
+                raise ValueError(f"mask {mask!r} is not an int >= 0")
             if mask.bit_count() != k or mask >= (1 << n):
                 raise ValueError("term does not match degree/ambient")
             clean[mask] = c
@@ -182,7 +188,7 @@ class KForm:
         return KForm(self.n, self.k, {m: -c for m, c in self._terms.items()})
 
     def scale(self, c) -> "KForm":
-        c = _norm_coeff(Fraction(c)) if not isinstance(c, int) else c
+        c = _coeff(c)
         if not c:
             return KForm.zero(self.n, self.k)
         return KForm(self.n, self.k, {m: v * c for m, v in self._terms.items()})

@@ -16,6 +16,7 @@ others are rewritten in its classes and eliminated.
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import gcd
 from typing import Sequence
 
@@ -226,22 +227,17 @@ def bracket_closed(matrices: Sequence[SignedPermMatrix]) -> bool:
     return MatrixSpan(matrices).bracket_closed()
 
 
-def triple_span_decomposition() -> tuple[int, int, bool, int]:
-    """Spans of the double and triple compositions of the nine R^16
+def triple_span_decomposition(
+    generators: Sequence[SignedPermMatrix],
+) -> tuple[int, int, bool, int]:
+    """Spans of the double and triple compositions of a system's
     involutions: returns (dim of pair span, dim of triple span, exact
-    trace-orthogonality, rank of the union)."""
-    from .clifford import build
-
-    gens = build(8).generators
-    pairs = pairwise_products(gens)
-    triples = [
-        gens[a].mul(gens[b]).mul(gens[c])
-        for a in range(9)
-        for b in range(a + 1, 9)
-        for c in range(b + 1, 9)
-    ]
-    span2 = MatrixSpan(pairs)
-    span3 = MatrixSpan(triples)
+    trace-orthogonality, rank of the union).  With fewer than three
+    involutions there are no triples, and their span is 0."""
+    pairs = pairwise_products(generators)
+    triples = [a.mul(b).mul(c) for a, b, c in combinations(generators, 3)]
+    pair_dim = MatrixSpan(pairs).rank
+    triple_dim = MatrixSpan(triples).rank if triples else 0
     # tr(P^T T) is the sum of P_ij T_ij, over the columns where P and T share a row
     orthogonal = all(
         sum(s * u for i, s, j, u in zip(p.perm, p.signs, t.perm, t.signs) if i == j) == 0
@@ -249,7 +245,7 @@ def triple_span_decomposition() -> tuple[int, int, bool, int]:
         for t in triples
     )
     total = MatrixSpan(pairs + triples).rank
-    return span2.rank, span3.rank, orthogonal, total
+    return pair_dim, triple_dim, orthogonal, total
 
 
 def _conjugation_rows(p: SignedPermMatrix, table: list[int]):

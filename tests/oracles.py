@@ -26,6 +26,12 @@ def dense_mul(a, b):
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
+def dense_kron(a, b):
+    """The Kronecker product of two dense matrices: entry (i * q + k, j * q + l)
+    is a[i][j] * b[k][l], q = len(b)."""
+    return [[x * y for x in row_a for y in row_b] for row_a in a for row_b in b]
+
+
 def brute_wedge(idx_a, idx_b, n):
     """e^{idx_a} ^ e^{idx_b} with the sign computed by explicit sorting."""
     merged = list(idx_a) + list(idx_b)

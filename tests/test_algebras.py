@@ -6,14 +6,13 @@ import pytest
 from cliffsys.algebras import (
     OCTONION_LABELS,
     algebra_table,
-    block_extension,
     left_mult,
     octonion_conjugate,
     right_mult,
     right_mult_general,
     spin9_symmetric,
 )
-from cliffsys.exactmat import RationalMatrix, SignedPermMatrix, block2, swap, diag_split
+from cliffsys.exactmat import RationalMatrix, SignedPermMatrix, antidiag, cross, swap, diag_split
 
 ID4 = SignedPermMatrix.identity(4)
 ID8 = SignedPermMatrix.identity(8)
@@ -21,7 +20,16 @@ IMAGINARY = OCTONION_LABELS[1:]
 
 
 def test_right_mult_e_is_half_swap():
-    assert right_mult("e", 8) == block2(None, -ID4, ID4, None)
+    assert right_mult("e", 8) == SignedPermMatrix.from_dense([
+        [0, 0, 0, 0, -1, 0, 0, 0],
+        [0, 0, 0, 0, 0, -1, 0, 0],
+        [0, 0, 0, 0, 0, 0, -1, 0],
+        [0, 0, 0, 0, 0, 0, 0, -1],
+        [1, 0, 0, 0, 0, 0, 0, 0],
+        [0, 1, 0, 0, 0, 0, 0, 0],
+        [0, 0, 1, 0, 0, 0, 0, 0],
+        [0, 0, 0, 1, 0, 0, 0, 0],
+    ])
 
 
 def test_right_mult_unit_is_identity():
@@ -31,8 +39,10 @@ def test_right_mult_unit_is_identity():
 
 
 def test_right_mult_f_uses_left_quaternionic_block():
-    li = left_mult("i", 4)
-    assert right_mult("f", 8) == block2(None, li, li, None)
+    li = SignedPermMatrix.from_dense(  # L^H_i, as displayed
+        [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
+    )
+    assert right_mult("f", 8) == cross(li)
 
 
 def test_displayed_left_quaternion_multiplications():
@@ -141,32 +151,13 @@ def test_cayley_dickson_cross_check():
             assert tab.product(a, b) == expected, (a, b)
 
 
-def test_block_extensions_match_displayed_forms():
-    id32 = SignedPermMatrix.identity(32)
-    assert block_extension("e", 64) == block2(None, -id32, id32, None)
-    bl = block_extension("k", 32)  # the left quaternionic block
-    assert block_extension("h", 64) == block2(None, bl, bl, None)
-    assert block_extension("i", 64) == block2(
-        block_extension("i", 32), None, None, -block_extension("i", 32)
-    )
-
-
 def test_block_extension_128_e_matches_doubled_system_composition():
     from cliffsys.clifford import build
 
     c13 = build(13)
     w12 = c13.generators[12]
-    inner = block_extension("e", 128)
-    from cliffsys.exactmat import antidiag
-
+    inner = right_mult("e", 8).kron(SignedPermMatrix.identity(16))
     assert w12 == antidiag(inner)
-
-
-def test_block_extension_rejects_unsupported():
-    with pytest.raises(ValueError):
-        block_extension("f", 64)
-    with pytest.raises(ValueError):
-        block_extension("i", 16)
 
 
 def test_spin9_symmetric_basis_points():

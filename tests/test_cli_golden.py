@@ -39,6 +39,8 @@ COMMANDS = [
     ("form-tau", ["--jobs", "2", "form", "--tau", "2", "--psi", "B"]),
     ("liealg", ["liealg", "--system", "C8", "--check", "span,bracket,commutant,normalizer"]),
     ("liealg-decomposition", ["liealg", "--system", "C8", "--check", "decomposition"]),
+    ("liealg-decomposition-C2", ["liealg", "--system", "C2", "--check", "decomposition"]),
+    ("liealg-decomposition-C4", ["liealg", "--system", "C4", "--check", "decomposition"]),
     ("evencliff-classify", ["evencliff", "--classify", "12"]),
     ("evencliff-psiD", ["evencliff", "--rank", "10", "--emit", "psiD"]),
     ("sphere-fields", ["sphere-fields", "--n", "32", "--points", "5"]),
@@ -83,6 +85,10 @@ GOLDEN = {
     'form-tau': ('b826f582e44a470274927ed28632cc8bee2bff93bdeb2cd84ec8c91309b77ea5', '', 0),
     'liealg': ('ada6f1edecaa4bfb688f56e1d240fabb83f8cd1c37ec21d0b74642be4e0a1329', '', 0),
     'liealg-decomposition': ('90623dfd7933d527961bcfc7b572aae52d2fdeca07e00a9ce25001df43992831',
+        '', 0),
+    'liealg-decomposition-C2': ('4fb4235c40f161e7831ba1684de6c936f1872933909ba36ccea62ab09ff7a0b6',
+        '', 0),
+    'liealg-decomposition-C4': ('62148a769afd1ad1a2c8474048246b482049596abab805d512dd1b096ca2a1e0',
         '', 0),
     'evencliff-classify': ('ccda3e4e641bf9eac0341c0429da5431f5b15ed2f29a35fc5b3f3477728991a3',
         '', 0),

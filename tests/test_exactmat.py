@@ -12,19 +12,18 @@ from cliffsys.exactmat import (
     RationalMatrix,
     SignedPermMatrix,
     antidiag,
-    block2,
     block_diag,
     diag_split,
     matrix_from_json,
     matrix_to_json,
     swap,
 )
-from cliffsys.algebras import AlgebraTable, block_extension, right_mult
+from cliffsys.algebras import AlgebraTable, right_mult
 from cliffsys.clifford import CliffordRepresentation, CliffordSystem, VerifyReport
 from cliffsys.evencliff import EvenCliffordRecord, EvenCliffordStructure
 from cliffsys.spheres import VectorFieldSystem
 
-from oracles import dense_mul
+from oracles import dense_kron, dense_mul
 
 
 def random_spm(rng, n):
@@ -94,7 +93,7 @@ def test_mul_rejects_order_mismatch():
 def test_classify_examples():
     assert swap(2).classify() == SYMMETRIC_INVOLUTION
     assert N01.classify() == SKEW_COMPLEX_STRUCTURE
-    assert block_extension("e", 64).classify() == SKEW_COMPLEX_STRUCTURE
+    assert right_mult("e", 8).kron(SignedPermMatrix.identity(8)).classify() == SKEW_COMPLEX_STRUCTURE
     assert N0.mul(diag_split(1)).classify() == SKEW_COMPLEX_STRUCTURE
     shift = SignedPermMatrix(3, (1, 2, 0), (1, 1, 1))
     assert shift.classify() == NEITHER
@@ -172,32 +171,56 @@ def test_trace_of_full_generator_product():
     assert abs(prod.trace()) == 16
 
 
-def test_block2_zero_pattern_violations():
-    ident = SignedPermMatrix.identity(4)
-    with pytest.raises(ValueError):
-        block2(ident, ident, None, None)  # doubled column strip
-    with pytest.raises(ValueError):
-        block2(None, None, None, None)
-    with pytest.raises(ValueError):
-        block2(ident, None, None, SignedPermMatrix.identity(8))
-
-
 def test_block_helpers():
-    s = swap(4)
-    assert s.dense() == block2(None, SignedPermMatrix.identity(4),
-                               SignedPermMatrix.identity(4), None).dense()
+    assert swap(4).dense() == [
+        [0, 0, 0, 0, 1, 0, 0, 0],
+        [0, 0, 0, 0, 0, 1, 0, 0],
+        [0, 0, 0, 0, 0, 0, 1, 0],
+        [0, 0, 0, 0, 0, 0, 0, 1],
+        [1, 0, 0, 0, 0, 0, 0, 0],
+        [0, 1, 0, 0, 0, 0, 0, 0],
+        [0, 0, 1, 0, 0, 0, 0, 0],
+        [0, 0, 0, 1, 0, 0, 0, 0],
+    ]
     d = block_diag([N01, N01, N01])
     assert d.n == 6
     assert d.classify() == SKEW_COMPLEX_STRUCTURE
 
 
-def test_kron_identity():
-    k = N01.kron_identity(3)
+def test_kron():
+    k = N01.kron(SignedPermMatrix.identity(3))
     assert k.n == 6
     dense = k.dense()
     for r in range(3):
         assert dense[r][3 + r] == -1
         assert dense[3 + r][r] == 1
+    # e_a (x) e_b is basis vector a * q + b: Id_2 (x) A is diag(A, A)
+    assert SignedPermMatrix.identity(2).kron(N01) == block_diag([N01, N01])
+
+
+@st.composite
+def kron_quadruples(draw):
+    """(A, B, C, D) with A, C of one order p and B, D of one order q."""
+    def matrix(n):
+        return st.builds(
+            lambda perm, signs: SignedPermMatrix(n, tuple(perm), tuple(signs)),
+            st.permutations(range(n)),
+            st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n),
+        )
+    p = draw(st.integers(1, 6))
+    q = draw(st.integers(1, 6))
+    return draw(matrix(p)), draw(matrix(q)), draw(matrix(p)), draw(matrix(q))
+
+
+@given(kron_quadruples())
+def test_kron_matches_dense_oracle(quad):
+    a, b, c, d = quad
+    ab = a.kron(b)
+    assert ab.dense() == dense_kron(a.dense(), b.dense())
+    # the checking constructor accepts every Kronecker product
+    assert SignedPermMatrix(ab.n, ab.perm, ab.signs) == ab
+    assert a.kron(b).mul(c.kron(d)) == a.mul(c).kron(b.mul(d))
+    assert ab.transpose() == a.transpose().kron(b.transpose())
 
 
 def test_json_round_trip():

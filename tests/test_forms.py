@@ -566,3 +566,25 @@ def test_scalar_arithmetic_and_content():
     assert (a - a).is_zero()
     assert (-a) + a == KForm.zero(4, 2)
     assert 2 * a == a * 2 == a.scale(2)
+
+
+ONE_FORM = KForm(4, 1, {1: 1, 2: Fraction(1, 2)})
+
+
+@pytest.mark.parametrize("make, error", [
+    pytest.param(lambda: KForm(4, 1, {-1: 1}), ValueError, id="negative-mask"),
+    pytest.param(lambda: KForm(4, 1, {True: 1}), ValueError, id="bool-mask"),
+    pytest.param(lambda: KForm(4, 1, {1.0: 1}), ValueError, id="float-mask"),
+    pytest.param(lambda: KForm(4, 1, {1: 0.5}), TypeError, id="float-coefficient"),
+    pytest.param(lambda: KForm(4, 1, {2: True}), TypeError, id="bool-coefficient"),
+    pytest.param(lambda: KForm(4, 1, {2: "1"}), TypeError, id="string-coefficient"),
+    pytest.param(lambda: ONE_FORM.scale(0.1), TypeError, id="float-scale"),
+    pytest.param(lambda: ONE_FORM.scale(True), TypeError, id="bool-scale"),
+    pytest.param(lambda: True * ONE_FORM, TypeError, id="bool-times-form"),
+    pytest.param(lambda: ONE_FORM * 0.5, TypeError, id="form-times-float"),
+])
+def test_checking_constructor_takes_only_what_the_wire_format_carries(make, error):
+    with pytest.raises(error):
+        make()
+    # what it does take goes through the wire format and back
+    assert form_from_json(json.loads(form_to_json_text(ONE_FORM))) == ONE_FORM

@@ -1,4 +1,6 @@
 import random
+from itertools import chain, combinations
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,7 +17,7 @@ from cliffsys.liealg import (
     triple_span_decomposition,
 )
 
-from oracles import naive_commutant_dim, naive_normalizer_dim, naive_span_dim
+from oracles import dense_mul, naive_commutant_dim, naive_normalizer_dim, naive_span_dim
 
 
 def skew_part_family(rng, n, count):
@@ -99,11 +101,41 @@ def test_large_order_spans():
 
 
 def test_triple_span_decomposition():
-    d36, d84, orthogonal, total = triple_span_decomposition()
+    d36, d84, orthogonal, total = triple_span_decomposition(build(8).generators)
     assert d36 == 36
     assert d84 == 84
     assert orthogonal
     assert total == 120 == 36 + 84
+
+
+# m: (pair span, triple span, trace-orthogonal, rank of the union)
+DECOMPOSITIONS = {
+    1: (1, 0, True, 1),
+    2: (3, 1, True, 4),
+    3: (6, 4, True, 10),
+    4: (10, 10, False, 10),
+    5: (15, 20, True, 35),
+    6: (21, 35, True, 56),
+    7: (28, 56, True, 84),
+    8: (36, 84, True, 120),
+    9: (45, 120, True, 165),
+}
+
+
+@pytest.mark.parametrize("m", sorted(DECOMPOSITIONS))
+def test_triple_span_decomposition_of_each_system(m):
+    gens = build(m).generators
+    assert triple_span_decomposition(gens) == DECOMPOSITIONS[m]
+    # the same four numbers from dense products and dense row reduction
+    dense = [g.dense() for g in gens]
+    pairs = [dense_mul(a, b) for a, b in combinations(dense, 2)]
+    triples = [dense_mul(dense_mul(a, b), c) for a, b, c in combinations(dense, 3)]
+    orthogonal = all(
+        sum(map(mul, chain(*p), chain(*t))) == 0 for p in pairs for t in triples
+    )
+    spans = [naive_span_dim([SignedPermMatrix.from_dense(d) for d in mats])
+             for mats in (pairs, triples, pairs + triples)]
+    assert DECOMPOSITIONS[m] == (spans[0], spans[1], orthogonal, spans[2])
 
 
 def test_commutant_dims():
