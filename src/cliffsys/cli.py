@@ -169,7 +169,7 @@ def _cmd_verify(args) -> int:
     try:
         with open(args.path) as fh:
             data = json.load(fh)
-    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
+    except (OSError, ValueError, RecursionError) as exc:  # unreadable, not JSON or too deep
         raise UsageError(f"cannot read {args.path}: {exc}")
     try:
         system = system_from_json(data)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 import re
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from itertools import chain, combinations
 from math import gcd
 from operator import getitem, or_
@@ -408,21 +408,13 @@ def _tau_terms(psi: FormMatrix, subsets):
     return kernel.accumulate(fill, psi.n)
 
 
-def _tau_worker(args):
-    size, n, upper_raw, chunk = args
-    upper = {key: KForm(n, 2, dict(pairs)) for key, pairs in upper_raw}
-    return _tau_terms(FormMatrix(size, n, upper), chunk)
-
-
 def _tau_parallel(psi: FormMatrix, k: int, subsets, jobs: int) -> KForm:
     from concurrent.futures import ProcessPoolExecutor
 
-    upper_raw = [(key, form.mask_items()) for key, form in psi.upper_items()]
     chunks = [subsets[i::jobs] for i in range(jobs)]
-    args = [(psi.size, psi.n, upper_raw, chunk) for chunk in chunks if chunk]
     acc: dict[int, object] = {}
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for part in pool.map(_tau_worker, args):
+        for part in pool.map(partial(_tau_terms, psi), chunks):
             for mask, c in part:
                 acc[mask] = acc.get(mask, 0) + c
     # partial sums may cancel across chunks

@@ -11,7 +11,7 @@ order, and the wire format of integral forms: `form_json_text`, the text
 form document's `terms`.  The pure side of the wire format stays in
 `forms`, which passes it here as `pure`.  `_wedge_c` is used when it was
 built, the pure-Python `_wedge_py` otherwise; set CLIFFSYS_PURE=1 to force
-the pure one.
+the pure one (an empty value or 0 leaves the choice as it is).
 
 Terms travel as sequences of (mask, coeff) pairs.  The pure kernel returns
 lists of tuples.  The C kernel returns a `Terms`, also exported: an
@@ -42,7 +42,7 @@ import os
 
 from . import _wedge_py
 
-if os.environ.get("CLIFFSYS_PURE"):
+if os.environ.get("CLIFFSYS_PURE", "") not in ("", "0"):
     _impl = _wedge_py
 else:
     try:

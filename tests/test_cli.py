@@ -167,8 +167,9 @@ def _broken_handler(args):
 
 
 # one row per documented exit path: argv ({tmp} is a directory holding
-# bad.json, which is not JSON, corrupt.json, a system failing verify, and
-# huge-m.json, m = 9000 with 9,001 copies of one 2x2 generator),
+# bad.json, which is not JSON, deep.json, 100,000 nested lists, corrupt.json,
+# a system failing verify, and huge-m.json, m = 9000 with 9,001 copies of one
+# 2x2 generator),
 # environment, a handler put in place of the subcommand's, expected code
 EXIT_PATHS = [
     pytest.param(["octonion", "--table"], {}, None, EXIT_OK, id="ok"),
@@ -176,6 +177,8 @@ EXIT_PATHS = [
                  id="malformed-json"),
     pytest.param(["verify", "--in", "{tmp}/missing.json"], {}, None, EXIT_USAGE,
                  id="missing-file"),
+    pytest.param(["verify", "--in", "{tmp}/deep.json"], {}, None, EXIT_USAGE,
+                 id="deep-nesting"),
     pytest.param(["--jobs", "two", "octonion", "--table"], {}, None, EXIT_USAGE,
                  id="non-integer-jobs"),
     pytest.param(["--jobs", "0", "octonion", "--table"], {}, None, EXIT_USAGE,
@@ -252,6 +255,7 @@ EXIT_PATHS = [
 @pytest.mark.parametrize("argv, env, handler, expected", EXIT_PATHS)
 def test_exit_codes(tmp_path, capsys, monkeypatch, argv, env, handler, expected):
     (tmp_path / "bad.json").write_text("{bad")
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
     main(["--out", str(tmp_path / "corrupt.json"), "gen", "--m", "4"])
     data = json.loads((tmp_path / "corrupt.json").read_text())
     data["generators"][1] = data["generators"][2]
@@ -617,15 +621,23 @@ def test_public_names_resolve_on_first_use_and_are_listed():
         cliffsys.no_such_name
 
 
-@pytest.mark.parametrize("pure", [False, True], ids=["default", "pure"])
-def test_kernel_backend_name_is_the_kernel_module_backend(pure):
+def kernel_backend_names(pure):
+    """(cliffsys.KERNEL_BACKEND, cliffsys.kernel.BACKEND) in a fresh
+    interpreter with CLIFFSYS_PURE set to `pure`, or unset for None."""
     env = {k: v for k, v in os.environ.items() if k != "CLIFFSYS_PURE"}
-    if pure:
-        env["CLIFFSYS_PURE"] = "1"
+    if pure is not None:
+        env["CLIFFSYS_PURE"] = pure
     code = "import cliffsys, cliffsys.kernel; print(cliffsys.KERNEL_BACKEND, cliffsys.kernel.BACKEND)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(env, PYTHONPATH=str(SRC)))
-    public, kernel = out.stdout.split()
+    return tuple(out.stdout.split())
+
+
+@pytest.mark.parametrize("pure", [None, "1", "0"], ids=["default", "pure", "zero"])
+def test_kernel_backend_name_is_the_kernel_module_backend(pure):
+    public, kernel = kernel_backend_names(pure)
     assert public == kernel
-    if pure:
+    if pure == "1":
         assert public == "pure-python"
+    if pure == "0":  # as if unset: the C kernel wherever it is built
+        assert public == kernel_backend_names(None)[0]

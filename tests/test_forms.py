@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import os
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -77,13 +78,15 @@ def test_wedge_graded_commutativity():
         assert ab == ba.scale((-1) ** (ka * kb))
 
 
-def test_wedge_matches_bruteforce_oracle():
-    rng = random.Random(43)
-    for _ in range(60):
-        n = rng.randint(3, 9)
-        a = random_form(rng, n, rng.randint(1, 3))
-        b = random_form(rng, n, rng.randint(1, 3))
-        assert wedge(a, b) == brute_wedge_forms(a, b)
+def test_wedge_matches_bruteforce_oracle(kernel_backends):
+    for module in kernel_backends:
+        rng = random.Random(43)
+        with dispatch_to(module):
+            for _ in range(60):
+                n = rng.randint(3, 9)
+                a = random_form(rng, n, rng.randint(1, 3))
+                b = random_form(rng, n, rng.randint(1, 3))
+                assert wedge(a, b) == brute_wedge_forms(a, b)
 
 
 def test_wedge_associativity():
@@ -106,14 +109,17 @@ def test_wedge_rejects_ambient_mismatch():
         wedge(KForm.monomial(4, (1, 2)), KForm.monomial(6, (1, 2)))
 
 
-def test_wedge_square_matches_wedge():
-    rng = random.Random(45)
-    for _ in range(30):
-        n = rng.randint(4, 12)
-        a = random_form(rng, n, 2)
-        assert a.wedge_square() == wedge(a, a)
-    constant = KForm(5, 0, {0: Fraction(-5, 2)})
-    assert constant.wedge_square() == wedge(constant, constant) == KForm(5, 0, {0: Fraction(25, 4)})
+def test_wedge_square_matches_wedge(kernel_backends):
+    for module in kernel_backends:
+        rng = random.Random(45)
+        with dispatch_to(module):
+            for _ in range(30):
+                n = rng.randint(4, 12)
+                a = random_form(rng, n, 2)
+                assert a.wedge_square() == wedge(a, a) == brute_wedge_forms(a, a)
+            constant = KForm(5, 0, {0: Fraction(-5, 2)})
+            square = KForm(5, 0, {0: Fraction(25, 4)})
+            assert constant.wedge_square() == wedge(constant, constant) == square
 
 
 def test_kaehler_sign_convention_resolution():
@@ -208,6 +214,14 @@ def test_tau_parallel_matches_serial(monkeypatch):
         parallel = tau(psi_c, 4, jobs=2)
         assert parallel == tau(psi_c, 4, jobs=1)
     assert_clean(parallel)  # the merge drops the terms that cancel across chunks
+
+
+@pytest.mark.parametrize("make", [lambda: psi_matrix("C"), psi_d], ids=["psiC", "psiD"])
+def test_form_matrices_pickle_for_the_tau_workers(make):
+    psi = make()
+    copy = pickle.loads(pickle.dumps(psi))
+    assert (copy.size, copy.n) == (psi.size, psi.n)
+    assert list(copy.upper_items()) == list(psi.upper_items())
 
 
 def test_tau_on_the_c_kernel_runs_serially(wc, monkeypatch):
@@ -327,21 +341,24 @@ def test_lie_action_is_a_derivation():
         assert lhs == rhs
 
 
-def test_lie_action_matches_naive_oracle():
-    rng = random.Random(50)
-    for _ in range(80):
-        n = rng.choice((2, 4, 6, 8))
-        if rng.random() < 0.5:
-            x = random_skew_spm(rng, n)
-        else:
-            perm = list(range(n))
-            rng.shuffle(perm)
-            x = SignedPermMatrix(n, tuple(perm), tuple(rng.choice((1, -1)) for _ in range(n)))
-        k = rng.randint(0, min(4, n))
-        a = random_form(rng, n, k)
-        if rng.random() < 0.5:
-            a = a + random_form(rng, n, k).scale(Fraction(1, rng.randint(2, 7)))
-        assert lie_action(x, a) == naive_lie_action(x.dense(), a)
+def test_lie_action_matches_naive_oracle(kernel_backends):
+    for module in kernel_backends:
+        rng = random.Random(50)
+        with dispatch_to(module):
+            for _ in range(80):
+                n = rng.choice((2, 4, 6, 8))
+                if rng.random() < 0.5:
+                    x = random_skew_spm(rng, n)
+                else:
+                    perm = list(range(n))
+                    rng.shuffle(perm)
+                    signs = tuple(rng.choice((1, -1)) for _ in range(n))
+                    x = SignedPermMatrix(n, tuple(perm), signs)
+                k = rng.randint(0, min(4, n))
+                a = random_form(rng, n, k)
+                if rng.random() < 0.5:
+                    a = a + random_form(rng, n, k).scale(Fraction(1, rng.randint(2, 7)))
+                assert lie_action(x, a) == naive_lie_action(x.dense(), a)
 
 
 def test_invariance_of_canonical_forms_under_their_families():

@@ -34,7 +34,7 @@ from cliffsys.forms import (
 )
 
 from backends import dispatch_to
-from oracles import assert_clean
+from oracles import assert_clean, brute_wedge
 
 C_MAX = (1 << 31) - 1  # largest coefficient the C kernel accumulates
 ACC_LIMIT = 1 << 62  # accumulated values must stay strictly inside +-2^62
@@ -520,6 +520,15 @@ def test_merge_sign():
     assert kernel.merge_sign(0b0001, 0b0010) == 1  # 1 before 2
     assert kernel.merge_sign(0b0010, 0b0001) == -1
     assert kernel.merge_sign(0b0101, 0b1010) == -1  # (1,3) vs (2,4): one inversion
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.sets(st.integers(1, 70), max_size=12), b=st.sets(st.integers(1, 70), max_size=12))
+def test_merge_sign_matches_bruteforce_oracle(a, b):
+    """Past the C kernel's 64 bits too: the sign of explicit sorting."""
+    ia, ib = sorted(a), sorted(b - a)
+    _, sign = brute_wedge(ia, ib, 70)
+    assert kernel.merge_sign(sum(1 << (i - 1) for i in ia), sum(1 << (i - 1) for i in ib)) == sign
 
 
 # -- the wire format: the C writer and reader equal the pure ones, or decline ------
