@@ -1,9 +1,11 @@
-"""Quaternion and octonion multiplication operators.
+"""Multiplication operators of R, C, H and O.
 
 The octonion product is *defined* by the displayed right-multiplication
 matrices R_i ... R_h (x * u := R_u x); the basis multiplication table and
-all left multiplications are derived from them.  A Cayley-Dickson doubling
-cross-check lives in the test suite.
+all left multiplications are derived from them.  R, C and H are the
+subalgebras spanned by the first 1, 2 and 4 basis vectors, so their
+operators are the octonionic ones restricted to those coordinates.  A
+Cayley-Dickson doubling cross-check lives in the test suite.
 """
 
 from __future__ import annotations
@@ -37,21 +39,25 @@ _LH_K = SignedPermMatrix.from_dense(
     [[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
 )
 
-_ID4 = SignedPermMatrix.identity(4)
-
 _RIGHT8 = {
     "1": SignedPermMatrix.identity(8),
     "i": split(_RH_I),
     "j": split(_RH_J),
     "k": split(_RH_K),
-    "e": antidiag(_ID4),
+    "e": antidiag(SignedPermMatrix.identity(4)),
     "f": cross(_LH_I),
     "g": cross(_LH_J),
     "h": cross(_LH_K),
 }
 
-_RIGHT4 = {"1": _ID4, "i": _RH_I, "j": _RH_J, "k": _RH_K}
-_LEFT4 = {"1": _ID4, "i": _LH_I, "j": _LH_J, "k": _LH_K}
+
+def _left_from_right(iu: int) -> SignedPermMatrix:
+    """L_u, column by column: u * e_a = R_{e_a} u."""
+    cols = [_RIGHT8[label].apply(iu) for label in OCTONION_LABELS]
+    return SignedPermMatrix(8, tuple(c for c, _ in cols), tuple(s for _, s in cols))
+
+
+_LEFT8 = {u: _left_from_right(iu) for iu, u in enumerate(OCTONION_LABELS)}
 
 
 class AlgebraTable(Record):
@@ -97,54 +103,34 @@ class AlgebraTable(Record):
 @lru_cache(maxsize=None)
 def algebra_table(dim: int = 8) -> AlgebraTable:
     """Multiplication table of R, C, H or O, read off the R_u matrices."""
+    labels = OCTONION_LABELS[:dim]
+    table = {}
+    for b, label in enumerate(labels):
+        ru = right_mult(label, dim)
+        for a in range(dim):
+            table[(a, b)] = ru.apply(a)
+    return AlgebraTable(dim, labels, table)
+
+
+def _restrict(operators: dict, u: str, dim: int) -> SignedPermMatrix:
+    """The octonionic operator of u on the first `dim` coordinates, the
+    subalgebra R, C, H or O that u must belong to."""
     if dim not in (1, 2, 4, 8):
         raise ValueError("dim must be 1, 2, 4 or 8")
-    table: dict[tuple[int, int], tuple[int, int]] = {}
-    for b, label in enumerate(OCTONION_LABELS[:dim]):
-        ru = _RIGHT8[label]
-        for a in range(dim):
-            c, s = ru.apply(a)
-            if c >= dim:
-                raise ValueError(f"dim-{dim} slice is not closed")
-            table[(a, b)] = (c, s)
-    return AlgebraTable(dim, OCTONION_LABELS[:dim], table)
-
-
-def _label_index(u: str, dim: int) -> int:
-    labels = OCTONION_LABELS[:dim]
-    if u not in labels:
-        raise ValueError(f"unknown basis label {u!r} for dim {dim}")
-    return labels.index(u)
+    if u not in OCTONION_LABELS[:dim]:
+        raise ValueError(f"unknown basis label {u!r}")
+    full = operators[u]
+    return full if dim == 8 else SignedPermMatrix(dim, full.perm[:dim], full.signs[:dim])
 
 
 def right_mult(u: str, dim: int = 8) -> SignedPermMatrix:
-    """Right multiplication x -> x*u on H (dim 4) or O (dim 8)."""
-    if dim == 8:
-        return _RIGHT8[u] if u in _RIGHT8 else _bad_label(u)
-    if dim == 4:
-        return _RIGHT4[u] if u in _RIGHT4 else _bad_label(u)
-    raise ValueError("right_mult supports dim 4 and 8")
+    """Right multiplication x -> x*u on R, C, H or O (dim 1, 2, 4 or 8)."""
+    return _restrict(_RIGHT8, u, dim)
 
 
 def left_mult(u: str, dim: int = 8) -> SignedPermMatrix:
-    """Left multiplication x -> u*x, derived from the multiplication table."""
-    if dim == 4:
-        return _LEFT4[u] if u in _LEFT4 else _bad_label(u)
-    if dim != 8:
-        raise ValueError("left_mult supports dim 4 and 8")
-    iu = _label_index(u, 8)
-    tab = algebra_table(8)
-    perm = [0] * 8
-    signs = [0] * 8
-    for a in range(8):
-        c, s = tab.product(iu, a)
-        perm[a] = c
-        signs[a] = s
-    return SignedPermMatrix(8, tuple(perm), tuple(signs))
-
-
-def _bad_label(u: str):
-    raise ValueError(f"unknown basis label {u!r}")
+    """Left multiplication x -> u*x on R, C, H or O (dim 1, 2, 4 or 8)."""
+    return _restrict(_LEFT8, u, dim)
 
 
 def octonion_conjugate(u: Sequence[Fraction]) -> list[Fraction]:

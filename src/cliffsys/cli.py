@@ -130,15 +130,15 @@ def _json(obj) -> str:
 
 
 def _emit(args, payload: str) -> None:
-    if args.out:
-        try:
-            fh = open(args.out, "w")
-        except OSError as exc:  # missing directory, a directory, no permission
-            raise UsageError(f"cannot write {args.out}: {exc}")
-        with fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    try:
+        if args.out is None:
+            sys.stdout.write(payload)
+            sys.stdout.flush()
+        else:
+            with open(args.out, "w") as fh:
+                fh.write(payload)
+    except OSError as exc:  # missing directory, a directory, no permission, a full disk
+        raise UsageError(f"cannot write {'stdout' if args.out is None else args.out}: {exc}")
 
 
 def _writes_text(args) -> bool:

@@ -3,10 +3,14 @@ C_1 ... C_16, plus the conversion to and from representations by
 anticommuting skew complex structures.
 
 Each system is an (m+1)-tuple of pairwise anticommuting symmetric
-involutions on R^N; the canonical chain doubles C_m to C_{m+1} and, when
-the ambient dimension allows, augments with further multiplication
-operators (quaternionic on R^8, octonionic on R^16, their Kronecker
-products with an identity on R^128 and R^256).
+involutions on R^N, N = 2 delta(m), built by one induction:
+
+* for m <= 8, C_m is made from the right multiplications by the
+  imaginary units u_1 .. u_{m-1} of R, C, H or O, whichever has dimension
+  delta(m): P_0 = swap, P_a = antidiag(R_{u_a}), P_m = diag(Id, -Id);
+* for m > 8, C_m is C_{m-1} doubled when delta(m) = 2 delta(m-1), and
+  otherwise (m = 12, 14, 15, 16) C_{m-1} augmented by one more
+  anticommuting block.
 """
 
 from __future__ import annotations
@@ -36,21 +40,16 @@ ESSENTIAL = "Essential"
 NON_ESSENTIAL = "NonEssential"
 UNDETERMINED = "Undetermined"
 
-_DELTA_TABLE = {
-    1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 6: 8, 7: 8, 8: 8,
-    9: 16, 10: 32, 11: 64, 12: 64, 13: 128, 14: 128, 15: 128, 16: 128,
-}
+_CLASSICAL_DELTA = (1, 2, 4, 4, 8, 8, 8, 8)
 
 
 def delta(m: int) -> int:
-    """Dimension of the irreducible module; period-8 rule delta(m+8) = 16 delta(m)."""
+    """Dimension of the irreducible module: the classical values for
+    m = 1..8, then the period-8 rule delta(m+8) = 16 delta(m)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    scale = 1
-    while m > 16:
-        m -= 8
-        scale *= 16
-    return scale * _DELTA_TABLE[m]
+    periods, r = divmod(m - 1, 8)
+    return 16**periods * _CLASSICAL_DELTA[r]
 
 
 class CliffordSystem(Record):
@@ -160,38 +159,43 @@ def _augment(
     return gens[:-1] + tuple(antidiag(j) for j in extras) + gens[-1:]
 
 
+def _classical_generators(m: int, mult) -> tuple[SignedPermMatrix, ...]:
+    """C_m, m <= 8, from the multiplications `mult` of the algebra of dimension delta(m)."""
+    d = delta(m)
+    return _from_structures(d, (mult(u, d) for u in OCTONION_LABELS[1:m]))
+
+
 @lru_cache(maxsize=None)
 def _canonical_generators(m: int) -> tuple[SignedPermMatrix, ...]:
-    if m == 1:
-        return (swap(1), diag_split(1))
-    if m in (2, 3, 5, 9, 10, 11, 13):
-        return _double_generators(_canonical_generators(m - 1))
-    if m == 4:
-        return _augment(_canonical_generators(3), (right_mult("k", 4),))
-    if m in (6, 7, 8):
-        extras = tuple(right_mult(u, 8) for u in ("f", "g", "h")[: m - 5])
-        return _augment(_canonical_generators(5), extras)
-    if m == 12:
-        extra = right_mult("h", 8).kron(SignedPermMatrix.identity(8))
-        return _augment(_canonical_generators(11), (extra,))
-    if m in (14, 15, 16):
-        return _augment(_canonical_generators(13), _order128_extras()[: m - 13])
-    raise ValueError("explicit construction covers m = 1..16 only")
+    if m <= 8:
+        return _classical_generators(m, right_mult)
+    previous = _canonical_generators(m - 1)
+    if delta(m) == 2 * delta(m - 1):
+        return _double_generators(previous)
+    return _augment(previous, (_extra(m),))
 
 
-def _order128_extras() -> tuple[SignedPermMatrix, ...]:
-    """The three order-128 augmentation blocks.
+def _extra(m: int) -> SignedPermMatrix:
+    """The block that augments C_{m-1} to C_m, for m = 12, 14, 15, 16.
 
-    They are forced up to sign and order: a block anticommuting with all
-    twelve compositions of the doubled system must vanish on the diagonal
-    and carry an imaginary unit of the (quaternionic) commutant of those
-    compositions in each off-diagonal slot.
+    On R^128 they are forced up to sign and order: a block anticommuting
+    with all twelve compositions of the doubled system must vanish on the
+    diagonal and carry an imaginary unit of the (quaternionic) commutant
+    of those compositions in each off-diagonal slot.
     """
-    first = right_mult("h", 8).kron(SignedPermMatrix.identity(16))
-    second = cross(antidiag(split(swap(8))))
-    inner = antidiag(swap(8))
-    third = cross(block_diag([inner, inner]))
-    return (first, second, third)
+    if m in (12, 14):
+        return right_mult("h", 8).kron(SignedPermMatrix.identity(delta(m) // 8))
+    if m == 15:
+        return cross(antidiag(split(swap(8))))
+    if m == 16:
+        inner = antidiag(swap(8))
+        return cross(block_diag([inner, inner]))
+    raise ValueError(f"C_{m} is not an augmentation of C_{m - 1}")
+
+
+def _canonical_system(m: int, gens: tuple[SignedPermMatrix, ...]) -> CliffordSystem:
+    """The canonical class: tagged "plus" iff m = 0 mod 4, else "n/a"."""
+    return CliffordSystem(m, gens[0].n, gens, PLUS if m % 4 == 0 else NOT_APPLICABLE)
 
 
 def build(m: int, cls: str = PLUS) -> CliffordSystem:
@@ -205,8 +209,7 @@ def build(m: int, cls: str = PLUS) -> CliffordSystem:
         raise ValueError("m must be in 1..16")
     gens = _canonical_generators(m)
     if cls == PLUS:
-        tag = PLUS if m % 4 == 0 else NOT_APPLICABLE
-        return CliffordSystem(m, gens[0].n, gens, tag)
+        return _canonical_system(m, gens)
     if cls != MINUS:
         raise ValueError("cls must be 'plus' or 'minus'")
     if m % 4 != 0:
@@ -217,9 +220,7 @@ def build(m: int, cls: str = PLUS) -> CliffordSystem:
 
 def double(system: CliffordSystem) -> CliffordSystem:
     """C_{m+1} on R^{2N}: swap, antidiag(P_0 P_a) for a = 1..m, diag(Id, -Id)."""
-    gens = _double_generators(system.generators)
-    tag = PLUS if (system.m + 1) % 4 == 0 else NOT_APPLICABLE
-    return CliffordSystem(system.m + 1, 2 * system.n, gens, tag)
+    return _canonical_system(system.m + 1, _double_generators(system.generators))
 
 
 def tilde(m: int) -> CliffordSystem:
@@ -227,8 +228,8 @@ def tilde(m: int) -> CliffordSystem:
     built from left instead of right multiplications."""
     if m not in (4, 8):
         raise ValueError("tilde systems exist for m in {4, 8}")
-    gens = _from_structures(m, (left_mult(u, m) for u in OCTONION_LABELS[1:m]))
-    return CliffordSystem(m, 2 * m, gens, MINUS)
+    gens = _classical_generators(m, left_mult)
+    return CliffordSystem(m, gens[0].n, gens, MINUS)
 
 
 def verify(system: CliffordSystem) -> VerifyReport:
@@ -304,9 +305,7 @@ def from_representation(rep: CliffordRepresentation) -> CliffordSystem:
     """Clifford system on R^{2 delta}: P_0(u,v) = (v,u),
     P_a(u,v) = (-E_a v, E_a u), P_m(u,v) = (u,-v)."""
     rep.validate()
-    gens = _from_structures(rep.delta, rep.matrices)
-    m = rep.count + 1
-    return CliffordSystem(m, 2 * rep.delta, gens, PLUS if m % 4 == 0 else NOT_APPLICABLE)
+    return _canonical_system(rep.count + 1, _from_structures(rep.delta, rep.matrices))
 
 
 def classify_essential(m: int) -> str:

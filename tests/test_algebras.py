@@ -71,6 +71,26 @@ def test_unknown_labels_rejected():
         left_mult("e", 4)
     with pytest.raises(ValueError):
         right_mult("i", 16)
+    # a label outside the subalgebra R, C, H or O, and a dim that is none of them
+    for mult in (right_mult, left_mult):
+        for dim, u in ((1, "i"), (2, "j"), (4, "e"), (8, "q")):
+            with pytest.raises(ValueError, match=f"^unknown basis label '{u}'$"):
+                mult(u, dim)
+        for dim in (0, 3, 16):
+            with pytest.raises(ValueError, match="dim must be 1, 2, 4 or 8"):
+                mult("1", dim)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 8])
+def test_multiplications_restrict_to_the_subalgebras(dim):
+    """R, C, H, O: x*u and u*x read off the dim-dimensional table."""
+    tab = algebra_table(dim)
+    for iu, u in enumerate(OCTONION_LABELS[:dim]):
+        right, left = right_mult(u, dim), left_mult(u, dim)
+        assert right.n == left.n == dim
+        for a in range(dim):
+            assert right.apply(a) == tab.product(a, iu)
+            assert left.apply(a) == tab.product(iu, a)
 
 
 def test_table_unit_and_norm():

@@ -166,6 +166,10 @@ def _broken_handler(args):
     raise RuntimeError("broken handler")
 
 
+NEEDS_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                    reason="needs /dev/full, a device that is always full")
+
+
 # one row per documented exit path: argv ({tmp} is a directory holding
 # bad.json, which is not JSON, deep.json, 100,000 nested lists, corrupt.json,
 # a system failing verify, and huge-m.json, m = 9000 with 9,001 copies of one
@@ -201,6 +205,9 @@ EXIT_PATHS = [
                  id="missing-dir"),
     pytest.param(["--out", "{tmp}", "gen", "--m", "2"], {}, None, EXIT_USAGE,
                  id="is-a-directory"),
+    pytest.param(["--out", "", "gen", "--m", "1"], {}, None, EXIT_USAGE, id="empty-out"),
+    pytest.param(["--out", "/dev/full", "gen", "--m", "1"], {}, None, EXIT_USAGE,
+                 id="out-device-full", marks=NEEDS_DEV_FULL),
     pytest.param(["verify", "--in", "{tmp}/corrupt.json"], {}, None, EXIT_VERIFY,
                  id="failed-verification"),
     pytest.param(["verify", "--in", "{tmp}/huge-m.json"], {}, None, EXIT_VERIFY,
@@ -276,6 +283,18 @@ def test_exit_codes(tmp_path, capsys, monkeypatch, argv, env, handler, expected)
     else:
         assert out == ""
         assert json.loads(err) == {"error": "RuntimeError: broken handler"}
+
+
+@NEEDS_DEV_FULL
+@pytest.mark.parametrize("m", [1, 3])
+def test_full_stdout_is_a_usage_error(m):
+    """A full stdout is a usage error like a failed --out, with nothing
+    more on stderr."""
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "cliffsys.cli", "gen", "--m", str(m)],
+                              stdout=full, stderr=subprocess.PIPE)
+    assert done.returncode == EXIT_USAGE
+    assert done.stderr == b"usage error: cannot write stdout: [Errno 28] No space left on device\n"
 
 
 def test_each_subcommand_runs_its_handler():

@@ -67,6 +67,7 @@ COMMANDS = [
     ("rank-and-classify", ["evencliff", "--rank", "9", "--classify", "12"]),
     ("sphere-fields-n-5000", ["sphere-fields", "--n", "5000"]),
     ("octonion-bad-unit", ["octonion", "--right", "q"]),
+    ("octonion-left-bad-unit", ["octonion", "--left", "q"]),
     ("verify-missing", ["verify", "--in", "{tmp}/missing.json"]),
     ("out-missing-dir", ["--out", "{tmp}/missing/c2.json", "gen", "--m", "2"]),
 ]
@@ -140,6 +141,7 @@ GOLDEN = {
     'rank-and-classify': (EMPTY, 'usage error: --rank goes with --emit, not with --classify\n', 1),
     'sphere-fields-n-5000': (EMPTY, 'usage error: --n must be <= 4096\n', 1),
     'octonion-bad-unit': (EMPTY, "usage error: unknown basis label 'q'\n", 1),
+    'octonion-left-bad-unit': (EMPTY, "usage error: unknown basis label 'q'\n", 1),
     'verify-missing': (EMPTY,
         'usage error: cannot read {tmp}/missing.json: [Errno 2] No such file or '
         "directory: '{tmp}/missing.json'\n", 1),

@@ -17,6 +17,7 @@ from cliffsys.clifford import (
     tilde,
     to_representation,
     verify,
+    _extra,
 )
 from cliffsys.algebras import left_mult, right_mult
 from cliffsys.exactmat import (
@@ -38,8 +39,16 @@ def test_delta_table_and_periodicity():
     assert delta(9) == 16
     assert delta(20) == 16 * delta(12) == 1024
     assert delta(17) == 16 * delta(9)
+    for m in range(1, 41):
+        assert delta(m + 8) == 16 * delta(m)
     with pytest.raises(ValueError):
         delta(0)
+
+
+@pytest.mark.parametrize("m", [1, 4, 8, 9, 11, 13, 17, 20])
+def test_extra_block_only_for_the_augmenting_steps(m):
+    with pytest.raises(ValueError, match="not an augmentation"):
+        _extra(m)
 
 
 def test_build_pauli_real_form():

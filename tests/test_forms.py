@@ -4,6 +4,7 @@ import os
 import pickle
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -196,6 +197,13 @@ def test_tau2_equals_sum_of_squares_random_matrices():
         assert tau(psi, 2) == total
 
 
+@lru_cache(maxsize=None)
+def psi_c_minor_by_permutations(rows):
+    """The principal psi^C minor on `rows`, expanded over all permutations;
+    computed once per run, since two tests check against it."""
+    return perm_expansion_det(psi_matrix("C"), rows)
+
+
 def test_tau4_pfaffian_path_matches_permutation_expansion():
     psi_c = psi_matrix("C")
     for rows in combinations(range(9), 4):
@@ -204,7 +212,7 @@ def test_tau4_pfaffian_path_matches_permutation_expansion():
             for a in range(4)
             for b in range(a + 1, 4)
         }), 4)
-        assert got == perm_expansion_det(psi_c, rows), rows
+        assert got == psi_c_minor_by_permutations(rows), rows
 
 
 def test_tau_parallel_matches_serial(monkeypatch):
@@ -313,10 +321,9 @@ def test_spin9_form_equals_tau4_over_360():
 
 
 def test_spin9_monomial_count_against_permutation_expansion():
-    psi_c = psi_matrix("C")
     total = KForm.zero(16, 8)
     for rows in combinations(range(9), 4):
-        total = total + perm_expansion_det(psi_c, rows)
+        total = total + psi_c_minor_by_permutations(rows)
     spin9 = canonical_form("Spin9")
     assert total == spin9.scale(360)
     assert spin9.num_terms() == total.num_terms() == 702
