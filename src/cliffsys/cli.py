@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -132,8 +133,16 @@ def _json(obj) -> str:
 def _emit(args, payload: str) -> None:
     try:
         if args.out is None:
-            sys.stdout.write(payload)
-            sys.stdout.flush()
+            try:
+                sys.stdout.write(payload)
+                sys.stdout.flush()
+            except OSError:
+                # Bytes left in stdout's buffer would fail again in the flush at
+                # interpreter exit; send them to devnull instead.
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+                raise
         else:
             with open(args.out, "w") as fh:
                 fh.write(payload)

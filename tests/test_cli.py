@@ -286,13 +286,19 @@ def test_exit_codes(tmp_path, capsys, monkeypatch, argv, env, handler, expected)
 
 
 @NEEDS_DEV_FULL
-@pytest.mark.parametrize("m", [1, 3])
-def test_full_stdout_is_a_usage_error(m):
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("m", [1, 3, 16])
+def test_full_stdout_is_a_usage_error(m, unbuffered):
     """A full stdout is a usage error like a failed --out, with nothing
-    more on stderr."""
+    more on stderr. Buffered, a small payload stays in stdout's buffer
+    after the failed flush, and the flush at interpreter exit must not
+    fail again (that prints "Exception ignored" and exits 120)."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     with open("/dev/full", "w") as full:
         done = subprocess.run([sys.executable, "-m", "cliffsys.cli", "gen", "--m", str(m)],
-                              stdout=full, stderr=subprocess.PIPE)
+                              stdout=full, stderr=subprocess.PIPE, env=env)
     assert done.returncode == EXIT_USAGE
     assert done.stderr == b"usage error: cannot write stdout: [Errno 28] No space left on device\n"
 
