@@ -21,7 +21,6 @@ _EXPORTS = {
     "RationalMatrix": "exactmat",
     "SignedPermMatrix": "exactmat",
     "algebra_table": "algebras",
-    "block_diag": "exactmat",
     "bracket_closed": "liealg",
     "build": "clifford",
     "canonical_form": "forms",

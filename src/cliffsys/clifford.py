@@ -22,7 +22,6 @@ from .exactmat import (
     Record,
     SignedPermMatrix,
     antidiag,
-    block_diag,
     cross,
     diag_split,
     matrix_from_json,
@@ -189,7 +188,7 @@ def _extra(m: int) -> SignedPermMatrix:
         return cross(antidiag(split(swap(8))))
     if m == 16:
         inner = antidiag(swap(8))
-        return cross(block_diag([inner, inner]))
+        return cross(SignedPermMatrix.identity(2).kron(inner))
     raise ValueError(f"C_{m} is not an augmentation of C_{m - 1}")
 
 

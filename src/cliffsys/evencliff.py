@@ -2,9 +2,10 @@
 <I> + <S_0..S_8>, its 10x10 matrix of Kaehler 2-forms, and the
 invariant 8-form given by the fourth characteristic coefficient.
 
-R^32 is split as real plus imaginary copies of R^16: I is the standard
-complex structure and each involution acts identically on both halves,
-so I commutes with every S_alpha and all pairwise products are skew.
+R^32 = R^2 (x) R^16 is split as real plus imaginary copies of R^16: the
+standard complex structure is I = J (x) Id and each involution is
+Id (x) S_alpha, so I commutes with every S_alpha and all pairwise
+products are skew.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .clifford import ESSENTIAL, build, classify_essential
-from .exactmat import Record, SignedPermMatrix, antidiag, block_diag, pairwise_products
+from .exactmat import Record, SignedPermMatrix, antidiag, pairwise_products
 
 if TYPE_CHECKING:  # forms is imported where it is used, so classify() runs without it
     from .forms import FormMatrix, KForm
@@ -63,9 +64,8 @@ class EvenCliffordStructure(Record):
 def build_e10() -> EvenCliffordStructure:
     """The rank-10 structure on R^32 = C^16."""
     gens16 = build(8).generators
-    ident = SignedPermMatrix.identity(16)
-    cplx = antidiag(ident)
-    sym = tuple(block_diag([s, s]) for s in gens16)
+    cplx = antidiag(SignedPermMatrix.identity(16))
+    sym = tuple(SignedPermMatrix.identity(2).kron(s) for s in gens16)
     return EvenCliffordStructure(10, 32, (cplx,), sym)
 
 

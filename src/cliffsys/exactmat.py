@@ -4,9 +4,8 @@ Every generator handled by the package has exactly one nonzero entry, equal
 to +-1, in each row and column.  Such matrices are closed under products
 and Kronecker products, so compositions stay O(n) and exact up to order
 256.  Every block shape of the construction is one `kron`: sigma_1 (x) A,
-sigma_3 (x) A, J (x) A or A (x) Id; `block_diag` is the direct sum.  Dense
-rational matrices only hold the Spin(9) involutions at rational points of
-the sphere.
+sigma_3 (x) A, J (x) A, Id (x) A or A (x) Id.  Dense rational matrices
+only hold the Spin(9) involutions at rational points of the sphere.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here can be shared freely across threads.
@@ -247,19 +246,6 @@ class SignedPermMatrix(Record):
 
     def to_rational(self) -> "RationalMatrix":
         return RationalMatrix.from_rows(self.dense())
-
-
-def block_diag(blocks: Sequence[SignedPermMatrix]) -> SignedPermMatrix:
-    if not blocks:
-        raise ValueError("need at least one block")
-    perm: list[int] = []
-    signs: list[int] = []
-    offset = 0
-    for b in blocks:
-        perm.extend(p + offset for p in b.perm)
-        signs.extend(b.signs)
-        offset += b.n
-    return SignedPermMatrix(offset, tuple(perm), tuple(signs))
 
 
 _SIGMA1 = SignedPermMatrix.from_dense([[0, 1], [1, 0]])

@@ -19,7 +19,7 @@ from operator import getitem, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import kernel
-from .exactmat import SignedPermMatrix, SKEW_COMPLEX_STRUCTURE, block_diag
+from .exactmat import SignedPermMatrix, SKEW_COMPLEX_STRUCTURE
 
 
 def _coeff(c):
@@ -450,7 +450,7 @@ def canonical_form(name: str) -> KForm:
         total = KForm.zero(8, 4)
         for u in ("i", "j", "k"):
             lu = left_mult(u, 4)
-            omega = kaehler_form(block_diag([lu, lu]))
+            omega = kaehler_form(SignedPermMatrix.identity(2).kron(lu))
             total = total + omega.wedge_square()
         return total
     scalings = {"Spin7Delta": ("A", 2, 6), "Spin8": ("B", 2, 4), "Spin9": ("C", 4, 360)}

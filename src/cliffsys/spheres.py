@@ -2,8 +2,8 @@
 
 sigma(N) = 2^p + 8q - 1 for N = (2k+1) 2^p 16^q with 0 <= p <= 3; the
 fields on S^{N-1} are x -> J x for sigma anticommuting skew complex
-structures J, delivered as matrices (block-diagonal copies of the
-representation attached to the Clifford system of size sigma(N) + 1).
+structures J, delivered as matrices Id_{2k+1} (x) E_a, where the E_a are
+the representation attached to the Clifford system C_{sigma(N)+1}.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 from .clifford import CliffordRepresentation, build, to_representation
-from .exactmat import Record, SignedPermMatrix, block_diag
+from .exactmat import Record, SignedPermMatrix
 
 
 class HurwitzRadon(NamedTuple):
@@ -62,13 +62,15 @@ def max_vector_fields(n: int) -> VectorFieldSystem:
         raise ValueError("need even n >= 2")
     sigma, p, q, k = hurwitz_radon(n)
     n0 = 2**p * 16**q
-    if n0 > 128:
-        raise ValueError(f"power-of-two part {n0} exceeds the implemented range (128)")
-    rep = to_representation(build(sigma + 1))
+    try:
+        system = build(sigma + 1)
+    except ValueError as exc:
+        raise ValueError(f"power-of-two part {n0} needs C_{sigma + 1}: {exc}") from None
+    rep = to_representation(system)
     if rep.delta != n0:
         raise AssertionError("delta(sigma+1) != n0; table alignment broken")
-    copies = 2 * k + 1
-    structures = tuple(block_diag([e] * copies) for e in rep.matrices)
+    copies = SignedPermMatrix.identity(2 * k + 1)
+    structures = tuple(copies.kron(e) for e in rep.matrices)
     return VectorFieldSystem(n, sigma, structures)
 
 
@@ -104,16 +106,21 @@ def _dot(u, v):
 
 
 def random_unit_points(n: int, count: int, seed: int = 0) -> list[tuple[Fraction, ...]]:
-    """Exact rational points on S^{n-1} via inverse stereographic projection."""
+    """Exact rational points on S^{n-1} via inverse stereographic projection.
+
+    t in Q^{n-1} is drawn as a / q, an integer vector a over a common
+    denominator q; with s = |a|^2 the point is (2q a, q^2 - s) / (q^2 + s).
+    """
     rng = random.Random(seed)
     points = []
     for _ in range(count):
         t = [
-            Fraction(rng.randint(-9, 9), rng.randint(1, 9)) if rng.random() < 0.4 else Fraction(0)
+            (rng.randint(-9, 9), rng.randint(1, 9)) if rng.random() < 0.4 else (0, 1)
             for _ in range(n - 1)
         ]
-        norm2 = sum(c * c for c in t)
-        denom = 1 + norm2
-        x = tuple(2 * c / denom for c in t) + (Fraction(1 - norm2, 1) / denom,)
-        points.append(x)
+        q = lcm(*(den for _, den in t))
+        a = [num * (q // den) for num, den in t]
+        q2, s = q * q, _dot(a, a)
+        denom = q2 + s
+        points.append(tuple([Fraction(2 * q * c, denom) for c in a] + [Fraction(q2 - s, denom)]))
     return points

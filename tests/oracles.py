@@ -1,15 +1,17 @@
 """Independent brute-force oracles the tests check the library against.
 
-Everything here is deliberately naive: dense integer matrix products,
-permutation-sign wedge products, the derivation action letter by letter,
-determinants expanded over permutations, rational Gaussian elimination,
-and sphere-field checks in Fractions.
+Everything here is deliberately naive: dense integer matrix products and
+direct sums, permutation-sign wedge products, the derivation action letter
+by letter, determinants expanded over permutations, rational Gaussian
+elimination, and sphere points and sphere-field checks in Fractions.
 """
 
+import random
 from fractions import Fraction
 from itertools import permutations
 from operator import mul
 
+from cliffsys.exactmat import SignedPermMatrix
 from cliffsys.forms import KForm
 
 
@@ -30,6 +32,17 @@ def dense_kron(a, b):
     """The Kronecker product of two dense matrices: entry (i * q + k, j * q + l)
     is a[i][j] * b[k][l], q = len(b)."""
     return [[x * y for x in row_a for y in row_b] for row_a in a for row_b in b]
+
+
+def block_diag(blocks):
+    """The direct sum of signed permutation matrices, laid out densely block
+    after block down the diagonal: the reference for Id_k (x) A."""
+    n = sum(b.n for b in blocks)
+    rows, offset = [], 0
+    for b in blocks:
+        rows += [[0] * offset + row + [0] * (n - offset - b.n) for row in b.dense()]
+        offset += b.n
+    return SignedPermMatrix.from_dense(rows)
 
 
 def brute_wedge(idx_a, idx_b, n):
@@ -180,6 +193,20 @@ def naive_normalizer_dim(mats):
             vec[a * n * n:(a + 1) * n * n] = [v for row in q for v in row]
             spans.append(vec)
     return len(images) - (naive_rank(spans + images) - naive_rank(spans))
+
+
+def fraction_unit_points(n, count, seed):
+    """`spheres.random_unit_points` in Fraction arithmetic: t in Q^{n-1} drawn
+    from the same generator in the same order, mapped to S^{n-1} by
+    t -> (2t, 1 - |t|^2) / (1 + |t|^2)."""
+    rng = random.Random(seed)
+    points = []
+    for _ in range(count):
+        t = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) if rng.random() < 0.4 else Fraction(0)
+             for _ in range(n - 1)]
+        norm2 = sum(c * c for c in t)
+        points.append(tuple(2 * c / (1 + norm2) for c in t) + ((1 - norm2) / (1 + norm2),))
+    return points
 
 
 def fraction_verify_pointwise(system, points):

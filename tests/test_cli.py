@@ -534,6 +534,40 @@ def test_traced_tau4_counts_every_kernel_pair(tmp_path):
     assert kform_calls == 36
 
 
+# argv: the expected backend, the directory of the C kernel compiled for the
+# test run ("" for none; the package searches it after src/) and perfbench/
+INSTALL_TRACER = """
+import sys
+import cliffsys
+if sys.argv[2]:
+    cliffsys.__path__.append(sys.argv[2])
+import cliffsys.acceptance, cliffsys.cli, cliffsys.kernel
+assert cliffsys.kernel.BACKEND == sys.argv[1], cliffsys.kernel.BACKEND
+sys.path.insert(0, sys.argv[3])
+from tracer import Tracer, install
+install(Tracer())
+"""
+
+
+@pytest.mark.parametrize("backend", ["pure-python", "c"])
+def test_tracer_installs_on_each_backend(request, backend):
+    """`perfbench/tracer.install` reaches package internals by name (classes
+    of exactmat, liealg, forms and algebras among them): with every module
+    loaded, it must run on each backend."""
+    env = {k: v for k, v in os.environ.items() if k != "CLIFFSYS_PURE"}
+    env["PYTHONPATH"] = str(REPO / "src")
+    kernel_dir = ""
+    if backend == "c":
+        kernel_dir = str(Path(request.getfixturevalue("wc").__file__).parent)
+    else:
+        env["CLIFFSYS_PURE"] = "1"
+    done = subprocess.run(
+        [sys.executable, "-c", INSTALL_TRACER, backend, kernel_dir, str(REPO / "perfbench")],
+        capture_output=True, text=True, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+
+
 def test_traced_readback_counts_every_letter(tmp_path):
     """The read-back operation of the benchmark, traced and untraced, on a
     seeded integral 8-form on R^32 and an actions file built as

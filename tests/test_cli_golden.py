@@ -66,6 +66,7 @@ COMMANDS = [
     ("liealg-unknown-check", ["liealg", "--system", "C2", "--check", "span,nope"]),
     ("rank-and-classify", ["evencliff", "--rank", "9", "--classify", "12"]),
     ("sphere-fields-n-5000", ["sphere-fields", "--n", "5000"]),
+    ("sphere-fields-n-256", ["sphere-fields", "--n", "256"]),
     ("octonion-bad-unit", ["octonion", "--right", "q"]),
     ("octonion-left-bad-unit", ["octonion", "--left", "q"]),
     ("verify-missing", ["verify", "--in", "{tmp}/missing.json"]),
@@ -140,6 +141,8 @@ GOLDEN = {
     'liealg-unknown-check': (EMPTY, "usage error: unknown check 'nope'\n", 1),
     'rank-and-classify': (EMPTY, 'usage error: --rank goes with --emit, not with --classify\n', 1),
     'sphere-fields-n-5000': (EMPTY, 'usage error: --n must be <= 4096\n', 1),
+    'sphere-fields-n-256': (EMPTY,
+        'usage error: power-of-two part 256 needs C_17: m must be in 1..16\n', 1),
     'octonion-bad-unit': (EMPTY, "usage error: unknown basis label 'q'\n", 1),
     'octonion-left-bad-unit': (EMPTY, "usage error: unknown basis label 'q'\n", 1),
     'verify-missing': (EMPTY,

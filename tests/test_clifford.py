@@ -24,10 +24,12 @@ from cliffsys.exactmat import (
     SKEW_COMPLEX_STRUCTURE,
     SignedPermMatrix,
     antidiag,
-    block_diag,
     diag_split,
     swap,
 )
+
+from oracles import block_diag
+
 
 DELTA_ROW = {1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 6: 8, 7: 8, 8: 8,
              9: 16, 10: 32, 11: 64, 12: 64, 13: 128, 14: 128, 15: 128, 16: 128}

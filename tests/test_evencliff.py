@@ -2,6 +2,7 @@ import pytest
 
 from cliffsys.clifford import ESSENTIAL, NON_ESSENTIAL, UNDETERMINED, build
 from cliffsys.evencliff import (
+    _max_anticommuting,
     build_e10,
     classify,
     involution_span_obstruction,
@@ -62,6 +63,19 @@ def test_psi_d_shape_and_doubling():
 
 def test_involution_span_obstruction():
     assert involution_span_obstruction()
+
+
+def test_anticommuting_search_finds_the_largest_family():
+    # the search reaches 10 where ten exist: the generators of C_9
+    assert _max_anticommuting(list(build(9).generators)) == 10
+    # the rank-10 candidates are the 18 matrices +-S_alpha: 9 up to sign
+    e10 = build_e10()
+    candidates = [s for m in list(e10.generators()) + e10.pairwise_products()
+                  for s in (m, -m) if s.is_symmetric() and s.is_involution()]
+    sym = e10.symmetric_generators
+    assert len(candidates) == 18
+    assert set(candidates) == set(sym) | {-s for s in sym}
+    assert _max_anticommuting(candidates) == 9
 
 
 def test_classify_records():

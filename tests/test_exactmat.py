@@ -12,7 +12,6 @@ from cliffsys.exactmat import (
     RationalMatrix,
     SignedPermMatrix,
     antidiag,
-    block_diag,
     diag_split,
     matrix_from_json,
     matrix_to_json,
@@ -23,7 +22,7 @@ from cliffsys.clifford import CliffordRepresentation, CliffordSystem, VerifyRepo
 from cliffsys.evencliff import EvenCliffordRecord, EvenCliffordStructure
 from cliffsys.spheres import VectorFieldSystem
 
-from oracles import dense_kron, dense_mul
+from oracles import block_diag, dense_kron, dense_mul
 
 
 def random_spm(rng, n):
@@ -197,6 +196,10 @@ def test_kron():
         assert dense[3 + r][r] == 1
     # e_a (x) e_b is basis vector a * q + b: Id_2 (x) A is diag(A, A)
     assert SignedPermMatrix.identity(2).kron(N01) == block_diag([N01, N01])
+    rng = random.Random(5)
+    for k, n in ((1, 4), (3, 2), (4, 5)):
+        a = random_spm(rng, n)
+        assert SignedPermMatrix.identity(k).kron(a) == block_diag([a] * k)
 
 
 @st.composite

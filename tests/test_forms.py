@@ -14,7 +14,7 @@ from cliffsys import _wedge_py
 from cliffsys import forms as forms_module
 from cliffsys.clifford import build
 from cliffsys.evencliff import psi_d
-from cliffsys.exactmat import SignedPermMatrix, block_diag, swap
+from cliffsys.exactmat import SignedPermMatrix, swap
 from cliffsys.forms import (
     FormMatrix,
     KForm,
@@ -37,7 +37,8 @@ from cliffsys.forms import (
 )
 
 from backends import dispatch_to
-from oracles import assert_clean, brute_wedge_forms, naive_lie_action, perm_expansion_det
+from oracles import (
+    assert_clean, block_diag, brute_wedge_forms, naive_lie_action, perm_expansion_det)
 
 
 def random_form(rng, n, k, terms=5, lo=-9, hi=9):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from cliffsys.cli import main
 from cliffsys.clifford import delta
-from cliffsys.exactmat import SignedPermMatrix, block_diag
+from cliffsys.exactmat import SignedPermMatrix
 from cliffsys.spheres import (
     VectorFieldSystem,
     hurwitz_radon,
@@ -16,7 +16,7 @@ from cliffsys.spheres import (
     verify_pointwise,
 )
 
-from oracles import fraction_verify_pointwise
+from oracles import block_diag, fraction_unit_points, fraction_verify_pointwise
 
 
 def test_hurwitz_radon_values():
@@ -44,8 +44,10 @@ def test_factorization_reconstructs_n():
 def test_max_fields_counts_up_to_256():
     for n in range(2, 257, 2):
         hr = hurwitz_radon(n)
-        if 2**hr.p * 16**hr.q > 128:
-            with pytest.raises(ValueError):
+        n0 = 2**hr.p * 16**hr.q
+        if n0 > 128:  # build() stops at C_16
+            message = rf"^power-of-two part {n0} needs C_{hr.sigma + 1}: m must be in 1\.\.16$"
+            with pytest.raises(ValueError, match=message):
                 max_vector_fields(n)
             continue
         system = max_vector_fields(n)
@@ -59,6 +61,9 @@ def test_odd_multiples_block_structure():
     assert system.sigma == 1
     n01 = SignedPermMatrix.from_dense([[0, -1], [1, 0]])
     assert system.structures[0] == block_diag([n01, n01, n01])
+    # n = 80 = 5 * 16: five copies of each field of S^15
+    assert max_vector_fields(80).structures == tuple(
+        block_diag([e] * 5) for e in max_vector_fields(16).structures)
 
 
 def test_large_system_from_deepest_build():
@@ -99,6 +104,13 @@ def test_random_unit_points_are_exact_units():
         for point in random_unit_points(n, 25, seed=n):
             assert len(point) == n
             assert sum(c * c for c in point) == 1
+
+
+def test_random_unit_points_match_the_fraction_projection():
+    for n in (1, 2, 16, 48, 128, 512):
+        points = random_unit_points(n, 25, seed=n)
+        assert points == fraction_unit_points(n, 25, seed=n)
+        assert all(type(c) is Fraction for point in points for c in point)
 
 
 def test_pointwise_on_25_random_points_all_orders():
