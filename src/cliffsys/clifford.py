@@ -16,6 +16,7 @@ involutions on R^N, N = 2 delta(m), built by one induction:
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 
 from .algebras import OCTONION_LABELS, left_mult, right_mult
 from .exactmat import (
@@ -72,9 +73,6 @@ class CliffordSystem(Record):
             raise ValueError("bad class tag")
         super().__init__(m, n, generators, class_tag)
 
-    def composition(self, alpha: int, beta: int) -> SignedPermMatrix:
-        return self.generators[alpha].mul(self.generators[beta])
-
     def compositions(self) -> list[SignedPermMatrix]:
         """All P_a P_b with a < b."""
         return pairwise_products(self.generators)
@@ -97,7 +95,7 @@ class CliffordRepresentation(Record):
     def validate(self) -> None:
         ms = self.matrices
         for i, e in enumerate(ms):
-            if not (e.is_skew() and e.is_complex_structure()):
+            if not e.is_complex_structure():
                 raise ValueError(f"E_{i + 1} is not a skew complex structure")
         for i in range(len(ms)):
             for j in range(i + 1, len(ms)):
@@ -106,6 +104,11 @@ class CliffordRepresentation(Record):
 
 
 class VerifyReport(Record):
+    """Outcome of `verify`.  A signed permutation is symmetric exactly when
+    it is an involution, so `symmetric` and `involutions` are always equal;
+    both stay because the JSON report has carried both fields from the
+    start and its readers look for each."""
+
     __slots__ = ("symmetric", "involutions", "anticommuting", "irreducible_dimension",
                  "first_failure")
 
@@ -232,31 +235,23 @@ def tilde(m: int) -> CliffordSystem:
 
 
 def verify(system: CliffordSystem) -> VerifyReport:
-    """Check symmetry, involutivity, pairwise anticommutation and N = 2 delta(m)."""
+    """Check symmetry (for a signed permutation, the same as involutivity),
+    pairwise anticommutation and N = 2 delta(m)."""
     gens = system.generators
-    symmetric = True
-    involutions = True
-    anticommuting = True
-    failure = None
-    for i, g in enumerate(gens):
-        if not g.is_symmetric():
-            symmetric = False
-            failure = failure or f"generator {i} is not symmetric"
-        if not g.is_involution():
-            involutions = False
-            failure = failure or f"generator {i} is not an involution"
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            if not gens[i].anticommutes(gens[j]):
-                anticommuting = False
-                failure = failure or f"generators {i}, {j} do not anticommute"
-                break
-        if not anticommuting:
-            break
+    asymmetric = next((i for i, g in enumerate(gens) if not g.is_involution()), None)
+    clash = next(((i, j) for (i, a), (j, b) in combinations(enumerate(gens), 2)
+                  if not a.anticommutes(b)), None)
     irreducible = system.n == 2 * delta(system.m)
-    if not irreducible:
-        failure = failure or f"N = {system.n} != 2 delta({system.m})"
-    return VerifyReport(symmetric, involutions, anticommuting, irreducible, failure)
+    if asymmetric is not None:
+        failure = f"generator {asymmetric} is not symmetric"
+    elif clash is not None:
+        failure = "generators {}, {} do not anticommute".format(*clash)
+    elif not irreducible:
+        failure = f"N = {system.n} != 2 delta({system.m})"
+    else:
+        failure = None
+    symmetric = asymmetric is None
+    return VerifyReport(symmetric, symmetric, clash is None, irreducible, failure)
 
 
 def class_trace(system: CliffordSystem) -> int:

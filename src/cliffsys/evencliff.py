@@ -41,11 +41,16 @@ class EvenCliffordStructure(Record):
         return pairwise_products(self.generators())
 
     def validate(self) -> None:
+        gens = self.generators()
+        if len(gens) != self.rank:
+            raise ValueError(f"rank {self.rank} != {len(gens)} generators")
+        if any(g.n != self.n for g in gens):
+            raise ValueError(f"generators must act on R^{self.n}")
         for i, c in enumerate(self.complex_generators):
-            if not (c.is_skew() and c.is_complex_structure()):
+            if not c.is_complex_structure():
                 raise ValueError(f"complex generator {i} invalid")
         for i, s in enumerate(self.symmetric_generators):
-            if not (s.is_symmetric() and s.is_involution()):
+            if not s.is_involution():
                 raise ValueError(f"symmetric generator {i} invalid")
         for c in self.complex_generators:
             for s in self.symmetric_generators:
@@ -57,7 +62,7 @@ class EvenCliffordStructure(Record):
                 if not syms[i].anticommutes(syms[j]):
                     raise ValueError(f"involutions {i}, {j} do not anticommute")
         for p in self.pairwise_products():
-            if not p.is_skew():
+            if not p.is_complex_structure():
                 raise ValueError("a pairwise product is not skew")
 
 
@@ -95,7 +100,7 @@ def involution_span_obstruction() -> bool:
     candidates = []
     for m in list(e10.generators()) + e10.pairwise_products():
         for signed in (m, -m):
-            if signed.is_symmetric() and signed.is_involution():
+            if signed.is_involution():
                 candidates.append(signed)
     best = _max_anticommuting(candidates)
     return best < 10

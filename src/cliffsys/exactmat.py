@@ -3,9 +3,12 @@
 Every generator handled by the package has exactly one nonzero entry, equal
 to +-1, in each row and column.  Such matrices are closed under products
 and Kronecker products, so compositions stay O(n) and exact up to order
-256.  Every block shape of the construction is one `kron`: sigma_1 (x) A,
-sigma_3 (x) A, J (x) A, Id (x) A or A (x) Id.  Dense rational matrices
-only hold the Spin(9) involutions at rational points of the sphere.
+256.  They are orthogonal, M^T = M^-1, so M is symmetric exactly when
+M^2 = Id and skew exactly when M^2 = -Id: the sign of the square is the
+one test of both Clifford relations.  Every block shape of the
+construction is one `kron`: sigma_1 (x) A, sigma_3 (x) A, J (x) A,
+Id (x) A or A (x) Id.  Dense rational matrices only hold the Spin(9)
+involutions at rational points of the sphere.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here can be shared freely across threads.
@@ -19,10 +22,6 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 if TYPE_CHECKING:  # imported where it is used, so signed-permutation work runs without it
     from fractions import Fraction
-
-SYMMETRIC_INVOLUTION = "symmetric-involution"
-SKEW_COMPLEX_STRUCTURE = "skew-complex-structure"
-NEITHER = "neither"
 
 
 class Record:
@@ -178,22 +177,6 @@ class SignedPermMatrix(Record):
     def __neg__(self) -> "SignedPermMatrix":
         return SignedPermMatrix._trusted(self.n, self.perm, tuple([-s for s in self.signs]))
 
-    def is_symmetric(self) -> bool:
-        return all(
-            self.perm[self.perm[a]] == a
-            and self.signs[self.perm[a]] == self.signs[a]
-            for a in range(self.n)
-        )
-
-    def is_skew(self) -> bool:
-        # no diagonal entry survives skewness, so perm must be fixed-point free
-        return all(
-            self.perm[a] != a
-            and self.perm[self.perm[a]] == a
-            and self.signs[self.perm[a]] == -self.signs[a]
-            for a in range(self.n)
-        )
-
     def _square_sign(self) -> int:
         """s if the square is s * Id (s = +-1), else 0; read column by column."""
         perm, signs = self.perm, self.signs
@@ -203,17 +186,14 @@ class SignedPermMatrix(Record):
         return square.pop() if len(square) == 1 else 0
 
     def is_involution(self) -> bool:
+        """M^2 = Id; for an orthogonal M that is the same as M^T = M, so this
+        is also the symmetry test."""
         return self._square_sign() == 1
 
     def is_complex_structure(self) -> bool:
+        """M^2 = -Id; for an orthogonal M that is the same as M^T = -M, so
+        this is also the skewness test."""
         return self._square_sign() == -1
-
-    def classify(self) -> str:
-        if self.is_symmetric() and self.is_involution():
-            return SYMMETRIC_INVOLUTION
-        if self.is_skew() and self.is_complex_structure():
-            return SKEW_COMPLEX_STRUCTURE
-        return NEITHER
 
     def _commutation_sign(self, other: "SignedPermMatrix") -> int:
         """s if self @ other = s * other @ self (s = +-1), else 0; read column

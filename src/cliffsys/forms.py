@@ -19,7 +19,7 @@ from operator import getitem, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import kernel
-from .exactmat import SignedPermMatrix, SKEW_COMPLEX_STRUCTURE
+from .exactmat import SignedPermMatrix
 
 
 def _coeff(c):
@@ -269,7 +269,7 @@ def kaehler_form(j: SignedPermMatrix) -> KForm:
     omega(X, Y) = <X, JY>; it is fixed by the convention-resolution test
     against the C_4 composition R_i.
     """
-    if j.classify() != SKEW_COMPLEX_STRUCTURE:
+    if not j.is_complex_structure():
         raise ValueError("kaehler_form needs a skew complex structure")
     acc: dict[int, object] = {}
     for b in range(j.n):
@@ -643,11 +643,6 @@ def _bit_table(n: int, index_lists: list) -> dict[int, int]:
 def _index_token(i: int) -> str:
     block, pos = divmod(i - 1, 8)
     return str(pos + 1) + "'" * block
-
-
-def monomial_token(indices: Sequence[int]) -> str:
-    """Compact token for a monomial: s1234, s121'2', ..."""
-    return "s" + "".join(_index_token(i) for i in indices)
 
 
 def parse_monomial_token(token: str) -> tuple[int, ...]:

@@ -48,7 +48,7 @@ def _upper_vector(mat: SignedPermMatrix, table: list[int]) -> dict[int, int]:
 
 
 def _skew_vector(mat: SignedPermMatrix, table: list[int]) -> dict[int, int]:
-    if not mat.is_skew():
+    if not mat.is_complex_structure():
         raise ValueError("matrix is not skew")
     return _upper_vector(mat, table)
 

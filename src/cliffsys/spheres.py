@@ -51,8 +51,6 @@ class VectorFieldSystem(Record):
         js = self.structures
         if len(js) != self.sigma:
             raise ValueError("field count mismatch")
-        if any(j.n != self.n for j in js):
-            raise ValueError("ambient mismatch")
         CliffordRepresentation(self.n, js).validate()
 
 

@@ -1,7 +1,7 @@
 """Independent brute-force oracles the tests check the library against.
 
-Everything here is deliberately naive: dense integer matrix products and
-direct sums, permutation-sign wedge products, the derivation action letter
+Everything here is deliberately naive: dense integer matrix products,
+transposes and direct sums, permutation-sign wedge products, the derivation action letter
 by letter, determinants expanded over permutations, rational Gaussian
 elimination, and sphere points and sphere-field checks in Fractions.
 """
@@ -32,6 +32,15 @@ def dense_kron(a, b):
     """The Kronecker product of two dense matrices: entry (i * q + k, j * q + l)
     is a[i][j] * b[k][l], q = len(b)."""
     return [[x * y for x in row_a for y in row_b] for row_a in a for row_b in b]
+
+
+def dense_symmetry(rows):
+    """+1 if the dense matrix equals its transpose, -1 if it equals minus its
+    transpose, else 0 (a nonzero matrix is never both)."""
+    transpose = [list(col) for col in zip(*rows)]
+    if rows == transpose:
+        return 1
+    return -1 if rows == [[-v for v in row] for row in transpose] else 0
 
 
 def block_diag(blocks):

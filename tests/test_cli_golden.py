@@ -25,14 +25,16 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 TIMING = re.compile(r": \d+\.\d\ds$", re.M)
 
-# id, argv; {tmp} holds c3.json (gen --m 3) and corrupt.json (gen --m 4 with
-# generator 1 replaced by generator 2)
+# id, argv; {tmp} holds c3.json (gen --m 3), corrupt.json (gen --m 4 with
+# generator 1 replaced by generator 2) and notsym.json (gen --m 4 with
+# generator 1 replaced by the skew product P_0 P_1)
 COMMANDS = [
     ("gen", ["gen", "--m", "3"]),
     ("gen-minus", ["gen", "--m", "12", "--class", "minus"]),
     ("gen-tilde", ["gen", "--m", "8", "--tilde"]),
     ("verify", ["verify", "--in", "{tmp}/c3.json"]),
     ("verify-corrupt", ["verify", "--in", "{tmp}/corrupt.json"]),
+    ("verify-not-symmetric", ["verify", "--in", "{tmp}/notsym.json"]),
     ("rep", ["rep", "--m", "9"]),
     ("form-name", ["form", "--name", "spin9"]),
     ("form-text", ["--format", "text", "form", "--name", "omegaL"]),
@@ -81,6 +83,8 @@ GOLDEN = {
     'gen-tilde': ('c8e165ddf73c9d16617aa59718e02eb11424a5d18a3a9397142d264487147fcc', '', 0),
     'verify': ('fd9384a366c070343613230226dcf2f669144d8e0430abda7fa1b0a0ba45e8da', '', 0),
     'verify-corrupt': ('df873f88584a58e66f3acfc201bcecf4f97e735b735a00b6028f7058c920c69a', '', 2),
+    'verify-not-symmetric': ('68416d46e0a840ad6b633a462b3457df9ae58a4052c685806e9b451c21407f0a',
+        '', 2),
     'rep': ('568b1dfbaffddea927d80092384f147eda60cdd7a476124d56fc5e28be33c12f', '', 0),
     'form-name': ('c92d7ce02fb7503bd8ab3123af700791b0dd19faf8661970dd081cf95e5e4245', '', 0),
     'form-text': ('d2305609b7984bc0056a909075836dd7dea0e460308647558371de991f7e198b', '', 0),
@@ -157,12 +161,20 @@ GOLDEN = {
 def make_inputs(tmp):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     cli = [sys.executable, "-m", "cliffsys.cli"]
-    for m, name in ((3, "c3.json"), (4, "corrupt.json")):
+    for m, name in ((3, "c3.json"), (4, "c4.json")):
         subprocess.run([*cli, "--out", f"{tmp}/{name}", "gen", "--m", str(m)], env=env, check=True)
-    corrupt = Path(tmp, "corrupt.json")
-    data = json.loads(corrupt.read_text())
-    data["generators"][1] = data["generators"][2]
-    corrupt.write_text(json.dumps(data))
+    data = json.loads(Path(tmp, "c4.json").read_text())
+    gens = data["generators"]
+    p0, p1 = gens[:2]
+    for name, replacement in (("corrupt.json", gens[2]), ("notsym.json", product(p0, p1))):
+        Path(tmp, name).write_text(json.dumps({**data, "generators": [p0, replacement, *gens[2:]]}))
+
+
+def product(a, b):
+    """The product a b of two signed permutations in their JSON form."""
+    image = {col: (row, value) for row, col, value in a["entries"]}
+    entries = [[image[mid][0], col, image[mid][1] * value] for mid, col, value in b["entries"]]
+    return {"n": a["n"], "entries": sorted(entries)}
 
 
 def run(argv, tmp, pure):

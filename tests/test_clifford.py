@@ -21,14 +21,13 @@ from cliffsys.clifford import (
 )
 from cliffsys.algebras import left_mult, right_mult
 from cliffsys.exactmat import (
-    SKEW_COMPLEX_STRUCTURE,
     SignedPermMatrix,
     antidiag,
     diag_split,
     swap,
 )
 
-from oracles import block_diag
+from oracles import block_diag, dense_symmetry
 
 
 DELTA_ROW = {1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 6: 8, 7: 8, 8: 8,
@@ -156,10 +155,23 @@ def test_verify_flags_reducible_dimension():
     assert not report.irreducible_dimension
 
 
+def test_verify_stops_at_the_first_clash(monkeypatch):
+    # 9,001 copies of the swap: all symmetric, and the first pair already
+    # commutes, so verify tests one pair, not 40 million
+    calls = []
+    anticommutes = SignedPermMatrix.anticommutes
+    monkeypatch.setattr(SignedPermMatrix, "anticommutes",
+                        lambda a, b: calls.append(1) or anticommutes(a, b))
+    report = verify(CliffordSystem(9000, 2, (swap(1),) * 9001, "n/a"))
+    assert report.symmetric and report.involutions and not report.anticommuting
+    assert report.first_failure == "generators 0, 1 do not anticommute"
+    assert len(calls) == 1
+
+
 def test_compositions_are_skew_complex_structures():
     for m in (4, 8):
         for comp in build(m).compositions():
-            assert comp.classify() == SKEW_COMPLEX_STRUCTURE
+            assert dense_symmetry(comp.dense()) == -1 and comp.is_complex_structure()
 
 
 def test_triple_compositions_are_skew_complex_structures():
@@ -168,7 +180,8 @@ def test_triple_compositions_are_skew_complex_structures():
         for b in range(a + 1, 9):
             for c in range(b + 1, 9):
                 triple = gens[a].mul(gens[b]).mul(gens[c])
-                assert triple.classify() == SKEW_COMPLEX_STRUCTURE
+                assert dense_symmetry(triple.dense()) == -1
+                assert triple.is_complex_structure()
 
 
 def test_to_representation_of_pauli_system():

@@ -2,6 +2,7 @@ import pytest
 
 from cliffsys.clifford import ESSENTIAL, NON_ESSENTIAL, UNDETERMINED, build
 from cliffsys.evencliff import (
+    EvenCliffordStructure,
     _max_anticommuting,
     build_e10,
     classify,
@@ -9,9 +10,10 @@ from cliffsys.evencliff import (
     psi_d,
     tau4_psi_d,
 )
-from cliffsys.exactmat import SKEW_COMPLEX_STRUCTURE
 from cliffsys.forms import kaehler_form, lie_action
 from cliffsys.liealg import MatrixSpan
+
+from oracles import dense_symmetry
 
 
 def test_e10_invariants():
@@ -21,11 +23,23 @@ def test_e10_invariants():
     assert len(e10.pairwise_products()) == 45
 
 
+@pytest.mark.parametrize("rank, n, message", [
+    (12, 32, r"rank 12 != 10 generators"),
+    (10, 64, r"generators must act on R\^64"),
+])
+def test_validate_checks_rank_and_order(rank, n, message):
+    e10 = build_e10()
+    structure = EvenCliffordStructure(rank, n, e10.complex_generators, e10.symmetric_generators)
+    with pytest.raises(ValueError, match=message):
+        structure.validate()
+
+
 def test_products_are_skew_complex_structures():
     e10 = build_e10()
     cplx = e10.complex_generators[0]
     for s in e10.symmetric_generators:
-        assert cplx.mul(s).classify() == SKEW_COMPLEX_STRUCTURE
+        product = cplx.mul(s)
+        assert dense_symmetry(product.dense()) == -1 and product.is_complex_structure()
 
 
 def test_product_span_is_45_dim_and_closed():
@@ -71,7 +85,7 @@ def test_anticommuting_search_finds_the_largest_family():
     # the rank-10 candidates are the 18 matrices +-S_alpha: 9 up to sign
     e10 = build_e10()
     candidates = [s for m in list(e10.generators()) + e10.pairwise_products()
-                  for s in (m, -m) if s.is_symmetric() and s.is_involution()]
+                  for s in (m, -m) if dense_symmetry(s.dense()) == 1]
     sym = e10.symmetric_generators
     assert len(candidates) == 18
     assert set(candidates) == set(sym) | {-s for s in sym}

@@ -1,14 +1,12 @@
 import copy
 import pickle
 import random
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cliffsys.exactmat import (
-    NEITHER,
-    SKEW_COMPLEX_STRUCTURE,
-    SYMMETRIC_INVOLUTION,
     RationalMatrix,
     SignedPermMatrix,
     antidiag,
@@ -22,7 +20,7 @@ from cliffsys.clifford import CliffordRepresentation, CliffordSystem, VerifyRepo
 from cliffsys.evencliff import EvenCliffordRecord, EvenCliffordStructure
 from cliffsys.spheres import VectorFieldSystem
 
-from oracles import block_diag, dense_kron, dense_mul
+from oracles import block_diag, dense_kron, dense_mul, dense_symmetry
 
 
 def random_spm(rng, n):
@@ -90,13 +88,13 @@ def test_mul_rejects_order_mismatch():
 
 
 def test_classify_examples():
-    assert swap(2).classify() == SYMMETRIC_INVOLUTION
-    assert N01.classify() == SKEW_COMPLEX_STRUCTURE
     r_e64 = right_mult("e", 8).kron(SignedPermMatrix.identity(8))
-    assert r_e64.classify() == SKEW_COMPLEX_STRUCTURE
-    assert N0.mul(diag_split(1)).classify() == SKEW_COMPLEX_STRUCTURE
     shift = SignedPermMatrix(3, (1, 2, 0), (1, 1, 1))
-    assert shift.classify() == NEITHER
+    examples = [(swap(2), 1), (N01, -1), (r_e64, -1), (N0.mul(diag_split(1)), -1), (shift, 0)]
+    for mat, symmetry in examples:
+        assert dense_symmetry(mat.dense()) == symmetry
+        assert mat.is_involution() == (symmetry == 1)
+        assert mat.is_complex_structure() == (symmetry == -1)
 
 
 def test_anticommutes():
@@ -157,8 +155,21 @@ def test_commutation_tests_agree_with_products(pair):
     assert a.commutes(b) == (ab == ba) == b.commutes(a)
     assert a.anticommutes(b) == (ab == -ba) == b.anticommutes(a)
     ident = SignedPermMatrix.identity(a.n)
-    assert a.is_involution() == (a.mul(a) == ident)
-    assert a.is_complex_structure() == (a.mul(a) == -ident)
+    assert a.is_involution() == (a.mul(a) == ident) == (a == a.transpose())
+    assert a.is_complex_structure() == (a.mul(a) == -ident) == (a == -a.transpose())
+
+
+def test_square_sign_is_the_symmetry_of_every_small_signed_permutation():
+    # a signed permutation is orthogonal, so M^2 = Id iff M^T = M and
+    # M^2 = -Id iff M^T = -M: checked on all 4,282 of order 1..5
+    for n in range(1, 6):
+        ident = SignedPermMatrix.identity(n)
+        for perm in permutations(range(n)):
+            for signs in product((1, -1), repeat=n):
+                a = SignedPermMatrix(n, perm, signs)
+                square, symmetry = a.mul(a), dense_symmetry(a.dense())
+                assert a.is_involution() == (square == ident) == (symmetry == 1)
+                assert a.is_complex_structure() == (square == -ident) == (symmetry == -1)
 
 
 def test_trace_of_full_generator_product():
@@ -184,7 +195,7 @@ def test_block_helpers():
     ]
     d = block_diag([N01, N01, N01])
     assert d.n == 6
-    assert d.classify() == SKEW_COMPLEX_STRUCTURE
+    assert dense_symmetry(d.dense()) == -1 and d.is_complex_structure()
 
 
 def test_kron():

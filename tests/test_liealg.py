@@ -77,9 +77,10 @@ def test_not_closed_example():
 
 
 def test_contains():
+    gens = build(4).generators
     span = MatrixSpan(build(4).compositions())
-    assert span.contains(build(4).composition(0, 3))
-    assert span.contains(-build(4).composition(1, 2))
+    assert span.contains(gens[0].mul(gens[3]))
+    assert span.contains(-gens[1].mul(gens[2]))
 
 
 def test_echelon_is_deterministic():

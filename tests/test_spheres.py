@@ -217,7 +217,7 @@ def test_validate_rejects_each_broken_system():
     identity = SignedPermMatrix.identity(16)
     for system, message in [
         (VectorFieldSystem(16, good.sigma + 1, js), "field count mismatch"),
-        (VectorFieldSystem(32, good.sigma, js), "ambient mismatch"),
+        (VectorFieldSystem(32, good.sigma, js), r"matrices must act on R\^delta"),
         (VectorFieldSystem(16, good.sigma, (identity,) + js[1:]), "not a skew complex structure"),
         (VectorFieldSystem(16, good.sigma, (js[0],) * 2 + js[2:]), "do not anticommute"),
     ]:
