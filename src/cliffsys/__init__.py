@@ -21,7 +21,6 @@ _EXPORTS = {
     "RationalMatrix": "exactmat",
     "SignedPermMatrix": "exactmat",
     "algebra_table": "algebras",
-    "bracket_closed": "liealg",
     "build": "clifford",
     "canonical_form": "forms",
     "class_trace": "clifford",
@@ -36,14 +35,12 @@ _EXPORTS = {
     "lie_action": "forms",
     "psi_matrix": "forms",
     "right_mult": "algebras",
-    "span_dim": "liealg",
     "spin9_symmetric": "algebras",
     "tau": "forms",
     "tilde": "clifford",
     "triple_span_decomposition": "liealg",
     "to_representation": "clifford",
     "verify": "clifford",
-    "wedge": "forms",
 }
 
 __all__ = list(_EXPORTS)

@@ -13,7 +13,8 @@
  * slot, so the degree-0 monomial (mask 0) is kept in its own field.
  *
  * Terms are returned as a Terms: an immutable block of (uint64 mask, int64
- * coeff) pairs in wire order, the order of the JSON documents.  Only this
+ * coeff) pairs in wire order, the order of the JSON documents, and a plain
+ * sequence with no equality of its own: compare list(terms).  Only this
  * kernel makes one, and it never leaves the process.  Every entry point
  * reads a Terms's block as it is, and any other sequence of (mask, coeff)
  * pairs by copying it.
@@ -389,21 +390,6 @@ Terms_item(TermsObject *self, Py_ssize_t i)
     return term_tuple(self->pairs[i].key, self->pairs[i].val);
 }
 
-/* Equal to a Terms, list or tuple of the same pairs in the same order. */
-static PyObject *
-Terms_richcompare(PyObject *self, PyObject *other, int op)
-{
-    if ((op != Py_EQ && op != Py_NE)
-        || !(PyList_Check(other) || PyTuple_Check(other) || Py_IS_TYPE(other, &TermsType)))
-        Py_RETURN_NOTIMPLEMENTED;
-    PyObject *a = PySequence_List(self);
-    PyObject *b = a ? PySequence_List(other) : NULL;
-    PyObject *out = b ? PyObject_RichCompare(a, b, op) : NULL;
-    Py_XDECREF(a);
-    Py_XDECREF(b);
-    return out;
-}
-
 static PySequenceMethods Terms_as_sequence = {
     .sq_length = (lenfunc)Terms_length,
     .sq_item = (ssizeargfunc)Terms_item,
@@ -417,7 +403,6 @@ static PyTypeObject TermsType = {
     .tp_itemsize = sizeof(slot_t),
     .tp_flags = Py_TPFLAGS_DEFAULT,
     .tp_as_sequence = &Terms_as_sequence,
-    .tp_richcompare = Terms_richcompare,
     .tp_hash = PyObject_HashNotImplemented,
 };
 

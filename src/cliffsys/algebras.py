@@ -1,11 +1,14 @@
 """Multiplication operators of R, C, H and O.
 
-The octonion product is *defined* by the displayed right-multiplication
-matrices R_i ... R_h (x * u := R_u x); the basis multiplication table and
-all left multiplications are derived from them.  R, C and H are the
-subalgebras spanned by the first 1, 2 and 4 basis vectors, so their
-operators are the octonionic ones restricted to those coordinates.  A
-Cayley-Dickson doubling cross-check lives in the test suite.
+The octonion product is *defined* by the three displayed quaternionic
+right multiplications R_i, R_j, R_k (x * u := R_u x); everything else is
+derived.  The quaternionic left multiplications are read off them, the
+octonionic R_u are block matrices of both, and the basis multiplication
+table and the octonionic left multiplications are read off the R_u.  R, C
+and H are the subalgebras spanned by the first 1, 2 and 4 basis vectors,
+so their operators are the octonionic ones restricted to those
+coordinates.  A Cayley-Dickson doubling cross-check lives in the test
+suite.
 """
 
 from __future__ import annotations
@@ -20,44 +23,37 @@ if TYPE_CHECKING:  # imported where it is used, so signed-permutation work runs 
 
 OCTONION_LABELS = ("1", "i", "j", "k", "e", "f", "g", "h")
 
-_RH_I = SignedPermMatrix.from_dense(
-    [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
-)
-_RH_J = SignedPermMatrix.from_dense(
-    [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]]
-)
-_RH_K = SignedPermMatrix.from_dense(
-    [[0, 0, 0, -1], [0, 0, 1, 0], [0, -1, 0, 0], [1, 0, 0, 0]]
-)
-_LH_I = SignedPermMatrix.from_dense(
-    [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
-)
-_LH_J = SignedPermMatrix.from_dense(
-    [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]]
-)
-_LH_K = SignedPermMatrix.from_dense(
-    [[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
-)
+
+def _left_from_right(right: dict[str, SignedPermMatrix]) -> dict[str, SignedPermMatrix]:
+    """The left multiplications L_u of the algebra whose right multiplications
+    are `right`, column by column: u * e_a = R_{e_a} u."""
+    n = len(right)
+    left = {}
+    for iu, u in enumerate(right):
+        cols = [r.apply(iu) for r in right.values()]
+        left[u] = SignedPermMatrix(n, tuple(c for c, _ in cols), tuple(s for _, s in cols))
+    return left
+
+
+_RIGHT4 = {
+    "1": SignedPermMatrix.identity(4),
+    "i": SignedPermMatrix.from_dense([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]),
+    "j": SignedPermMatrix.from_dense([[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]]),
+    "k": SignedPermMatrix.from_dense([[0, 0, 0, -1], [0, 0, 1, 0], [0, -1, 0, 0], [1, 0, 0, 0]]),
+}
+_LEFT4 = _left_from_right(_RIGHT4)
 
 _RIGHT8 = {
     "1": SignedPermMatrix.identity(8),
-    "i": split(_RH_I),
-    "j": split(_RH_J),
-    "k": split(_RH_K),
+    "i": split(_RIGHT4["i"]),
+    "j": split(_RIGHT4["j"]),
+    "k": split(_RIGHT4["k"]),
     "e": antidiag(SignedPermMatrix.identity(4)),
-    "f": cross(_LH_I),
-    "g": cross(_LH_J),
-    "h": cross(_LH_K),
+    "f": cross(_LEFT4["i"]),
+    "g": cross(_LEFT4["j"]),
+    "h": cross(_LEFT4["k"]),
 }
-
-
-def _left_from_right(iu: int) -> SignedPermMatrix:
-    """L_u, column by column: u * e_a = R_{e_a} u."""
-    cols = [_RIGHT8[label].apply(iu) for label in OCTONION_LABELS]
-    return SignedPermMatrix(8, tuple(c for c, _ in cols), tuple(s for _, s in cols))
-
-
-_LEFT8 = {u: _left_from_right(iu) for iu, u in enumerate(OCTONION_LABELS)}
+_LEFT8 = _left_from_right(_RIGHT8)
 
 
 class AlgebraTable(Record):
@@ -77,10 +73,6 @@ class AlgebraTable(Record):
             if table[(0, a)] != (a, 1) or table[(a, 0)] != (a, 1):
                 raise ValueError("e_1 must be a two-sided unit")
         super().__init__(dim, labels, table)
-
-    def product(self, a: int, b: int) -> tuple[int, int]:
-        """Index/sign of e_a * e_b (0-based indices)."""
-        return self.table[(a, b)]
 
     def text_grid(self) -> str:
         """Multiplication table as a text grid, rows = left factor."""
@@ -133,50 +125,26 @@ def left_mult(u: str, dim: int = 8) -> SignedPermMatrix:
     return _restrict(_LEFT8, u, dim)
 
 
-def octonion_conjugate(u: Sequence[Fraction]) -> list[Fraction]:
-    from fractions import Fraction
-
-    return [Fraction(u[0])] + [-Fraction(c) for c in u[1:]]
-
-
-def right_mult_general(u: Sequence[Fraction]) -> RationalMatrix:
-    """Right multiplication by a general octonion with rational coordinates."""
-    from fractions import Fraction
-
-    if len(u) != 8:
-        raise ValueError("octonion needs 8 coordinates")
-    rows = [[Fraction(0)] * 8 for _ in range(8)]
-    for b, coeff in enumerate(u):
-        coeff = Fraction(coeff)
-        if not coeff:
-            continue
-        ru = _RIGHT8[OCTONION_LABELS[b]]
-        for a in range(8):
-            c, s = ru.apply(a)
-            rows[c][a] += s * coeff
-    return RationalMatrix(rows)
-
-
 def spin9_symmetric(u: Sequence[Fraction], r: Fraction) -> RationalMatrix:
-    """Symmetric involution [[r, R_ubar], [R_u, -r]] of a unit vector u + r.
+    """The symmetric involution sum_b x_b P_b of the unit vector
+    x = (u_0, ..., u_7, r) of R^9, P_0 .. P_8 the generators of C_8; in
+    blocks it is [[r, R_ubar], [R_u, -r]].
 
     u is an octonion with rational coordinates, r a rational, and
     u*ubar + r^2 must equal 1 exactly.
     """
     from fractions import Fraction
 
-    u = [Fraction(c) for c in u]
-    r = Fraction(r)
-    norm = sum(c * c for c in u) + r * r
+    from .clifford import build
+
+    if len(u) != 8:
+        raise ValueError("octonion needs 8 coordinates")
+    x = [Fraction(c) for c in u] + [Fraction(r)]
+    norm = sum(c * c for c in x)
     if norm != 1:
         raise ValueError(f"u*ubar + r^2 = {norm} != 1")
-    ru = right_mult_general(u)
-    rubar = right_mult_general(octonion_conjugate(u))
-    rows = []
-    for i in range(8):
-        rows.append(
-            [r if j == i else Fraction(0) for j in range(8)] + list(rubar.rows[i])
-        )
-    for i in range(8):
-        rows.append(list(ru.rows[i]) + [-r if j == i else Fraction(0) for j in range(8)])
+    rows = [[Fraction(0)] * 16 for _ in range(16)]
+    for coeff, p in zip(x, build(8).generators):
+        for a, (row, sign) in enumerate(zip(p.perm, p.signs)):
+            rows[row][a] += sign * coeff
     return RationalMatrix(rows)

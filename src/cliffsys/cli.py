@@ -224,6 +224,7 @@ def _cmd_form(args) -> int:
 
 def _cmd_liealg(args) -> int:
     from .clifford import build
+    from .exactmat import pairwise_products
     from .liealg import MatrixSpan, commutant_dim, normalizer_dim, triple_span_decomposition
 
     label = args.system
@@ -240,10 +241,10 @@ def _cmd_liealg(args) -> int:
     span = None
     for token in checks:
         if token == "span":
-            span = span or MatrixSpan(system.compositions())
+            span = span or MatrixSpan(pairwise_products(system.generators))
             report["spanDim"] = span.rank
         elif token == "bracket":
-            span = span or MatrixSpan(system.compositions())
+            span = span or MatrixSpan(pairwise_products(system.generators))
             report["bracketClosed"] = span.bracket_closed()
         elif token == "commutant":
             report["commutantDim"] = commutant_dim(system.generators)

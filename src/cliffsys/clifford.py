@@ -27,7 +27,6 @@ from .exactmat import (
     diag_split,
     matrix_from_json,
     matrix_to_json,
-    pairwise_products,
     split,
     swap,
 )
@@ -73,10 +72,6 @@ class CliffordSystem(Record):
             raise ValueError("bad class tag")
         super().__init__(m, n, generators, class_tag)
 
-    def compositions(self) -> list[SignedPermMatrix]:
-        """All P_a P_b with a < b."""
-        return pairwise_products(self.generators)
-
 
 class CliffordRepresentation(Record):
     """Anticommuting skew complex structures E_1, ..., E_{m-1} on R^delta."""
@@ -87,10 +82,6 @@ class CliffordRepresentation(Record):
         if any(e.n != delta for e in matrices):
             raise ValueError("matrices must act on R^delta")
         super().__init__(delta, matrices)
-
-    @property
-    def count(self) -> int:
-        return len(self.matrices)
 
     def validate(self) -> None:
         ms = self.matrices
@@ -299,7 +290,7 @@ def from_representation(rep: CliffordRepresentation) -> CliffordSystem:
     """Clifford system on R^{2 delta}: P_0(u,v) = (v,u),
     P_a(u,v) = (-E_a v, E_a u), P_m(u,v) = (u,-v)."""
     rep.validate()
-    return _canonical_system(rep.count + 1, _from_structures(rep.delta, rep.matrices))
+    return _canonical_system(len(rep.matrices) + 1, _from_structures(rep.delta, rep.matrices))
 
 
 def classify_essential(m: int) -> str:

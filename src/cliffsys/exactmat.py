@@ -163,8 +163,6 @@ class SignedPermMatrix(Record):
         signs = tuple([s * ss[b] for b, s in zip(op, os_)])
         return SignedPermMatrix._trusted(self.n, perm, signs)
 
-    __matmul__ = mul
-
     def transpose(self) -> "SignedPermMatrix":
         n = self.n
         perm = [0] * n
@@ -223,9 +221,6 @@ class SignedPermMatrix(Record):
         perm = tuple([p * q + b for p in self.perm for b in op])
         signs = tuple([s * t for s in self.signs for t in os_])
         return SignedPermMatrix._trusted(self.n * q, perm, signs)
-
-    def to_rational(self) -> "RationalMatrix":
-        return RationalMatrix.from_rows(self.dense())
 
 
 _SIGMA1 = SignedPermMatrix.from_dense([[0, 1], [1, 0]])
@@ -350,8 +345,6 @@ class RationalMatrix:
         return RationalMatrix(
             [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
         )
-
-    __matmul__ = mul
 
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix([list(col) for col in zip(*self.rows)])

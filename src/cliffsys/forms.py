@@ -193,13 +193,6 @@ class KForm:
             return KForm.zero(self.n, self.k)
         return KForm(self.n, self.k, {m: v * c for m, v in self._terms.items()})
 
-    def __mul__(self, c):
-        if isinstance(c, (int, Fraction)):
-            return self.scale(c)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
     def _need_match(self, other: "KForm"):
         if self.n != other.n:
             raise ValueError("ambient dimension mismatch")
@@ -246,10 +239,6 @@ class KForm:
                 new |= 1 << (pos[i] - 1)
             acc[new] = acc.get(new, 0) + c
         return KForm(len(idx), self.k, acc)
-
-
-def wedge(a: KForm, b: KForm) -> KForm:
-    return a.wedge(b)
 
 
 def hodge_star(a: KForm) -> KForm:

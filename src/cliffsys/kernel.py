@@ -17,10 +17,11 @@ Terms travel as sequences of (mask, coeff) pairs.  The pure kernel returns
 lists of tuples.  The C kernel returns a `Terms`, also exported: an
 immutable block of (uint64 mask, int64 coeff) pairs in wire order (the
 lexicographic order of index tuples), whose `len` is the term count and
-whose items are (mask, coeff) tuples.  `items()`, `signed_perm_action` and
-`form_json_terms` return one, and only they make one, so a `Terms` never
-leaves the process; every C entry point reads a `Terms` without converting
-it and copies any other sequence of pairs.  A `forms.KForm` made from
+whose items are (mask, coeff) tuples.  It is a plain sequence with no
+equality of its own, so compare `list(terms)`.  `items()`,
+`signed_perm_action` and `form_json_terms` return one, and only they make
+one, so a `Terms` never leaves the process; every C entry point reads a
+`Terms` without converting it and copies any other sequence of pairs.  A `forms.KForm` made from
 kernel output keeps the sequence as it came and builds its {mask: coeff}
 dict only when Python code first needs it, so a form read, acted on,
 counted and written on the C kernel never has one.

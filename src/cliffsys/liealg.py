@@ -218,15 +218,6 @@ class MatrixSpan:
         return True
 
 
-def span_dim(matrices: Sequence[SignedPermMatrix]) -> int:
-    """Exact rank over Q of the vectorized skew family."""
-    return MatrixSpan(matrices).rank
-
-
-def bracket_closed(matrices: Sequence[SignedPermMatrix]) -> bool:
-    return MatrixSpan(matrices).bracket_closed()
-
-
 def triple_span_decomposition(
     generators: Sequence[SignedPermMatrix],
 ) -> tuple[int, int, bool, int]:

@@ -3,7 +3,8 @@
 Everything here is deliberately naive: dense integer matrix products,
 transposes and direct sums, permutation-sign wedge products, the derivation action letter
 by letter, determinants expanded over permutations, rational Gaussian
-elimination, and sphere points and sphere-field checks in Fractions.
+elimination, sphere points and sphere-field checks in Fractions, and the
+Spin(9) involutions as dense octonionic block matrices.
 """
 
 import random
@@ -11,6 +12,7 @@ from fractions import Fraction
 from itertools import permutations
 from operator import mul
 
+from cliffsys.algebras import OCTONION_LABELS, right_mult
 from cliffsys.exactmat import SignedPermMatrix
 from cliffsys.forms import KForm
 
@@ -238,3 +240,32 @@ def fraction_verify_pointwise(system, points):
                 if dot(ja, images[b]) != (1 if a == b else 0):
                     return False
     return True
+
+
+def dense_right_mult(u):
+    """R_u = sum_b u_b R_{e_b}, right multiplication by the octonion with
+    coordinates u, as dense rows of Fractions."""
+    rows = [[Fraction(0)] * 8 for _ in range(8)]
+    for coeff, label in zip(u, OCTONION_LABELS):
+        for row, basis_row in zip(rows, right_mult(label, 8).dense()):
+            for j, v in enumerate(basis_row):
+                if v:
+                    row[j] += coeff * v
+    return rows
+
+
+def spin9_blocks(r, upper, lower):
+    """The dense matrix [[r Id, upper], [lower, -r Id]] of order 16."""
+    scalar = [[Fraction(r) if i == j else Fraction(0) for j in range(8)] for i in range(8)]
+    return ([s + list(row) for s, row in zip(scalar, upper)]
+            + [list(row) + [-v for v in s] for row, s in zip(lower, scalar)])
+
+
+def octonion_conjugate(u):
+    return [u[0]] + [-c for c in u[1:]]
+
+
+def dense_spin9(u, r):
+    """The Spin(9) involution [[r Id, R_ubar], [R_u, -r Id]] of the unit
+    vector (u, r) of R^9, with R_ubar built from the conjugate's coordinates."""
+    return spin9_blocks(r, dense_right_mult(octonion_conjugate(u)), dense_right_mult(u))

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -7,14 +6,13 @@ from cliffsys.algebras import (
     OCTONION_LABELS,
     algebra_table,
     left_mult,
-    octonion_conjugate,
     right_mult,
-    right_mult_general,
     spin9_symmetric,
 )
 from cliffsys.exactmat import RationalMatrix, SignedPermMatrix, antidiag, cross, swap, diag_split
+from cliffsys.spheres import random_unit_points
 
-from oracles import dense_symmetry
+from oracles import dense_right_mult, dense_spin9, dense_symmetry, octonion_conjugate, spin9_blocks
 
 ID4 = SignedPermMatrix.identity(4)
 ID8 = SignedPermMatrix.identity(8)
@@ -91,15 +89,15 @@ def test_multiplications_restrict_to_the_subalgebras(dim):
         right, left = right_mult(u, dim), left_mult(u, dim)
         assert right.n == left.n == dim
         for a in range(dim):
-            assert right.apply(a) == tab.product(a, iu)
-            assert left.apply(a) == tab.product(iu, a)
+            assert right.apply(a) == tab.table[(a, iu)]
+            assert left.apply(a) == tab.table[(iu, a)]
 
 
 def test_table_unit_and_norm():
     tab = algebra_table(8)
     for a in range(8):
-        assert tab.product(0, a) == (a, 1)
-        assert tab.product(a, 0) == (a, 1)
+        assert tab.table[(0, a)] == (a, 1)
+        assert tab.table[(a, 0)] == (a, 1)
     grid = tab.text_grid()
     assert "-1" in grid and grid.count("\n") == 9
 
@@ -127,7 +125,7 @@ def test_table_is_alternative():
     tab = algebra_table(8)
 
     def mul(x, y):
-        c, s = tab.product(x[0], y[0])
+        c, s = tab.table[(x[0], y[0])]
         return (c, x[1] * y[1] * s)
 
     for a in range(8):
@@ -143,7 +141,7 @@ def test_cayley_dickson_cross_check():
     qt = algebra_table(4)
 
     def qmul(x, y):
-        c, s = qt.product(x[0], y[0])
+        c, s = qt.table[(x[0], y[0])]
         return (c, x[1] * y[1] * s)
 
     def qconj(x):
@@ -170,7 +168,7 @@ def test_cayley_dickson_cross_check():
                 # (0,b)(0,d) = (-conj(d) b, 0)
                 c, s = qmul(qconj(pb), pa)
                 expected = (c, -s)
-            assert tab.product(a, b) == expected, (a, b)
+            assert tab.table[(a, b)] == expected, (a, b)
 
 
 def test_block_extension_128_e_matches_doubled_system_composition():
@@ -187,13 +185,13 @@ def test_spin9_symmetric_basis_points():
     u1 = [Fraction(1)] + [Fraction(0)] * 7
     ui = [Fraction(0), Fraction(1)] + [Fraction(0)] * 6
     s8 = spin9_symmetric(zero, Fraction(1))
-    assert s8 == diag_split(8).to_rational()
+    assert s8 == RationalMatrix.from_rows(diag_split(8).dense())
     s0 = spin9_symmetric(u1, Fraction(0))
-    assert s0 == swap(8).to_rational()
+    assert s0 == RationalMatrix.from_rows(swap(8).dense())
     from cliffsys.clifford import build
 
     s1 = build(8).generators[1]
-    assert spin9_symmetric(ui, Fraction(0)) == s1.to_rational()
+    assert spin9_symmetric(ui, Fraction(0)) == RationalMatrix.from_rows(s1.dense())
 
 
 def test_spin9_symmetric_rational_point():
@@ -209,9 +207,6 @@ def test_spin9_symmetric_rejects_non_unit():
 
 
 def test_spin9_symmetric_random_unit_points():
-    rng = random.Random(99)
-    from cliffsys.spheres import random_unit_points
-
     for point in random_unit_points(9, 100, seed=5):
         u, r = list(point[:8]), point[8]
         mat = spin9_symmetric(u, r)
@@ -219,12 +214,37 @@ def test_spin9_symmetric_random_unit_points():
         assert mat.mul(mat) == RationalMatrix.identity(16)
 
 
-def test_right_mult_general_matches_basis_cases():
-    for b, label in enumerate(OCTONION_LABELS):
-        coords = [Fraction(1 if i == b else 0) for i in range(8)]
-        assert right_mult_general(coords) == right_mult(label, 8).to_rational()
+def _spin9_points(seeds):
+    """The 18 signed basis vectors of R^9, then 50 seeded rational unit
+    points per seed."""
+    points = [tuple(Fraction(sign if i == b else 0) for i in range(9))
+              for b in range(9) for sign in (1, -1)]
+    for seed in seeds:
+        points += random_unit_points(9, 50, seed=seed)
+    return points
 
 
-def test_conjugate():
-    u = [Fraction(i) for i in range(8)]
-    assert octonion_conjugate(u) == [Fraction(0)] + [Fraction(-i) for i in range(1, 8)]
+def test_spin9_symmetric_matches_the_block_oracle():
+    points = _spin9_points(range(10))
+    assert len(points) == 518
+    for point in points:
+        u, r = point[:8], point[8]
+        assert spin9_symmetric(u, r).rows == dense_spin9(u, r), point
+
+
+def test_block_oracle_tells_r_u_from_r_ubar():
+    """With R_u and R_ubar swapped the oracle differs exactly at the points
+    whose imaginary part is nonzero, so it does check which block is which."""
+    points = _spin9_points(range(1))
+    assert any(any(p[1:8]) for p in points)
+    for point in points:
+        u, r = point[:8], point[8]
+        swapped = spin9_blocks(r, dense_right_mult(u), dense_right_mult(octonion_conjugate(u)))
+        assert (swapped != spin9_symmetric(u, r).rows) == any(u[1:]), point
+
+
+@pytest.mark.parametrize("length", [7, 9])
+def test_spin9_symmetric_needs_eight_coordinates(length):
+    u = [Fraction(1)] + [Fraction(0)] * (length - 1)  # u*ubar + r^2 = 1 with r = 0
+    with pytest.raises(ValueError, match="^octonion needs 8 coordinates$"):
+        spin9_symmetric(u, Fraction(0))

@@ -24,6 +24,7 @@ from cliffsys.exactmat import (
     SignedPermMatrix,
     antidiag,
     diag_split,
+    pairwise_products,
     swap,
 )
 
@@ -170,7 +171,7 @@ def test_verify_stops_at_the_first_clash(monkeypatch):
 
 def test_compositions_are_skew_complex_structures():
     for m in (4, 8):
-        for comp in build(m).compositions():
+        for comp in pairwise_products(build(m).generators):
             assert dense_symmetry(comp.dense()) == -1 and comp.is_complex_structure()
 
 
@@ -186,14 +187,14 @@ def test_triple_compositions_are_skew_complex_structures():
 
 def test_to_representation_of_pauli_system():
     rep = to_representation(build(2))
-    assert rep.count == 1
+    assert len(rep.matrices) == 1
     assert rep.matrices[0] == SignedPermMatrix.from_dense([[0, -1], [1, 0]])
 
 
 def test_to_representation_counts_and_relations():
     for m in range(2, 10):
         rep = to_representation(build(m))
-        assert rep.count == m - 1
+        assert len(rep.matrices) == m - 1
         assert rep.delta == delta(m)
         rep.validate()
 
@@ -245,7 +246,7 @@ def test_composition_span_is_bracket_closed_spin_image():
     from cliffsys.liealg import MatrixSpan
 
     for m in range(2, 10):
-        span = MatrixSpan(build(m).compositions())
+        span = MatrixSpan(pairwise_products(build(m).generators))
         assert span.rank == m * (m + 1) // 2
         assert span.bracket_closed()
 

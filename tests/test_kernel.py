@@ -145,8 +145,8 @@ def test_compiled_kernel_rejects_oversized_inputs(wc):
 def test_largest_coefficients_are_accepted(wc, c):
     ta, tb = [(1, c), (4, 1)], [(2, c), (8, -c)]
     assert sorted(product(wc, ta, tb)) == sorted(product(_wedge_py, ta, tb))
-    assert square(wc, [(1, c), (2, 1)]) == [(3, 2 * c)]
-    assert wc.signed_perm_action([(1, c)], [1, 0], [1, 1]) == [(2, -c)]
+    assert list(square(wc, [(1, c), (2, 1)])) == [(3, 2 * c)]
+    assert list(wc.signed_perm_action([(1, c)], [1, 0], [1, 1])) == [(2, -c)]
 
 
 @pytest.mark.parametrize("c", [C_MAX + 1, -C_MAX - 1])
@@ -170,7 +170,7 @@ def test_largest_square_product_is_range_checked(wc, monkeypatch):
     with pytest.raises(OverflowError):
         wc.Accumulator().add_square(ta)
     monkeypatch.setattr(kernel, "_impl", wc)
-    assert kernel_square(ta) == [(3, (2**32 - 2) * C_MAX)]
+    assert list(kernel_square(ta)) == [(3, (2**32 - 2) * C_MAX)]
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -178,7 +178,7 @@ def test_accumulator_range_is_open_at_2_62(wc, sign):
     acc = wc.Accumulator()
     acc.add_product([(1, sign * C_MAX)], [(2, C_MAX)])  # 2^62 - 2^32 + 1
     acc.add_product([(1, sign * 2)], [(2, C_MAX)])  # now 2^62 - 1
-    assert acc.items() == [(3, sign * (ACC_LIMIT - 1))]
+    assert list(acc.items()) == [(3, sign * (ACC_LIMIT - 1))]
     with pytest.raises(OverflowError):
         acc.add_product([(1, sign)], [(2, 1)])
 
@@ -186,8 +186,8 @@ def test_accumulator_range_is_open_at_2_62(wc, sign):
 def test_masks_using_bit_63(wc):
     top = 1 << 63
     # merging (64) before (1) takes one transposition
-    assert product(wc, [(top, 3)], [(1, 5)]) == [(top | 1, -15)]
-    assert product(wc, [(1, 3)], [(top, 5)]) == [(top | 1, 15)]
+    assert list(product(wc, [(top, 3)], [(1, 5)])) == [(top | 1, -15)]
+    assert list(product(wc, [(1, 3)], [(top, 5)])) == [(top | 1, 15)]
     ta = [(top | 1, 2), (6, 3), (top | 4, 1), (3 << 61, -7)]
     assert sorted(square(wc, ta)) == sorted(square(_wedge_py, ta))
     perm = list(range(64))
@@ -234,24 +234,24 @@ def test_malformed_terms_and_letters(wc, monkeypatch):
 
 
 def test_mask_zero_is_a_key(wc):
-    assert product(wc, [(0, 3)], [(0, 4)]) == [(0, 12)]
-    assert product(wc, [(0, 2)], [(5, 3)]) == [(5, 6)]
-    assert square(wc, [(0, 3), (0, 4)]) == [(0, 24)]
+    assert list(product(wc, [(0, 3)], [(0, 4)])) == [(0, 12)]
+    assert list(product(wc, [(0, 2)], [(5, 3)])) == [(5, 6)]
+    assert list(square(wc, [(0, 3), (0, 4)])) == [(0, 24)]
     acc = wc.Accumulator()
     acc.add_product([(0, 1)], [(0, 1), (1, 1)])
     acc.add_product([(0, -1)], [(0, 1)])
-    assert acc.items() == [(1, 1)]  # the mask-0 sum cancelled to zero
+    assert list(acc.items()) == [(1, 1)]  # the mask-0 sum cancelled to zero
 
 
 def test_empty_term_lists(wc):
-    assert product(wc, [], [(1, 1)]) == []
-    assert product(wc, [(1, 1)], []) == []
-    assert square(wc, []) == []
-    assert wc.signed_perm_action([], [0, 1], [1, 1]) == []
+    assert list(product(wc, [], [(1, 1)])) == []
+    assert list(product(wc, [(1, 1)], [])) == []
+    assert list(square(wc, [])) == []
+    assert list(wc.signed_perm_action([], [0, 1], [1, 1])) == []
     acc = wc.Accumulator()
     acc.add_product([], [])
     acc.add_square([])
-    assert acc.items() == []
+    assert list(acc.items()) == []
 
 
 # -- batches: the C loops queue pairs and add them to the table in order ------------
@@ -670,9 +670,9 @@ def test_compiled_reader_reads_canonical_integer_documents(wc):
     items = form_to_json(a)["terms"]
     assert dict(wc.form_json_terms(16, 8, items)) == a._terms
     zero_dropped = [{"idx": [1, 2], "c": "0"}, {"idx": [1, 64], "c": str(-WIRE_MAX)}]
-    assert wc.form_json_terms(64, 2, zero_dropped) == [(1 | 1 << 63, -WIRE_MAX)]
-    assert wc.form_json_terms(1, 0, [{"idx": [], "c": "7"}]) == [(0, 7)]
-    assert wc.form_json_terms(3, 1, []) == []
+    assert list(wc.form_json_terms(64, 2, zero_dropped)) == [(1 | 1 << 63, -WIRE_MAX)]
+    assert list(wc.form_json_terms(1, 0, [{"idx": [], "c": "7"}])) == [(0, 7)]
+    assert list(wc.form_json_terms(3, 1, [])) == []
 
 
 @pytest.mark.parametrize(
@@ -921,8 +921,7 @@ def test_terms_sequence_protocol(wc):
     # wire order: (1, 2), (1, 3), (1, 64), (2, 3)
     assert list(t) == [(3, 7), (5, 1), (1 << 63 | 1, 5), (6, -2)]
     assert len(t) == 4 and t[0] == (3, 7) and t[-1] == (6, -2)
-    assert t == [(3, 7), (5, 1), (1 << 63 | 1, 5), (6, -2)] == t
-    assert t == tuple(t) and t != list(t)[:3] and t != wc.Accumulator().items()
+    assert t != list(t)  # a plain sequence, compared as list(t)
     assert dict(t) == {3: 7, 5: 1, 1 << 63 | 1: 5, 6: -2}
     with pytest.raises(IndexError):
         t[4]

@@ -6,14 +6,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cliffsys.clifford import build
-from cliffsys.exactmat import SignedPermMatrix
+from cliffsys.exactmat import SignedPermMatrix, pairwise_products
 from cliffsys.liealg import (
     MatrixSpan,
     _SignedClasses,
-    bracket_closed,
     commutant_dim,
     normalizer_dim,
-    span_dim,
     triple_span_decomposition,
 )
 
@@ -37,10 +35,10 @@ def skew_part_family(rng, n, count):
 
 
 def test_span_dims_of_proposition_families():
-    assert span_dim(build(4).compositions()) == 10
-    assert span_dim(build(5).compositions()) == 15
-    assert span_dim(build(8).compositions()) == 36
-    assert span_dim(build(9).compositions()) == 45
+    assert MatrixSpan(pairwise_products(build(4).generators)).rank == 10
+    assert MatrixSpan(pairwise_products(build(5).generators)).rank == 15
+    assert MatrixSpan(pairwise_products(build(8).generators)).rank == 36
+    assert MatrixSpan(pairwise_products(build(9).generators)).rank == 45
 
 
 def test_span_dim_matches_naive_oracle():
@@ -49,15 +47,15 @@ def test_span_dim_matches_naive_oracle():
         n = rng.choice((4, 6, 8, 12, 16))
         count = rng.randint(1, min(50, 2 * n))
         fam = skew_part_family(rng, n, count)
-        assert span_dim(fam) == naive_span_dim(fam)
+        assert MatrixSpan(fam).rank == naive_span_dim(fam)
 
 
 def test_bracket_closure_of_spin_families():
     gens = build(8).generators
     s_a = [gens[a].mul(gens[b]) for a in range(1, 8) for b in range(a + 1, 8)]
     s_b = [gens[a].mul(gens[b]) for a in range(8) for b in range(a + 1, 8)]
-    assert len(s_a) == 21 and bracket_closed(s_a)
-    assert len(s_b) == 28 and bracket_closed(s_b)
+    assert len(s_a) == 21 and MatrixSpan(s_a).bracket_closed()
+    assert len(s_b) == 28 and MatrixSpan(s_b).bracket_closed()
 
 
 def test_abelian_pair_is_bracket_closed():
@@ -65,7 +63,7 @@ def test_abelian_pair_is_bracket_closed():
     s01 = gens[0].mul(gens[1])
     s23 = gens[2].mul(gens[3])
     assert s01.commutes(s23)
-    assert bracket_closed([s01, s23])
+    assert MatrixSpan([s01, s23]).bracket_closed()
 
 
 def test_not_closed_example():
@@ -78,13 +76,13 @@ def test_not_closed_example():
 
 def test_contains():
     gens = build(4).generators
-    span = MatrixSpan(build(4).compositions())
+    span = MatrixSpan(pairwise_products(build(4).generators))
     assert span.contains(gens[0].mul(gens[3]))
     assert span.contains(-gens[1].mul(gens[2]))
 
 
 def test_echelon_is_deterministic():
-    mats = build(8).compositions()
+    mats = pairwise_products(build(8).generators)
     a = MatrixSpan(mats)
     b = MatrixSpan(list(mats))
     assert a.rank == b.rank
@@ -95,9 +93,9 @@ def test_echelon_is_deterministic():
 
 def test_large_order_spans():
     # order-64 and order-128 composition families stay spin-sized and closed
-    span10 = MatrixSpan(build(10).compositions())
+    span10 = MatrixSpan(pairwise_products(build(10).generators))
     assert span10.rank == 55 and span10.bracket_closed()
-    span11 = MatrixSpan(build(11).compositions())
+    span11 = MatrixSpan(pairwise_products(build(11).generators))
     assert span11.rank == 66 and span11.bracket_closed()
 
 
@@ -170,8 +168,8 @@ def test_normalizer_depends_only_on_the_span():
 
 def test_span_rejects_matrices_that_are_not_skew():
     with pytest.raises(ValueError, match="not skew"):
-        span_dim(build(3).generators)
-    span = MatrixSpan(build(3).compositions())
+        MatrixSpan(build(3).generators)
+    span = MatrixSpan(pairwise_products(build(3).generators))
     with pytest.raises(ValueError, match="not skew"):
         span.contains(build(3).generators[0])
     with pytest.raises(ValueError, match="not skew"):
