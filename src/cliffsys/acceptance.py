@@ -26,7 +26,7 @@ from .clifford import (
     verify,
 )
 from .evencliff import build_e10, involution_span_obstruction, tau4_psi_d
-from .exactmat import SignedPermMatrix, pairwise_products
+from .exactmat import Record, SignedPermMatrix, pairwise_products
 from .forms import KForm, canonical_form, hodge_star, kaehler_matrix, lie_action, psi_matrix, tau
 from .liealg import (
     MatrixSpan,
@@ -43,14 +43,8 @@ XFAIL = "XFAIL"
 XPASS = "XPASS"
 
 
-class CheckResult:
+class CheckResult(Record):
     __slots__ = ("name", "status", "detail", "seconds")
-
-    def __init__(self, name: str, status: str, detail: str, seconds: float):
-        self.name = name
-        self.status = status
-        self.detail = detail
-        self.seconds = seconds
 
     def line(self) -> str:
         return f"{self.status:5s} {self.name}: {self.detail}"

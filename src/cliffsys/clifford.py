@@ -62,6 +62,8 @@ class CliffordSystem(Record):
     __slots__ = ("m", "n", "generators", "class_tag")
 
     def __init__(self, m: int, n: int, generators: tuple[SignedPermMatrix, ...], class_tag: str):
+        if type(m) is not int or type(n) is not int:
+            raise ValueError("m and n must be ints")
         if m < 1:
             raise ValueError("m must be >= 1")
         if len(generators) != m + 1:
@@ -198,7 +200,7 @@ def build(m: int, cls: str = PLUS) -> CliffordSystem:
     canonical construction, "minus" negates generator P_1, which flips the
     sign of the trace invariant.
     """
-    if not 1 <= m <= 16:
+    if type(m) is not int or not 1 <= m <= 16:
         raise ValueError("m must be in 1..16")
     gens = _canonical_generators(m)
     if cls == PLUS:

@@ -24,15 +24,6 @@ class EvenCliffordStructure(Record):
 
     __slots__ = ("rank", "n", "complex_generators", "symmetric_generators")
 
-    def __init__(
-        self,
-        rank: int,
-        n: int,
-        complex_generators: tuple[SignedPermMatrix, ...],
-        symmetric_generators: tuple[SignedPermMatrix, ...],
-    ):
-        super().__init__(rank, n, complex_generators, symmetric_generators)
-
     def generators(self) -> tuple[SignedPermMatrix, ...]:
         return self.complex_generators + self.symmetric_generators
 
@@ -128,9 +119,6 @@ def _max_anticommuting(mats: list[SignedPermMatrix]) -> int:
 
 class EvenCliffordRecord(Record):
     __slots__ = ("rank", "verdict", "note")
-
-    def __init__(self, rank: int, verdict: str, note: str):
-        super().__init__(rank, verdict, note)
 
 
 _PARALLEL_RANKS = {

@@ -28,10 +28,12 @@ class Record:
     """Immutable value whose fields are the names in its class's `__slots__`,
     two or more, listed in constructor order.
 
-    Two records are equal when they are of one class with equal fields; the
-    hash and the `Name(field=value, ...)` repr are taken over the fields.
-    A subclass's `__init__` checks its arguments and passes them on to this
-    one; copies and pickles call it again.
+    The constructor takes exactly one value per field (`TypeError`
+    otherwise).  Two records are equal when they are of one class with
+    equal fields; the hash and the `Name(field=value, ...)` repr are taken
+    over the fields.  A subclass with something to check defines an
+    `__init__` that checks its arguments and passes them on to this one;
+    copies and pickles call it again.
     """
 
     __slots__ = ()
@@ -42,6 +44,9 @@ class Record:
         cls._fields = staticmethod(attrgetter(*cls.__slots__))
 
     def __init__(self, *fields):
+        if len(fields) != len(self.__slots__):
+            raise TypeError(f"{type(self).__qualname__} takes {len(self.__slots__)} fields, "
+                            f"got {len(fields)}")
         for name, value in zip(self.__slots__, fields):
             object.__setattr__(self, name, value)
 
@@ -73,19 +78,22 @@ class SignedPermMatrix(Record):
 
     Column a carries the single nonzero, so the matrix maps
     e_a -> signs[a] * e_perm[a] (0-based internally; all external
-    formats are 1-based).
+    formats are 1-based).  The order, targets and signs are ints, not
+    bools or floats, as in the wire format.
     """
 
     __slots__ = ("n", "perm", "signs")
 
     def __init__(self, n: int, perm: tuple[int, ...], signs: tuple[int, ...]):
+        if type(n) is not int:
+            raise ValueError("order must be an int")
         if n <= 0:
             raise ValueError("order must be positive")
         if len(perm) != n or len(signs) != n:
             raise ValueError("perm/signs length must equal order")
-        if sorted(perm) != list(range(n)):
+        if any(type(t) is not int for t in perm) or sorted(perm) != list(range(n)):
             raise ValueError("targets do not form a permutation")
-        if any(s not in (1, -1) for s in signs):
+        if any(type(s) is not int or s not in (1, -1) for s in signs):
             raise ValueError("signs must be +-1")
         super().__init__(n, perm, signs)
 
@@ -303,7 +311,9 @@ def matrix_from_json(data: dict) -> SignedPermMatrix:
 
 
 class RationalMatrix:
-    """Dense matrix of exact rationals; no floating point anywhere."""
+    """Dense matrix of exact rationals; no floating point anywhere.  It only
+    carries `algebras.spin9_symmetric`'s result: products and symmetry
+    tests of such matrices are the dense oracles in the tests."""
 
     __slots__ = ("nrows", "ncols", "rows")
 
@@ -316,42 +326,5 @@ class RationalMatrix:
             raise ValueError("ragged or empty rows")
         self.rows = rows
 
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence]) -> "RationalMatrix":
-        from fractions import Fraction
-
-        return RationalMatrix([[Fraction(v) for v in row] for row in rows])
-
-    @staticmethod
-    def identity(n: int) -> "RationalMatrix":
-        from fractions import Fraction
-
-        return RationalMatrix(
-            [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        )
-
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RationalMatrix)
-            and self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and self.rows == other.rows
-        )
-
-    def mul(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        cols = list(zip(*other.rows))
-        return RationalMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
-        )
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix([list(col) for col in zip(*self.rows)])
-
-    def is_symmetric(self) -> bool:
-        return self.nrows == self.ncols and all(
-            self.rows[i][j] == self.rows[j][i]
-            for i in range(self.nrows)
-            for j in range(i + 1, self.ncols)
-        )
+        return isinstance(other, RationalMatrix) and self.rows == other.rows

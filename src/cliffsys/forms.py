@@ -59,9 +59,10 @@ class KForm:
 
     Terms are keyed by strictly increasing index tuples (stored as
     bitmasks); zero coefficients are never kept.  The constructor takes
-    {mask: coeff} with each mask an int >= 0 and each coefficient an int
-    or a Fraction, neither a bool: what the wire format can carry.  Values
-    are immutable by convention: no method mutates an existing form.
+    ints n and k and {mask: coeff} with each mask an int >= 0 and each
+    coefficient an int or a Fraction, none of them a bool: what the wire
+    format can carry.  Values are immutable by convention: no method
+    mutates an existing form.
 
     A form made from kernel output keeps the kernel's (mask, coeff) pair
     sequence as it came, and builds its {mask: coeff} dict `_terms` only
@@ -71,6 +72,8 @@ class KForm:
     __slots__ = ("n", "k", "_map", "_pairs")
 
     def __init__(self, n: int, k: int, terms: Mapping[int, object] | None = None):
+        if type(n) is not int or type(k) is not int:
+            raise ValueError("n and k must be ints")
         if n <= 0 or k < 0:
             raise ValueError("need n >= 1 and k >= 0")
         self.n = n

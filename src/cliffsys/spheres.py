@@ -42,10 +42,10 @@ def hurwitz_radon(n: int) -> HurwitzRadon:
 
 
 class VectorFieldSystem(Record):
-    __slots__ = ("n", "sigma", "structures")
+    """The sigma skew complex structures J on R^n whose fields x -> J x
+    are tangent to S^{n-1}."""
 
-    def __init__(self, n: int, sigma: int, structures: tuple[SignedPermMatrix, ...]):
-        super().__init__(n, sigma, structures)
+    __slots__ = ("n", "sigma", "structures")
 
     def validate(self) -> None:
         js = self.structures

@@ -12,7 +12,14 @@ from cliffsys.algebras import (
 from cliffsys.exactmat import RationalMatrix, SignedPermMatrix, antidiag, cross, swap, diag_split
 from cliffsys.spheres import random_unit_points
 
-from oracles import dense_right_mult, dense_spin9, dense_symmetry, octonion_conjugate, spin9_blocks
+from oracles import (
+    dense_mul,
+    dense_right_mult,
+    dense_spin9,
+    dense_symmetry,
+    octonion_conjugate,
+    spin9_blocks,
+)
 
 ID4 = SignedPermMatrix.identity(4)
 ID8 = SignedPermMatrix.identity(8)
@@ -185,20 +192,21 @@ def test_spin9_symmetric_basis_points():
     u1 = [Fraction(1)] + [Fraction(0)] * 7
     ui = [Fraction(0), Fraction(1)] + [Fraction(0)] * 6
     s8 = spin9_symmetric(zero, Fraction(1))
-    assert s8 == RationalMatrix.from_rows(diag_split(8).dense())
+    assert type(s8) is RationalMatrix
+    assert s8.rows == diag_split(8).dense()
     s0 = spin9_symmetric(u1, Fraction(0))
-    assert s0 == RationalMatrix.from_rows(swap(8).dense())
+    assert s0.rows == swap(8).dense()
     from cliffsys.clifford import build
 
     s1 = build(8).generators[1]
-    assert spin9_symmetric(ui, Fraction(0)) == RationalMatrix.from_rows(s1.dense())
+    assert spin9_symmetric(ui, Fraction(0)).rows == s1.dense()
 
 
 def test_spin9_symmetric_rational_point():
     u = [Fraction(0), Fraction(3, 5)] + [Fraction(0)] * 6
-    mat = spin9_symmetric(u, Fraction(4, 5))
-    assert mat.is_symmetric()
-    assert mat.mul(mat) == RationalMatrix.identity(16)
+    mat = spin9_symmetric(u, Fraction(4, 5)).rows
+    assert dense_symmetry(mat) == 1
+    assert dense_mul(mat, mat) == SignedPermMatrix.identity(16).dense()
 
 
 def test_spin9_symmetric_rejects_non_unit():
@@ -209,9 +217,9 @@ def test_spin9_symmetric_rejects_non_unit():
 def test_spin9_symmetric_random_unit_points():
     for point in random_unit_points(9, 100, seed=5):
         u, r = list(point[:8]), point[8]
-        mat = spin9_symmetric(u, r)
-        assert mat.is_symmetric()
-        assert mat.mul(mat) == RationalMatrix.identity(16)
+        mat = spin9_symmetric(u, r).rows
+        assert dense_symmetry(mat) == 1
+        assert dense_mul(mat, mat) == SignedPermMatrix.identity(16).dense()
 
 
 def _spin9_points(seeds):

@@ -46,8 +46,7 @@ CLASS_ATTRIBUTES = {
     "KForm": ["coefficient", "content", "from_terms", "is_zero", "k", "mask_items", "monomial",
               "n", "num_terms", "restrict", "scale", "terms", "wedge", "wedge_square", "zero"],
     "MatrixSpan": ["bracket_closed", "contains", "rank"],
-    "RationalMatrix": ["from_rows", "identity", "is_symmetric", "mul", "ncols", "nrows", "rows",
-                       "transpose"],
+    "RationalMatrix": ["ncols", "nrows", "rows"],
     "SignedPermMatrix": ["anticommutes", "apply", "apply_vector", "commutes", "dense", "entries",
                          "from_dense", "identity", "is_complex_structure", "is_involution",
                          "kron", "mul", "n", "perm", "signs", "trace", "transpose"],

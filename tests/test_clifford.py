@@ -252,11 +252,20 @@ def test_composition_span_is_bracket_closed_spin_image():
 
 
 def test_system_json_round_trip():
-    from cliffsys.clifford import system_from_json, system_to_json
+    """Every system the package builds survives its wire format as text."""
+    import json
 
-    for m in (1, 4, 8):
-        system = build(m)
+    from cliffsys.clifford import MINUS, system_from_json, system_to_json
+
+    systems = [build(m) for m in range(1, 17)]
+    systems += [build(m, MINUS) for m in (4, 8, 12, 16)] + [tilde(4), tilde(8)]
+    for system in systems:
         data = system_to_json(system)
-        again = system_from_json(data)
-        assert again.generators == system.generators
+        assert system_from_json(json.loads(json.dumps(data))) == system
         assert data["classTrace"] == class_trace(system)
+
+
+@pytest.mark.parametrize("m", [True, 1.0, 4.0])
+def test_build_refuses_an_m_that_is_not_an_int(m):
+    with pytest.raises(ValueError, match="^m must be in 1..16$"):
+        build(m)

@@ -247,6 +247,25 @@ def test_json_round_trip():
         assert matrix_from_json(data) == a
 
 
+def test_json_round_trip_through_text():
+    """Every signed permutation the package builds and writes survives its
+    wire format as text: the representations, the pinned sphere fields and
+    the unit multiplications."""
+    import json
+
+    from cliffsys.algebras import OCTONION_LABELS, left_mult
+    from cliffsys.clifford import build, to_representation
+    from cliffsys.spheres import max_vector_fields
+    from test_construction_golden import FIELD_ORDERS
+
+    mats = [e for m in range(2, 17) for e in to_representation(build(m)).matrices]
+    mats += [j for n in FIELD_ORDERS for j in max_vector_fields(n).structures]
+    mats += [mult(u, dim) for dim in (4, 8) for u in OCTONION_LABELS[:dim]
+             for mult in (left_mult, right_mult)]
+    for mat in mats:
+        assert matrix_from_json(json.loads(json.dumps(matrix_to_json(mat)))) == mat
+
+
 def test_json_is_one_based():
     data = matrix_to_json(N01)
     assert data == {"n": 2, "entries": [[1, 2, -1], [2, 1, 1]]}
@@ -284,10 +303,16 @@ def test_json_rejects_ill_formed_entries(data):
 
 
 def test_rational_matrix_basics():
-    a = RationalMatrix.from_rows([[1, 2], [3, 4]])
-    b = RationalMatrix.from_rows([[0, 1], [1, 0]])
-    assert a.mul(b).rows == RationalMatrix.from_rows([[2, 1], [4, 3]]).rows
-    assert a.transpose().rows == RationalMatrix.from_rows([[1, 3], [2, 4]]).rows
+    from fractions import Fraction
+
+    rows = [[Fraction(1), Fraction(1, 2), Fraction(0)], [Fraction(-3), Fraction(4), Fraction(5, 7)]]
+    a = RationalMatrix(rows)
+    assert (a.nrows, a.ncols, a.rows) == (2, 3, rows)
+    assert a == RationalMatrix([list(row) for row in rows])
+    assert a != RationalMatrix([row[:2] for row in rows]) and a != rows
+    for bad in ([], [[]], [[Fraction(1)], [Fraction(1), Fraction(2)]]):
+        with pytest.raises(ValueError):
+            RationalMatrix(bad)
 
 
 def test_apply_vector():
@@ -335,6 +360,29 @@ VALUE_CLASSES = [
 ]
 
 
+def _also_rejects(name, bad, message, case):
+    """The row of VALUE_CLASSES called `name`, with other rejected arguments."""
+    row = next(p for p in VALUE_CLASSES if p.id == name)
+    return pytest.param(*row.values[:5], bad, message, id=f"{name}-{case}")
+
+
+# the wire formats carry ints only, so the constructors refuse bools and floats
+VALUE_CLASSES += [
+    _also_rejects("SignedPermMatrix", (2, (0, 1), (True, -1)), "signs must be", "bool-sign"),
+    _also_rejects("SignedPermMatrix", (2, (0, 1), (1.0, -1)), "signs must be", "float-sign"),
+    _also_rejects("SignedPermMatrix", (2, (0.0, 1), (1, -1)), "not form a permutation",
+                  "float-target"),
+    _also_rejects("SignedPermMatrix", (2, (False, True), (1, -1)), "not form a permutation",
+                  "bool-target"),
+    _also_rejects("SignedPermMatrix", (True, (0,), (1,)), "order must be an int", "bool-order"),
+    _also_rejects("SignedPermMatrix", (2.0, (0, 1), (1, -1)), "order must be an int",
+                  "float-order"),
+    _also_rejects("CliffordSystem", (True, 2, (N0, N1), "n/a"), "m and n must be ints", "bool-m"),
+    _also_rejects("CliffordSystem", (1, 2.0, (N0, N1), "n/a"), "m and n must be ints",
+                  "float-n"),
+]
+
+
 @pytest.mark.parametrize("cls, args, other, text, field, bad, message", VALUE_CLASSES)
 def test_value_classes_compare_hash_print_and_copy_by_fields(
     cls, args, other, text, field, bad, message
@@ -356,6 +404,12 @@ def test_value_classes_compare_hash_print_and_copy_by_fields(
         delattr(value, field)
     assert copy.copy(value) == value
     assert pickle.loads(pickle.dumps(value)) == value
+    # one value per field, whether or not the class has an __init__ of its own
+    with pytest.raises(TypeError, match="takes"):
+        cls(*args, None)
+    if cls is not VerifyReport:  # its first_failure defaults to None
+        with pytest.raises(TypeError):
+            cls(*args[:-1])
     if bad is not None:
         with pytest.raises(ValueError, match=message):
             cls(*bad)

@@ -598,6 +598,10 @@ ONE_FORM = KForm(4, 1, {1: 1, 2: Fraction(1, 2)})
     pytest.param(lambda: KForm(4, 1, {-1: 1}), ValueError, id="negative-mask"),
     pytest.param(lambda: KForm(4, 1, {True: 1}), ValueError, id="bool-mask"),
     pytest.param(lambda: KForm(4, 1, {1.0: 1}), ValueError, id="float-mask"),
+    pytest.param(lambda: KForm(True, 1, {1: Fraction(1, 2)}), ValueError, id="bool-n"),
+    pytest.param(lambda: KForm(4.0, 1, {1: 1}), ValueError, id="float-n"),
+    pytest.param(lambda: KForm(4, True, {1: 1}), ValueError, id="bool-k"),
+    pytest.param(lambda: KForm(4, 1.0, {1: 1}), ValueError, id="float-k"),
     pytest.param(lambda: KForm(4, 1, {1: 0.5}), TypeError, id="float-coefficient"),
     pytest.param(lambda: KForm(4, 1, {2: True}), TypeError, id="bool-coefficient"),
     pytest.param(lambda: KForm(4, 1, {2: "1"}), TypeError, id="string-coefficient"),
