@@ -56,18 +56,14 @@ PSI_A_BRACKET3 = (
 
 def parse_signed_tokens(text: str, n: int, k: int) -> KForm:
     """KForm from whitespace-separated tokens like -12*1234 or +341'2'."""
-    form = KForm.zero(n, k)
+    terms = []
     for token in text.split():
-        sign = 1
+        sign = -1 if token[0] == "-" else 1
         if token[0] in "+-":
-            sign = -1 if token[0] == "-" else 1
             token = token[1:]
-        coeff = sign
-        if "*" in token:
-            mag, token = token.split("*")
-            coeff = sign * int(mag)
-        form = form + KForm.monomial(n, parse_monomial_token(token), coeff)
-    return form
+        mag, _, token = token.rpartition("*")
+        terms.append((parse_monomial_token(token), sign * int(mag or 1)))
+    return KForm.from_terms(n, k, terms)
 
 
 def theta_form(pair: tuple[int, int]) -> KForm:

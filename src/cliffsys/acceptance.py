@@ -242,7 +242,7 @@ def check_essentiality() -> str:
     return "periodic verdicts reproduced for m = 1..24"
 
 
-def check_e10_suite(jobs: int = 1) -> str:
+def check_e10_suite() -> str:
     e10 = build_e10()
     e10.validate()
     products = e10.pairwise_products()
@@ -250,7 +250,7 @@ def check_e10_suite(jobs: int = 1) -> str:
     assert span.rank == 45, f"span {span.rank} != 45"
     assert span.bracket_closed(), "span not bracket-closed"
     assert involution_span_obstruction(), "found 10 anticommuting symmetric involutions"
-    t4 = tau4_psi_d(jobs=jobs)
+    t4 = tau4_psi_d()
     assert not t4.is_zero(), "tau4(psi^D) = 0"
     for x in products:
         assert lie_action(x, t4).is_zero(), "a span generator does not annihilate tau4"
@@ -261,7 +261,7 @@ def check_e10_suite(jobs: int = 1) -> str:
     )
 
 
-def run_all(slow: bool = False, jobs: int = 1) -> list[CheckResult]:
+def run_all(slow: bool = False) -> list[CheckResult]:
     checks: list[CheckResult] = [
         _run("criterion 1 construction", check_construction),
         _run("criterion 2 trace classes", check_trace_classes),
@@ -283,5 +283,5 @@ def run_all(slow: bool = False, jobs: int = 1) -> list[CheckResult]:
         _run("criterion 9 essentiality classifier", check_essentiality),
     ]
     if slow:
-        checks.append(_run("criterion 10 rank-10 suite (slow)", lambda: check_e10_suite(jobs)))
+        checks.append(_run("criterion 10 rank-10 suite (slow)", check_e10_suite))
     return checks

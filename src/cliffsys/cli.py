@@ -3,8 +3,8 @@
 The argparse parser is the one registry of commands: each subcommand names
 its handler, which reads the parsed namespace.  Exit codes: 0 success,
 1 usage error, 2 verification failure, 3 internal error.  Output is
-deterministic for a fixed configuration regardless of the parallelism
-degree --jobs (at least 1; exact arithmetic, order-independent merges).
+deterministic for a fixed configuration.  Every command runs in one
+process: --jobs N (N >= 1) is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -52,7 +52,10 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="cliffsys", description=__doc__)
     parser.add_argument("--out", help="write output to this path instead of stdout")
     parser.add_argument("--format", choices=("json", "text"), default="json")
-    parser.add_argument("--jobs", type=int, default=1, help="parallelism degree, at least 1")
+    parser.add_argument(
+        "--jobs", type=int, default=1,
+        help="accepted and ignored (N >= 1); every command runs in one process",
+    )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("gen", help="emit a Clifford system")
@@ -217,7 +220,7 @@ def _cmd_form(args) -> int:
     elif args.psi is None:
         raise UsageError("--tau needs --psi A|B|C")
     else:
-        form = _usage(tau, psi_matrix(args.psi), args.tau, args.jobs)
+        form = _usage(tau, psi_matrix(args.psi), args.tau)
     _emit(args, _form_payload(form, args.format))
     return EXIT_OK
 
@@ -274,7 +277,7 @@ def _cmd_evencliff(args) -> int:
     if args.rank != 10:
         raise UsageError("need --rank 10 --emit psiD|tau4, or --classify <rank>")
     if args.emit == "tau4":
-        _emit(args, _form_payload(tau4_psi_d(jobs=args.jobs), args.format))
+        _emit(args, _form_payload(tau4_psi_d(), args.format))
         return EXIT_OK
     from .forms import form_to_json
 
@@ -341,7 +344,7 @@ def _cmd_octonion(args) -> int:
 def _cmd_selftest(args) -> int:
     from .acceptance import run_all
 
-    results = run_all(slow=args.slow, jobs=args.jobs)
+    results = run_all(slow=args.slow)
     lines = [r.line() for r in results]
     _emit(args, "\n".join(lines) + "\n")
     for r in results:  # timings vary from run to run, so they stay off the output

@@ -45,7 +45,7 @@ _CLASSICAL_DELTA = (1, 2, 4, 4, 8, 8, 8, 8)
 def delta(m: int) -> int:
     """Dimension of the irreducible module: the classical values for
     m = 1..8, then the period-8 rule delta(m+8) = 16 delta(m)."""
-    if m < 1:
+    if type(m) is not int or m < 1:
         raise ValueError("m must be >= 1")
     periods, r = divmod(m - 1, 8)
     return 16**periods * _CLASSICAL_DELTA[r]
@@ -221,7 +221,7 @@ def double(system: CliffordSystem) -> CliffordSystem:
 def tilde(m: int) -> CliffordSystem:
     """Representative of the second equivalence class for m in {4, 8},
     built from left instead of right multiplications."""
-    if m not in (4, 8):
+    if type(m) is not int or m not in (4, 8):
         raise ValueError("tilde systems exist for m in {4, 8}")
     gens = _classical_generators(m, left_mult)
     return CliffordSystem(m, gens[0].n, gens, MINUS)
@@ -298,7 +298,7 @@ def from_representation(rep: CliffordRepresentation) -> CliffordSystem:
 def classify_essential(m: int) -> str:
     """Essentiality of irreducible rank-(m+1) even Clifford structures on
     R^{2 delta(m)}: periodic in m mod 8."""
-    if m < 1:
+    if type(m) is not int or m < 1:
         raise ValueError("m must be >= 1")
     r = m % 8
     if r in (3, 5, 6, 7):

@@ -72,11 +72,11 @@ def psi_d() -> FormMatrix:
     return kaehler_matrix(build_e10().generators())
 
 
-def tau4_psi_d(jobs: int = 1) -> KForm:
+def tau4_psi_d() -> KForm:
     """The degree-8 invariant: sum of the 210 principal 4x4 minors of psi^D."""
     from .forms import tau
 
-    return tau(psi_d(), 4, jobs=jobs)
+    return tau(psi_d(), 4)
 
 
 def involution_span_obstruction() -> bool:
@@ -138,10 +138,10 @@ def classify(rank: int) -> EvenCliffordRecord:
     Ranks 10, 12, 16 are the recorded parallel structures (all essential);
     any other rank falls back to the periodic rank-(m+1)-on-R^{2 delta(m)}
     rule."""
+    if type(rank) is not int or rank < 2:
+        raise ValueError("rank must be >= 2")
     if rank in _PARALLEL_RANKS:
         return EvenCliffordRecord(rank, ESSENTIAL, _PARALLEL_RANKS[rank])
-    if rank < 2:
-        raise ValueError("rank must be >= 2")
     verdict = classify_essential(rank - 1)
     return EvenCliffordRecord(
         rank, verdict, f"periodic rule for irreducible rank-{rank} structures"

@@ -9,10 +9,9 @@ block of eight.
 
 from __future__ import annotations
 
-import os
 import re
 from fractions import Fraction
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 from itertools import chain, combinations
 from math import gcd
 from operator import getitem, or_
@@ -355,16 +354,13 @@ def _pfaffian_terms(psi: FormMatrix, rows: tuple[int, ...]) -> KForm:
     return KForm._trusted(psi.n, len(rows), kernel.accumulate(fill, psi.n))
 
 
-def tau(psi: FormMatrix, k: int, jobs: int = 1) -> KForm:
+def tau(psi: FormMatrix, k: int) -> KForm:
     """Sum of the k x k principal minors of a skew matrix of 2-forms.
 
     Entries commute (even degree), so each minor is an honest determinant;
     for skew matrices it equals the square of the minor's Pfaffian, which
     is the evaluation path used here.  tau_0 is the constant 1, the
-    determinant of the one empty minor.  Where the pure kernel accumulates
-    the minors, partial sums over minor subsets may be evaluated in up to
-    `jobs` worker processes, no more than the CPUs this process may use;
-    exact arithmetic makes the merge order-independent.
+    determinant of the one empty minor.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -374,43 +370,12 @@ def tau(psi: FormMatrix, k: int, jobs: int = 1) -> KForm:
         raise ValueError("k exceeds matrix size")
     if k == 0:
         return KForm(psi.n, 0, {0: 1})
-    subsets = list(combinations(range(psi.size), k))
-    if jobs > 1 and not kernel.tries_compiled(psi.n):
-        workers = min(jobs, _usable_cpus())
-        if workers > 1 and len(subsets) >= 2 * workers:
-            return _tau_parallel(psi, k, subsets, workers)
-    return KForm._trusted(psi.n, 2 * k, _tau_terms(psi, subsets))
-
-
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
-
-
-def _tau_terms(psi: FormMatrix, subsets):
-    """Terms of the sum of the squared Pfaffians over `subsets`."""
 
     def fill(acc):
-        for rows in subsets:
+        for rows in combinations(range(psi.size), k):
             acc.add_square(_pfaffian_terms(psi, rows).mask_items())
 
-    return kernel.accumulate(fill, psi.n)
-
-
-def _tau_parallel(psi: FormMatrix, k: int, subsets, jobs: int) -> KForm:
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunks = [subsets[i::jobs] for i in range(jobs)]
-    acc: dict[int, object] = {}
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for part in pool.map(partial(_tau_terms, psi), chunks):
-            for mask, c in part:
-                acc[mask] = acc.get(mask, 0) + c
-    # partial sums may cancel across chunks
-    return KForm(psi.n, 2 * k, acc)
+    return KForm._trusted(psi.n, 2 * k, kernel.accumulate(fill, psi.n))
 
 
 def lie_action(x: SignedPermMatrix, a: KForm) -> KForm:

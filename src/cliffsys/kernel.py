@@ -32,9 +32,9 @@ reads only canonical integer documents.  It declines anything else, a
 coefficient that is not an exact int (a Fraction, even Fraction(4, 1), or a
 bool) included, by raising OverflowError when it loads the terms.  Callers
 pass only the terms and the dimension n of their R^n: the C kernel is tried
-for all work on R^n with n <= MASK_BITS (`tries_compiled`), and a decline
-restarts the work on the pure side in `_run`, so results are exact and
-equal on both backends.
+for all work on R^n with n <= MASK_BITS, and a decline restarts the work
+on the pure side, both in `_run`, so results are exact and equal on both
+backends.
 """
 
 from __future__ import annotations
@@ -59,15 +59,10 @@ def _compiled() -> bool:
     return _impl is not _wedge_py
 
 
-def tries_compiled(n: int) -> bool:
-    """Whether work on R^n goes to the C kernel first."""
-    return _compiled() and n <= _impl.MASK_BITS
-
-
 def _run(compiled, pure, n: int):
     """compiled() when the C kernel may take work on R^n and does not
     decline, pure() otherwise."""
-    if tries_compiled(n):
+    if _compiled() and n <= _impl.MASK_BITS:
         try:
             return compiled()
         except OverflowError:

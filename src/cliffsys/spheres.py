@@ -30,7 +30,7 @@ def hurwitz_radon(n: int) -> HurwitzRadon:
 
     Odd n degenerates to sigma = 0; it is reported, not an error.
     """
-    if n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError("n must be >= 1")
     v = 0
     odd = n

@@ -1,7 +1,10 @@
-"""The public API, pinned: the names `cliffsys` exports and the public
-attributes of each exported class.  Adding or removing a public name is a
-deliberate change to this file, so it shows in review the way a change to
-the CLI output shows in the CLI goldens."""
+"""The public API, pinned: the names `cliffsys` exports, the public
+attributes of each exported class and the parameters of each exported
+function.  Adding or removing a public name or parameter is a deliberate
+change to this file, so it shows in review the way a change to the CLI
+output shows in the CLI goldens."""
+
+import inspect
 
 import cliffsys
 
@@ -52,6 +55,40 @@ CLASS_ATTRIBUTES = {
                          "kron", "mul", "n", "perm", "signs", "trace", "transpose"],
 }
 
+# parameter names, kinds and defaults; annotations are left out, since the
+# modules defer them to strings (`from __future__ import annotations`)
+FUNCTION_SIGNATURES = {
+    "algebra_table": "(dim=8)",
+    "build": "(m, cls='plus')",
+    "canonical_form": "(name)",
+    "class_trace": "(system)",
+    "classify_essential": "(m)",
+    "delta": "(m)",
+    "double": "(system)",
+    "from_representation": "(rep)",
+    "hodge_star": "(a)",
+    "kaehler_form": "(j)",
+    "kaehler_matrix": "(generators)",
+    "left_mult": "(u, dim=8)",
+    "lie_action": "(x, a)",
+    "psi_matrix": "(family)",
+    "right_mult": "(u, dim=8)",
+    "spin9_symmetric": "(u, r)",
+    "tau": "(psi, k)",
+    "tilde": "(m)",
+    "to_representation": "(system)",
+    "triple_span_decomposition": "(generators)",
+    "verify": "(system)",
+}
+
+
+def unannotated(fn) -> str:
+    """The signature of `fn` as text, without annotations; `inspect.signature`
+    follows `__wrapped__`, so an `lru_cache` export shows its own parameters."""
+    sig = inspect.signature(fn)
+    params = [p.replace(annotation=p.empty) for p in sig.parameters.values()]
+    return str(sig.replace(parameters=params, return_annotation=sig.empty))
+
 
 def test_exported_names():
     assert sorted(cliffsys.__all__) == EXPORTS
@@ -65,3 +102,13 @@ def test_public_attributes_of_exported_classes():
         if isinstance(value, type)
     }
     assert public == CLASS_ATTRIBUTES
+
+
+def test_signatures_of_exported_functions():
+    values = {name: getattr(cliffsys, name) for name in EXPORTS}
+    signatures = {
+        name: unannotated(value)
+        for name, value in values.items()
+        if inspect.isfunction(inspect.unwrap(value))
+    }
+    assert signatures == FUNCTION_SIGNATURES

@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import json
 import os
 import random
@@ -15,7 +16,7 @@ from cliffsys.cli import (
     EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main,
 )
 
-from backends import why_no_c_build
+from backends import dispatch_to, why_no_c_build
 from test_exactmat import ILL_FORMED_MATRIX_JSON
 
 
@@ -187,7 +188,7 @@ EXIT_PATHS = [
                  id="non-integer-jobs"),
     pytest.param(["--jobs", "0", "octonion", "--table"], {}, None, EXIT_USAGE,
                  id="zero-jobs"),
-    # --jobs is the only way to set the parallelism degree
+    # no environment variable stands in for --jobs, which is itself ignored
     pytest.param(["octonion", "--table"], {"CLIFFSYS_JOBS": "two"}, None, EXIT_OK,
                  id="jobs-environment-ignored"),
     pytest.param(["--format", "xml", "octonion", "--table"], {}, None, EXIT_USAGE,
@@ -429,6 +430,20 @@ def test_output_is_byte_identical_across_runs_and_jobs():
         for jobs in ("1", "2", "1")
     ]
     assert runs[0] == runs[1] == runs[2]
+
+
+def test_jobs_starts_no_worker_on_either_kernel(kernel_backends, monkeypatch, capsys):
+    def no_pool(*args, **kwargs):
+        pytest.fail("--jobs 2 started worker processes")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    argv = ["form", "--tau", "4", "--psi", "C"]
+    for module in kernel_backends:
+        with dispatch_to(module):
+            two, one = (run_cli(["--jobs", jobs, *argv], capsys) for jobs in ("2", "1"))
+        assert two == one
+        assert two[0] == EXIT_OK
 
 
 def test_installed_entry_point(tmp_path):

@@ -20,6 +20,7 @@ from cliffsys.clifford import (
     _extra,
 )
 from cliffsys.algebras import left_mult, right_mult
+from cliffsys.evencliff import classify as classify_even_rank
 from cliffsys.exactmat import (
     SignedPermMatrix,
     antidiag,
@@ -27,6 +28,7 @@ from cliffsys.exactmat import (
     pairwise_products,
     swap,
 )
+from cliffsys.spheres import hurwitz_radon
 
 from oracles import block_diag, dense_symmetry
 
@@ -269,3 +271,23 @@ def test_system_json_round_trip():
 def test_build_refuses_an_m_that_is_not_an_int(m):
     with pytest.raises(ValueError, match="^m must be in 1..16$"):
         build(m)
+
+
+NOT_AN_INT = [
+    (delta, True),
+    (delta, 2.0),
+    (tilde, 4.0),
+    (classify_essential, True),
+    (classify_essential, 3.0),
+    (hurwitz_radon, True),
+    (hurwitz_radon, 16.0),
+    (classify_even_rank, 7.0),
+    (classify_even_rank, 10.0),
+]
+
+
+@pytest.mark.parametrize("fn, arg", NOT_AN_INT, ids=[
+    f"{fn.__module__.rsplit('.', 1)[1]}.{fn.__name__}({arg!r})" for fn, arg in NOT_AN_INT])
+def test_integer_arguments_refuse_bools_and_floats(fn, arg):
+    with pytest.raises(ValueError):
+        fn(arg)

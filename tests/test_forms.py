@@ -1,7 +1,4 @@
-import concurrent.futures
 import json
-import os
-import pickle
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -10,10 +7,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cliffsys import _wedge_py
-from cliffsys import forms as forms_module
 from cliffsys.clifford import build
-from cliffsys.evencliff import psi_d
 from cliffsys.exactmat import SignedPermMatrix, swap
 from cliffsys.forms import (
     FormMatrix,
@@ -213,72 +207,6 @@ def test_tau4_pfaffian_path_matches_permutation_expansion():
             for b in range(a + 1, 4)
         }), 4)
         assert got == psi_c_minor_by_permutations(rows), rows
-
-
-def test_tau_parallel_matches_serial(monkeypatch):
-    psi_c = psi_matrix("C")
-    monkeypatch.setattr(forms_module, "_usable_cpus", lambda: 2)
-    with dispatch_to(_wedge_py):
-        parallel = tau(psi_c, 4, jobs=2)
-        assert parallel == tau(psi_c, 4, jobs=1)
-    assert_clean(parallel)  # the merge drops the terms that cancel across chunks
-
-
-@pytest.mark.parametrize("make", [lambda: psi_matrix("C"), psi_d], ids=["psiC", "psiD"])
-def test_form_matrices_pickle_for_the_tau_workers(make):
-    psi = make()
-    copy = pickle.loads(pickle.dumps(psi))
-    assert (copy.size, copy.n) == (psi.size, psi.n)
-    assert list(copy.upper_items()) == list(psi.upper_items())
-
-
-def test_tau_on_the_c_kernel_runs_serially(wc, monkeypatch):
-    def no_pool(*args, **kwargs):
-        pytest.fail("tau started worker processes on the C kernel")
-
-    monkeypatch.setattr(forms_module, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    psi = psi_d()
-    with dispatch_to(wc):
-        assert tau(psi, 4, jobs=2) == tau(psi, 4, jobs=1)
-
-
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its worker count and maps
-    in this process, starting none."""
-
-    started: list = []
-
-    def __init__(self, max_workers):
-        self.started.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, args):
-        return map(fn, args)
-
-
-@pytest.mark.parametrize("affinity, cpu_count, workers", [
-    ({0, 1}, 64, [2]),
-    (None, 3, [3]),  # no sched_getaffinity: os.cpu_count()
-    ({5}, 64, []),  # one usable CPU: no pool
-])
-def test_tau_workers_are_capped_at_the_usable_cpus(monkeypatch, affinity, cpu_count, workers):
-    monkeypatch.setattr(RecordingPool, "started", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    if affinity is None:
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    else:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
-    psi_a = psi_matrix("A")
-    with dispatch_to(_wedge_py):
-        assert tau(psi_a, 2, jobs=105) == tau(psi_a, 2)
-    assert RecordingPool.started == workers
 
 
 def test_hodge_star_basics():
