@@ -236,7 +236,7 @@ def _cmd_liealg(args) -> int:
     checks = [c.strip() for c in args.check.split(",") if c.strip()]
     if not checks:
         raise UsageError("--check needs at least one check name")
-    system = _usage(build, int(label[1:]))
+    system = _usage(lambda: build(int(label[1:])))  # int() of over 4,300 digits: ValueError
     for token in checks:
         if token not in _LIEALG_CHECKS:
             raise UsageError(f"unknown check {token!r}")

@@ -98,37 +98,19 @@ class CliffordRepresentation(Record):
 
 class VerifyReport(Record):
     """Outcome of `verify`.  A signed permutation is symmetric exactly when
-    it is an involution, so `symmetric` and `involutions` are always equal;
-    both stay because the JSON report has carried both fields from the
-    start and its readers look for each."""
+    it is an involution, so one field holds both facts; the JSON report
+    writes it as both "symmetric" and "involutions", which its readers
+    have looked for from the start."""
 
-    __slots__ = ("symmetric", "involutions", "anticommuting", "irreducible_dimension",
-                 "first_failure")
-
-    def __init__(
-        self,
-        symmetric: bool,
-        involutions: bool,
-        anticommuting: bool,
-        irreducible_dimension: bool,
-        first_failure: str | None = None,
-    ):
-        super().__init__(
-            symmetric, involutions, anticommuting, irreducible_dimension, first_failure
-        )
+    __slots__ = ("symmetric", "anticommuting", "irreducible_dimension", "first_failure")
 
     def all_ok(self) -> bool:
-        return (
-            self.symmetric
-            and self.involutions
-            and self.anticommuting
-            and self.irreducible_dimension
-        )
+        return self.symmetric and self.anticommuting and self.irreducible_dimension
 
     def to_json(self) -> dict:
         return {
             "symmetric": self.symmetric,
-            "involutions": self.involutions,
+            "involutions": self.symmetric,
             "anticommuting": self.anticommuting,
             "irreducibleDimension": self.irreducible_dimension,
             "firstFailure": self.first_failure,
@@ -243,8 +225,7 @@ def verify(system: CliffordSystem) -> VerifyReport:
         failure = f"N = {system.n} != 2 delta({system.m})"
     else:
         failure = None
-    symmetric = asymmetric is None
-    return VerifyReport(symmetric, symmetric, clash is None, irreducible, failure)
+    return VerifyReport(asymmetric is None, clash is None, irreducible, failure)
 
 
 def class_trace(system: CliffordSystem) -> int:

@@ -331,11 +331,9 @@ def psi_matrix(family: str) -> FormMatrix:
 
 
 def _pfaffian_terms(psi: FormMatrix, rows: tuple[int, ...]) -> KForm:
-    """Pfaffian of the principal minor on `rows` (even length): the sum of
+    """Pfaffian of the principal minor on `rows` (even length >= 2): the sum of
     (-1)^pos psi[first, j] ^ Pf(rest without j) over the j at position pos
     of the rest, accumulated at once."""
-    if len(rows) == 0:
-        raise ValueError("empty minor")
     if len(rows) == 2:
         return psi.entry(rows[0], rows[1])
     first = rows[0]

@@ -1,10 +1,11 @@
 """Independent brute-force oracles the tests check the library against.
 
 Everything here is deliberately naive: dense integer matrix products,
-transposes and direct sums, permutation-sign wedge products, the derivation action letter
-by letter, determinants expanded over permutations, rational Gaussian
-elimination, sphere points and sphere-field checks in Fractions, and the
-Spin(9) involutions as dense octonionic block matrices.
+transposes, direct sums and commutators, permutation-sign wedge products,
+the derivation action letter by letter, determinants expanded over
+permutations, rational Gaussian elimination, sphere points and sphere-field
+checks in Fractions, and the Spin(9) involutions as dense octonionic block
+matrices.
 """
 
 import random
@@ -158,6 +159,20 @@ def naive_rank(vectors):
         if nonzero:
             pivot_rows.append((vec, nonzero[0], nonzero))
     return len(pivot_rows)
+
+
+def naive_bracket_closed(mats):
+    """True iff every dense commutator AB - BA of two of `mats` leaves
+    their dense rank unchanged."""
+    rank = naive_span_dim(mats)
+    dense = [m.dense() for m in mats]
+    for i, a in enumerate(dense):
+        for b in dense[i + 1:]:
+            ab, ba = dense_mul(a, b), dense_mul(b, a)
+            bracket = [[u - v for u, v in zip(ru, rv)] for ru, rv in zip(ab, ba)]
+            if naive_span_dim(mats + [bracket]) != rank:
+                return False
+    return True
 
 
 def _skew_basis(n):

@@ -171,6 +171,27 @@ NEEDS_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"),
                                     reason="needs /dev/full, a device that is always full")
 
 
+LONG_NUMBER = "9" * 5000  # past the 4,300 digits int() converts by default
+
+
+def _long_number_argvs():
+    """(name, argv) for each int-typed option of the parser set to
+    LONG_NUMBER, and for a C<m> label that carries it."""
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    for action in parser._actions:
+        if action.type is int:
+            option = action.option_strings[0]
+            yield option, [option, LONG_NUMBER, "octonion", "--table"]
+    for name, command in commands.items():
+        for action in command._actions:
+            if action.type is int:
+                option = action.option_strings[0]
+                yield name + option, [name, option, LONG_NUMBER]
+    yield "liealg--system", ["liealg", "--system", "C" + LONG_NUMBER]
+
+
 # one row per documented exit path: argv ({tmp} is a directory holding
 # bad.json, which is not JSON, deep.json, 100,000 nested lists, corrupt.json,
 # a system failing verify, and huge-m.json, m = 9000 with 9,001 copies of one
@@ -255,6 +276,8 @@ EXIT_PATHS = [
                  id="text-form"),
     pytest.param(["--format", "text", "octonion", "--table"], {}, None, EXIT_OK,
                  id="text-octonion-table"),
+    *[pytest.param(argv, {}, None, EXIT_USAGE, id=f"long-number-{name}")
+      for name, argv in _long_number_argvs()],
     pytest.param(["octonion", "--table"], {}, _broken_handler, EXIT_INTERNAL,
                  id="internal-error"),
 ]

@@ -10,6 +10,7 @@ from cliffsys.evencliff import (
     psi_d,
     tau4_psi_d,
 )
+from cliffsys.exactmat import SignedPermMatrix
 from cliffsys.forms import kaehler_form, lie_action
 from cliffsys.liealg import MatrixSpan
 
@@ -30,6 +31,31 @@ def test_e10_invariants():
 def test_validate_checks_rank_and_order(rank, n, message):
     e10 = build_e10()
     structure = EvenCliffordStructure(rank, n, e10.complex_generators, e10.symmetric_generators)
+    with pytest.raises(ValueError, match=message):
+        structure.validate()
+
+
+# a change to the complex and symmetric generators (c, s) of build_e10() that
+# breaks one relation, and the refusal of validate()
+BROKEN_E10 = [
+    pytest.param(lambda c, s: ((SignedPermMatrix.identity(32),), s),
+                 r"complex generator 0 invalid", id="complex-not-a-complex-structure"),
+    pytest.param(lambda c, s: (c, s[:3] + (c[0].mul(s[3]),) + s[4:]),
+                 r"symmetric generator 3 invalid", id="symmetric-not-an-involution"),
+    pytest.param(lambda c, s: ((s[0].mul(s[1]),), s),
+                 r"complex part must commute with involutions", id="complex-not-commuting"),
+    pytest.param(lambda c, s: (c, s[:1] + s[:1] + s[2:]),
+                 r"involutions 0, 1 do not anticommute", id="involutions-commuting"),
+    pytest.param(lambda c, s: (c + c, s),
+                 r"a pairwise product is not skew", id="complex-product-not-skew"),
+]
+
+
+@pytest.mark.parametrize("change, message", BROKEN_E10)
+def test_validate_refuses_each_broken_relation(change, message):
+    e10 = build_e10()
+    cplx, sym = change(e10.complex_generators, e10.symmetric_generators)
+    structure = EvenCliffordStructure(len(cplx) + len(sym), 32, cplx, sym)
     with pytest.raises(ValueError, match=message):
         structure.validate()
 

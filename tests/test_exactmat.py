@@ -342,11 +342,11 @@ VALUE_CLASSES = [
     pytest.param(CliffordRepresentation, (2, (N01,)), (2, (-N01,)),
                  f"CliffordRepresentation(delta=2, matrices=({J},))", "delta",
                  (4, (N01,)), "matrices must act on R\\^delta", id="CliffordRepresentation"),
-    pytest.param(VerifyReport, (True, True, False, True, "generators 0, 1 do not anticommute"),
-                 (True, True, True, True),
-                 "VerifyReport(symmetric=True, involutions=True, anticommuting=False, "
-                 "irreducible_dimension=True, first_failure='generators 0, 1 do not "
-                 "anticommute')", "first_failure", None, None, id="VerifyReport"),
+    pytest.param(VerifyReport, (True, False, True, "generators 0, 1 do not anticommute"),
+                 (True, True, True, None),
+                 "VerifyReport(symmetric=True, anticommuting=False, irreducible_dimension=True, "
+                 "first_failure='generators 0, 1 do not anticommute')", "first_failure", None,
+                 None, id="VerifyReport"),
     pytest.param(EvenCliffordStructure, (2, 2, (N01,), (N0,)), (2, 2, (N01,), (N1,)),
                  f"EvenCliffordStructure(rank=2, n=2, complex_generators=({J},), "
                  f"symmetric_generators=({P},))", "rank", None, None,
@@ -407,9 +407,8 @@ def test_value_classes_compare_hash_print_and_copy_by_fields(
     # one value per field, whether or not the class has an __init__ of its own
     with pytest.raises(TypeError, match="takes"):
         cls(*args, None)
-    if cls is not VerifyReport:  # its first_failure defaults to None
-        with pytest.raises(TypeError):
-            cls(*args[:-1])
+    with pytest.raises(TypeError):
+        cls(*args[:-1])
     if bad is not None:
         with pytest.raises(ValueError, match=message):
             cls(*bad)

@@ -1,5 +1,5 @@
 import random
-from itertools import chain, combinations
+from itertools import chain, combinations, permutations, product
 from operator import mul
 
 import pytest
@@ -15,7 +15,13 @@ from cliffsys.liealg import (
     triple_span_decomposition,
 )
 
-from oracles import dense_mul, naive_commutant_dim, naive_normalizer_dim, naive_span_dim
+from oracles import (
+    dense_mul,
+    naive_bracket_closed,
+    naive_commutant_dim,
+    naive_normalizer_dim,
+    naive_span_dim,
+)
 
 
 def skew_part_family(rng, n, count):
@@ -72,6 +78,38 @@ def test_not_closed_example():
     s01 = gens[0].mul(gens[1])
     s12 = gens[1].mul(gens[2])
     assert not MatrixSpan([s01, s12]).bracket_closed()
+
+
+def skew_signed_perms(n):
+    """Every skew signed permutation of order n: a fixed-point-free
+    involution of the basis, with a sign on each of its pairs."""
+    out = []
+    for perm in permutations(range(n)):
+        if any(perm[a] == a or perm[perm[a]] != a for a in range(n)):
+            continue
+        lows = [a for a in range(n) if a < perm[a]]
+        for flips in product((1, -1), repeat=len(lows)):
+            signs = [0] * n
+            for a, s in zip(lows, flips):
+                signs[a], signs[perm[a]] = s, -s
+            out.append(SignedPermMatrix(n, perm, tuple(signs)))
+    return out
+
+
+def test_bracket_closure_where_pairs_neither_commute_nor_anticommute():
+    """On R^6 the skew signed permutations that commute with the complex
+    structure K, of pairs (0 1)(2 3)(4 5), span u(3), which is closed; K and
+    one of pairs (0 1)(2 4)(3 5) span a plane that is not, though the upper
+    triangle of AB + BA lies in it.  In both families some pairs neither
+    commute nor anticommute, so their brackets are read from AB and BA."""
+    k = SignedPermMatrix(6, (1, 0, 3, 2, 5, 4), (1, -1, 1, -1, 1, -1))
+    crossed = SignedPermMatrix(6, (1, 0, 4, 5, 2, 3), (1, -1, 1, -1, -1, 1))
+    u3 = [x for x in skew_signed_perms(6) if x.commutes(k)]
+    assert len(u3) == 32 and MatrixSpan(u3).rank == 9
+    for family, closed in [(u3, True), ([k, crossed], False)]:
+        assert any(a._commutation_sign(b) == 0 for a, b in combinations(family, 2))
+        assert naive_bracket_closed(family) == closed
+        assert MatrixSpan(family).bracket_closed() == closed
 
 
 def test_contains():
