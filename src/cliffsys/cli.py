@@ -10,6 +10,7 @@ process: --jobs N (N >= 1) is accepted and ignored.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import re
@@ -136,6 +137,8 @@ def _json(obj) -> str:
 def _emit(args, payload: str) -> None:
     try:
         if args.out is None:
+            if sys.stdout is None:  # fd 1 was closed when the interpreter started
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             try:
                 sys.stdout.write(payload)
                 sys.stdout.flush()
@@ -151,6 +154,17 @@ def _emit(args, payload: str) -> None:
                 fh.write(payload)
     except OSError as exc:  # missing directory, a directory, no permission, a full disk
         raise UsageError(f"cannot write {'stdout' if args.out is None else args.out}: {exc}")
+
+
+def _say(line: str) -> None:
+    """Write `line` to stderr.  A missing or unwritable stderr loses it, and
+    nothing else: the exit code stays that of the run, and stdout never gets
+    the line (print(file=None) would write it there)."""
+    if sys.stderr is not None:
+        try:
+            print(line, file=sys.stderr, flush=True)
+        except OSError:
+            pass
 
 
 def _writes_text(args) -> bool:
@@ -348,7 +362,7 @@ def _cmd_selftest(args) -> int:
     lines = [r.line() for r in results]
     _emit(args, "\n".join(lines) + "\n")
     for r in results:  # timings vary from run to run, so they stay off the output
-        print(f"{r.name}: {r.seconds:.2f}s", file=sys.stderr)
+        _say(f"{r.name}: {r.seconds:.2f}s")
     return EXIT_OK if all(r.ok for r in results) else EXIT_VERIFY
 
 
@@ -364,13 +378,13 @@ def main(argv=None) -> int:
             )
         return args.run(args)
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        _say(f"usage error: {exc}")
         return EXIT_USAGE
     except VerificationFailure as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
+        _say(f"verification failure: {exc}")
         return EXIT_VERIFY
     except Exception as exc:  # computation failure: JSON error body, code 3
-        print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}), file=sys.stderr)
+        _say(json.dumps({"error": f"{type(exc).__name__}: {exc}"}))
         return EXIT_INTERNAL
 
 

@@ -63,12 +63,11 @@ class KForm:
     format can carry.  Values are immutable by convention: no method
     mutates an existing form.
 
-    A form made from kernel output keeps the kernel's (mask, coeff) pair
-    sequence as it came, and builds its {mask: coeff} dict `_terms` only
-    when Python code first asks for it.
+    The terms are one sequence of (mask, coeff) pairs with distinct masks:
+    the kernel's, as it came, for a form made from kernel output.
     """
 
-    __slots__ = ("n", "k", "_map", "_pairs")
+    __slots__ = ("n", "k", "_pairs")
 
     def __init__(self, n: int, k: int, terms: Mapping[int, object] | None = None):
         if type(n) is not int or type(k) is not int:
@@ -77,7 +76,7 @@ class KForm:
             raise ValueError("need n >= 1 and k >= 0")
         self.n = n
         self.k = k
-        clean: dict[int, object] = {}
+        self._pairs = []
         for mask, c in (terms or {}).items():
             c = _coeff(c)
             if not c:
@@ -86,32 +85,18 @@ class KForm:
                 raise ValueError(f"mask {mask!r} is not an int >= 0")
             if mask.bit_count() != k or mask >= (1 << n):
                 raise ValueError("term does not match degree/ambient")
-            clean[mask] = c
-        self._map = clean
-        self._pairs = None
+            self._pairs.append((mask, c))
 
     @classmethod
-    def _trusted(cls, n: int, k: int, terms) -> "KForm":
-        """A form that takes `terms` as they are, unchecked: a {mask: coeff}
-        dict, or a sequence of (mask, coeff) pairs with distinct masks, whose
-        masks have k bits below 2^n and whose coefficients are nonzero ints
-        or non-integral Fractions.  For kernel outputs, which both kernels
-        give in that shape (the pure one turns a Fraction(p, 1) into p), and
-        validated input."""
+    def _trusted(cls, n: int, k: int, pairs: Sequence[tuple[int, object]]) -> "KForm":
+        """A form that takes `pairs` as they are, unchecked: (mask, coeff)
+        pairs with distinct masks, whose masks have k bits below 2^n and
+        whose coefficients are nonzero ints or non-integral Fractions.  For
+        kernel outputs, which both kernels give in that shape (the pure one
+        turns a Fraction(p, 1) into p), and validated input."""
         form = object.__new__(cls)
-        form.n, form.k = n, k
-        if isinstance(terms, dict):
-            form._map, form._pairs = terms, None
-        else:
-            form._map, form._pairs = None, terms
+        form.n, form.k, form._pairs = n, k, pairs
         return form
-
-    @property
-    def _terms(self) -> dict[int, object]:
-        """{mask: coeff}, built from the pair sequence on first use."""
-        if self._map is None:
-            self._map = dict(self._pairs)
-        return self._map
 
     # -- constructors --------------------------------------------------------
 
@@ -140,20 +125,18 @@ class KForm:
         return ((sum(indices, ()), c) for indices, c in _rendered_terms(self, _byte_indices))
 
     def mask_items(self) -> Sequence[tuple[int, object]]:
-        """The (mask, coeff) pairs: the kernel's sequence when the form came
-        from the kernel, a fresh list otherwise."""
-        if self._pairs is not None:
-            return self._pairs
-        return list(self._map.items())
+        """The (mask, coeff) pairs."""
+        return self._pairs
 
     def coefficient(self, indices: Sequence[int]):
-        return self._terms.get(_mask_from_indices(indices, self.n), 0)
+        mask = _mask_from_indices(indices, self.n)
+        return next((c for m, c in self._pairs if m == mask), 0)
 
     def is_zero(self) -> bool:
         return self.num_terms() == 0
 
     def num_terms(self) -> int:
-        return len(self._map if self._pairs is None else self._pairs)
+        return len(self._pairs)
 
     def content(self) -> int:
         """gcd of the coefficients; requires them integral, 0 for the zero form."""
@@ -165,11 +148,7 @@ class KForm:
     def __eq__(self, other) -> bool:
         if not isinstance(other, KForm):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.k == other.k
-            and self._terms == other._terms
-        )
+        return (self.n, self.k, dict(self._pairs)) == (other.n, other.k, dict(other._pairs))
 
     def __repr__(self) -> str:
         return f"KForm(n={self.n}, k={self.k}, terms={self.num_terms()})"
@@ -178,8 +157,8 @@ class KForm:
 
     def __add__(self, other: "KForm") -> "KForm":
         self._need_match(other)
-        acc = dict(self._terms)
-        for mask, c in other._terms.items():
+        acc = dict(self._pairs)
+        for mask, c in other._pairs:
             acc[mask] = acc.get(mask, 0) + c
         return KForm(self.n, self.k, acc)
 
@@ -187,13 +166,13 @@ class KForm:
         return self + -other
 
     def __neg__(self) -> "KForm":
-        return KForm(self.n, self.k, {m: -c for m, c in self._terms.items()})
+        return KForm(self.n, self.k, {m: -c for m, c in self._pairs})
 
     def scale(self, c) -> "KForm":
         c = _coeff(c)
         if not c:
             return KForm.zero(self.n, self.k)
-        return KForm(self.n, self.k, {m: v * c for m, v in self._terms.items()})
+        return KForm(self.n, self.k, {m: v * c for m, v in self._pairs})
 
     def _need_match(self, other: "KForm"):
         if self.n != other.n:
@@ -233,7 +212,7 @@ class KForm:
         allowed = _mask_from_indices(idx, self.n)
         pos = {i: p + 1 for p, i in enumerate(idx)}
         acc: dict[int, object] = {}
-        for mask, c in self._terms.items():
+        for mask, c in self._pairs:
             if mask & ~allowed:
                 continue
             new = 0
@@ -247,7 +226,7 @@ def hodge_star(a: KForm) -> KForm:
     """Hodge star for the standard metric and orientation e^1 ^ ... ^ e^n."""
     full = (1 << a.n) - 1
     acc: dict[int, object] = {}
-    for mask, c in a._terms.items():
+    for mask, c in a.mask_items():
         comp = full ^ mask
         acc[comp] = c * kernel.merge_sign(mask, comp)
     return KForm(a.n, a.n - a.k, acc)
@@ -551,9 +530,9 @@ def form_from_json(data: dict) -> KForm:
     return KForm._trusted(n, k, terms)
 
 
-def _read_terms(n: int, k: int, items: list) -> dict[int, object]:
-    """{mask: coeff} of the terms of a form document on R^n of degree k,
-    validated as `form_from_json` says."""
+def _read_terms(n: int, k: int, items: list) -> list[tuple[int, object]]:
+    """The nonzero (mask, coeff) terms of a form document on R^n of degree
+    k, validated as `form_from_json` says."""
     try:
         index_lists = [t["idx"] for t in items]
         coeffs = [t["c"] for t in items]
@@ -574,9 +553,7 @@ def _read_terms(n: int, k: int, items: list) -> dict[int, object]:
         terms[mask] = v
     if len(terms) != len(items):
         raise ValueError("an idx occurs twice")
-    if 0 in terms.values():
-        terms = {m: v for m, v in terms.items() if v}
-    return terms
+    return [t for t in terms.items() if t[1]]
 
 
 def _bit_table(n: int, index_lists: list) -> dict[int, int]:

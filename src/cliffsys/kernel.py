@@ -21,10 +21,9 @@ whose items are (mask, coeff) tuples.  It is a plain sequence with no
 equality of its own, so compare `list(terms)`.  `items()`,
 `signed_perm_action` and `form_json_terms` return one, and only they make
 one, so a `Terms` never leaves the process; every C entry point reads a
-`Terms` without converting it and copies any other sequence of pairs.  A `forms.KForm` made from
-kernel output keeps the sequence as it came and builds its {mask: coeff}
-dict only when Python code first needs it, so a form read, acted on,
-counted and written on the C kernel never has one.
+`Terms` without converting it and copies any other sequence of pairs.  A
+`forms.KForm` keeps the sequence it is made from as its terms, so a form
+read, acted on, counted and written on the C kernel stays a `Terms`.
 
 The C kernel accumulates integer coefficients with |c| < 2^31 into values
 with |acc| < 2^62; it writes and reads coefficients with |c| < 2^63 and
@@ -107,7 +106,8 @@ def form_json_dict(n: int, k: int, terms, pure):
 
 
 def form_json_terms(n: int, k: int, items: list, pure):
-    """The terms of the `terms` list of a form document on R^n of degree k:
-    a `Terms` from the C kernel, the {mask: coeff} dict of `pure()`, which
-    reads the documents the C kernel declines and owns the input contract."""
+    """The nonzero (mask, coeff) terms of the `terms` list of a form document
+    on R^n of degree k: a `Terms` from the C kernel, the list of `pure()`,
+    which reads the documents the C kernel declines and owns the input
+    contract."""
     return _run(lambda: _impl.form_json_terms(n, k, items), pure, n)

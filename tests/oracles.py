@@ -21,9 +21,9 @@ from cliffsys.forms import KForm
 def assert_clean(form):
     """`form` holds exactly what the checking constructor `KForm.__init__`
     makes of its terms: no zero, no Fraction(p, 1)."""
-    checked = KForm(form.n, form.k, form._terms)
-    assert checked._terms == form._terms
-    assert list(map(type, checked._terms.values())) == list(map(type, form._terms.values()))
+    pairs = list(form.mask_items())
+    checked = KForm(form.n, form.k, dict(pairs))
+    assert [(m, c, type(c)) for m, c in checked.mask_items()] == [(m, c, type(c)) for m, c in pairs]
 
 
 def dense_mul(a, b):

@@ -1,12 +1,20 @@
 """The public API, pinned: the names `cliffsys` exports, the public
 attributes of each exported class and the parameters of each exported
-function.  Adding or removing a public name or parameter is a deliberate
-change to this file, so it shows in review the way a change to the CLI
-output shows in the CLI goldens."""
+function, and the exception and message each check of the API raises.
+Adding or removing a public name or parameter is a deliberate change to
+this file, so it shows in review the way a change to the CLI output shows
+in the CLI goldens."""
 
 import inspect
 
+import pytest
+
 import cliffsys
+from cliffsys.algebras import AlgebraTable
+from cliffsys.clifford import CliffordSystem, to_representation
+from cliffsys.exactmat import SignedPermMatrix, matrix_from_json, swap
+from cliffsys.forms import FormMatrix, KForm, kaehler_matrix, lie_action, parse_monomial_token
+from cliffsys.liealg import MatrixSpan, commutant_dim
 
 EXPORTS = [
     "AlgebraTable",
@@ -112,3 +120,58 @@ def test_signatures_of_exported_functions():
         if inspect.isfunction(inspect.unwrap(value))
     }
     assert signatures == FUNCTION_SIGNATURES
+
+
+# -- refusals -----------------------------------------------------------------
+
+I2, I4 = SignedPermMatrix.identity(2), SignedPermMatrix.identity(4)
+E12 = KForm.monomial(4, (1, 2))
+# on R^4 with P_0 = swap(2) and P_1 P_2 = P_2, which swaps e_1 and e_2 and so
+# leaves the +1 eigenspace of P_0
+NOT_DIAGONAL = CliffordSystem(2, 4, (swap(2), I4, SignedPermMatrix(4, (1, 0, 2, 3), (1,) * 4)),
+                              "n/a")
+NO_UNIT = {(0, 0): (0, 1), (0, 1): (1, -1), (1, 0): (1, 1), (1, 1): (0, -1)}
+
+# the call, the exception it raises and its message, one row per check
+REFUSALS = [
+    (lambda: KForm.monomial(4, (0, 1)), ValueError, "index 0 outside 1..4"),
+    (lambda: KForm.monomial(4, (2, 1)), ValueError, "indices must be strictly increasing"),
+    (lambda: KForm(0, 2), ValueError, "need n >= 1 and k >= 0"),
+    (lambda: KForm(4, 2, {1: 1}), ValueError, "term does not match degree/ambient"),
+    (lambda: KForm.from_terms(4, 2, [((1,), 1)]), ValueError, "term of wrong degree"),
+    (lambda: E12 + KForm.zero(5, 2), ValueError, "ambient dimension mismatch"),
+    (lambda: E12 + KForm.zero(4, 3), ValueError, "degree mismatch"),
+    (lambda: FormMatrix(0, 4, {}), ValueError, "size must be positive"),
+    (lambda: FormMatrix(2, 4, {(1, 0): E12}), ValueError, "upper entries need 0 <= i < j < size"),
+    (lambda: FormMatrix(2, 4, {(0, 1): KForm.monomial(5, (1, 2))}), ValueError,
+     "entries must be 2-forms on the common ambient"),
+    (lambda: FormMatrix(2, 4, {}).entry(0, 2), ValueError, "index out of range"),
+    (lambda: kaehler_matrix([]), ValueError, "need at least one generator"),
+    (lambda: lie_action(I4.dense(), E12), TypeError, "x must be a SignedPermMatrix"),
+    (lambda: lie_action(I2, E12), ValueError, "shape mismatch"),
+    (lambda: parse_monomial_token("s1x"), ValueError, "bad monomial token 's1x'"),
+    (lambda: MatrixSpan([]), ValueError, "need at least one matrix"),
+    (lambda: MatrixSpan([I2, I4]), ValueError, "matrices must share one order"),
+    (lambda: commutant_dim([]), ValueError, "need at least one matrix"),
+    (lambda: commutant_dim([I2, I4]), ValueError, "matrices must share one order"),
+    (lambda: SignedPermMatrix(0, (), ()), ValueError, "order must be positive"),
+    (lambda: SignedPermMatrix(2, (0,), (1,)), ValueError, "perm/signs length must equal order"),
+    (lambda: SignedPermMatrix.from_dense([[1, 0]]), ValueError, "matrix is not square"),
+    (lambda: SignedPermMatrix.from_dense([[2, 0], [0, 1]]), ValueError,
+     "not a signed permutation matrix"),
+    (lambda: I2.apply_vector([1]), ValueError, "vector length mismatch"),
+    (lambda: matrix_from_json({"n": 2, "entries": [[1, 1, 2], [2, 2, 1]]}), ValueError,
+     "signed-perm JSON entries must be +-1"),
+    (lambda: matrix_from_json({"n": 2, "entries": [[1, 1, 1], [2, 1, 1]]}), ValueError,
+     "duplicate column in JSON entries"),
+    (lambda: AlgebraTable(2, ("1", "i"), NO_UNIT), ValueError, "e_1 must be a two-sided unit"),
+    (lambda: to_representation(NOT_DIAGONAL), ValueError,
+     "matrix does not preserve the eigenspace"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS, ids=[r[2] for r in REFUSALS])
+def test_each_check_refuses_with_its_message(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert str(raised.value) == message

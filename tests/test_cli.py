@@ -1,8 +1,12 @@
 import argparse
 import concurrent.futures
+import errno
+import hashlib
 import json
+import math
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -96,6 +100,11 @@ C1_GENERATORS = [
     pytest.param({"m": True, "n": 2, "generators": C1_GENERATORS}, id="bool-m"),
     pytest.param({"m": 1, "n": 2.0, "generators": C1_GENERATORS}, id="float-n"),
     pytest.param({"m": 1, "n": 2, "generators": {"0": C1_GENERATORS[0]}}, id="dict-generators"),
+    pytest.param({"m": 1, "n": 2, "generators": C1_GENERATORS, "class": "odd"}, id="unknown-class"),
+    pytest.param({"m": 1, "n": 2,
+                  "generators": [C1_GENERATORS[0], {"n": 1, "entries": [[1, 1, 1]]}]},
+                 id="generator-of-another-order"),
+    pytest.param({"m": 0, "n": 2, "generators": C1_GENERATORS[:1]}, id="m-0"),
 ])
 def test_verify_rejects_ill_shaped_system_file(tmp_path, capsys, data):
     path = tmp_path / "system.json"
@@ -239,6 +248,9 @@ EXIT_PATHS = [
     pytest.param(["octonion", "--table", "--left", "j"], {}, None, EXIT_USAGE,
                  id="table-and-left"),
     pytest.param(["octonion"], {}, None, EXIT_USAGE, id="octonion-without-operator"),
+    pytest.param(["form", "--tau", "2"], {}, None, EXIT_USAGE, id="tau-without-psi"),
+    pytest.param(["evencliff", "--emit", "psiD"], {}, None, EXIT_USAGE, id="emit-without-rank"),
+    pytest.param(["sphere-fields", "--n", "3"], {}, None, EXIT_USAGE, id="odd-n"),
     pytest.param(["evencliff", "--classify", "10", "--emit", "psiD"], {}, None, EXIT_USAGE,
                  id="classify-and-emit"),
     pytest.param(["evencliff", "--rank", "9", "--classify", "12"], {}, None, EXIT_USAGE,
@@ -325,6 +337,65 @@ def test_full_stdout_is_a_usage_error(m, unbuffered):
                               stdout=full, stderr=subprocess.PIPE, env=env)
     assert done.returncode == EXIT_USAGE
     assert done.stderr == b"usage error: cannot write stdout: [Errno 28] No space left on device\n"
+
+
+class _FullStream:
+    """A stream whose every write fails as a full device's does."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+SELFTEST_LINE = re.compile(r"(PASS|XFAIL) {1,2}criterion \S+ .*")
+
+# argv ({tmp} holds ill.json, a system file without generators), a handler
+# put in place of the subcommand's, expected code
+STREAM_COMMANDS = [
+    pytest.param(["gen", "--m", "0"], None, EXIT_USAGE, id="usage-error"),
+    pytest.param(["verify", "--in", "{tmp}/ill.json"], None, EXIT_VERIFY, id="ill-formed-system"),
+    pytest.param(["octonion", "--table"], _broken_handler, EXIT_INTERNAL, id="internal-error"),
+    pytest.param(["selftest"], None, EXIT_OK, id="selftest"),
+]
+
+
+@pytest.mark.parametrize("stderr", [None, _FullStream()], ids=["stderr-none", "stderr-full"])
+@pytest.mark.parametrize("argv, handler, expected", STREAM_COMMANDS)
+def test_a_lost_stderr_keeps_the_exit_code_and_stdout(tmp_path, capsys, monkeypatch, stderr,
+                                                      argv, handler, expected):
+    """With no stderr (Python sets sys.stderr to None when fd 2 is invalid at
+    start-up) or an unwritable one, the run exits as it would with stderr,
+    and no line meant for stderr reaches stdout."""
+    (tmp_path / "ill.json").write_text(json.dumps({"m": 1, "n": 2}))
+    if handler is not None:
+        monkeypatch.setattr(cli, "_cmd_" + argv[0], handler)
+    with monkeypatch.context() as streams:
+        streams.setattr(sys, "stderr", stderr)
+        code = main([a.format(tmp=tmp_path) for a in argv])
+    out = capsys.readouterr().out
+    assert code == expected
+    if argv[0] == "selftest":
+        assert all(map(SELFTEST_LINE.fullmatch, out.splitlines())), out
+    else:
+        assert out == ""
+
+
+@pytest.mark.parametrize("argv", [["gen", "--m", "1"], ["selftest"]], ids=["gen", "selftest"])
+def test_a_closed_stdout_is_a_usage_error(capsys, monkeypatch, argv):
+    """Python sets sys.stdout to None when fd 1 is closed at start-up."""
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "usage error: cannot write stdout: [Errno 9] Bad file descriptor\n"
+
+
+@NEEDS_DEV_FULL
+def test_selftest_with_a_full_stderr_exits_with_its_verdict():
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "cliffsys.cli", "selftest"],
+                              stdout=subprocess.PIPE, stderr=full, text=True)
+    assert done.returncode == EXIT_OK
+    lines = done.stdout.splitlines()
+    assert len(lines) == 14 and all(map(SELFTEST_LINE.fullmatch, lines)), done.stdout
 
 
 def test_each_subcommand_runs_its_handler():
@@ -604,6 +675,48 @@ def test_tracer_installs_on_each_backend(request, backend):
         capture_output=True, text=True, env=env,
     )
     assert done.returncode == 0, done.stderr
+
+
+# argv: the expected backend, the directory of the C kernel compiled for the
+# test run ("" for none; the package searches it after src/), the CLI's argv
+RUN_ON_BACKEND = """
+import sys
+import cliffsys
+if sys.argv[2]:
+    cliffsys.__path__.append(sys.argv[2])
+import cliffsys.cli, cliffsys.kernel
+assert cliffsys.kernel.BACKEND == sys.argv[1], cliffsys.kernel.BACKEND
+sys.exit(cliffsys.cli.main(sys.argv[3:]))
+"""
+
+
+@pytest.mark.parametrize("backend", [
+    "c", pytest.param("pure-python", marks=pytest.mark.slow),  # 11-12 s a format pure
+])
+@pytest.mark.parametrize("fmt, digest", [
+    ("json", "8d76c240af34dfe9bab8185e2a771dd6638cdbf47aecf0cf03a7f4381db9836c"),
+    ("text", "e9680f7825759916c63dbc9be3846437997497575d124006fbf59d0d9ae3e61d"),
+])
+def test_rank10_tau4_output_is_pinned(request, backend, fmt, digest):
+    """`evencliff --rank 10 --emit tau4`, the flagship result: the 234,364
+    terms of tau_4(psi^D) on R^32, with coefficient gcd 24."""
+    env = {k: v for k, v in os.environ.items() if k != "CLIFFSYS_PURE"}
+    env["PYTHONPATH"] = str(REPO / "src")
+    kernel_dir = ""
+    if backend == "c":
+        kernel_dir = str(Path(request.getfixturevalue("wc").__file__).parent)
+    else:
+        env["CLIFFSYS_PURE"] = "1"
+    argv = ["--format", fmt, "evencliff", "--rank", "10", "--emit", "tau4"]
+    done = subprocess.run([sys.executable, "-c", RUN_ON_BACKEND, backend, kernel_dir, *argv],
+                          capture_output=True, env=env)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert hashlib.sha256(done.stdout).hexdigest() == digest
+    if fmt == "json":
+        coeffs = [int(t["c"]) for t in json.loads(done.stdout)["terms"]]
+        assert len(coeffs) == 234_364 and math.gcd(*coeffs) == 24
+    else:  # one "s" per monomial
+        assert done.stdout.count(b"s") == 234_364
 
 
 def test_traced_readback_counts_every_letter(tmp_path):

@@ -293,6 +293,10 @@ ILL_FORMED_MATRIX_JSON = [
     pytest.param({"n": 2, "entries": [[1, 1], [2, 2]]}, id="two-element-entry"),
     pytest.param({"n": 2, "entries": [[1, 1, 1, 1], [2, 2, 1]]}, id="four-element-entry"),
     pytest.param({"n": 2, "entries": [7, [2, 2, 1]]}, id="int-entry"),
+    *[pytest.param({"n": 2, "entries": [[1, 1, value], [2, 2, 1]]}, id=f"value-{name}")
+      for name, value in (("2", 2), ("0", 0), ("true", True), ("float", 1.0))],
+    pytest.param({"n": 2, "entries": [[1, 1, 1], [2, 1, 1]]}, id="repeated-column"),
+    pytest.param({"n": 2, "entries": [[1, 1, 1], [1, 2, 1]]}, id="repeated-row"),
 ]
 
 

@@ -481,12 +481,12 @@ def test_form_wire_format_property(kernel_backends, a):
 @settings(max_examples=200, deadline=None)
 @given(forms())
 def test_sorted_masks_are_in_lexicographic_order(a):
-    masks = list(a._terms)
+    masks = [m for m, _ in a.mask_items()]
     width = (a.n + 7) // 8
     by_tuple = sorted(masks, key=_indices_from_mask)
     assert [m for m, _ in _sorted_terms(a.mask_items(), width)] == by_tuple
     assert [idx for idx, _ in a.terms()] == [_indices_from_mask(m) for m in by_tuple]
-    assert [c for _, c in a.terms()] == [a._terms[m] for m in by_tuple]
+    assert [c for _, c in a.terms()] == [dict(a.mask_items())[m] for m in by_tuple]
 
 
 @settings(max_examples=200, deadline=None)
@@ -500,11 +500,11 @@ def test_linear_structure_is_clean(data):
     ))
     for form in (a + b, a - b, a.scale(c), -a):
         assert_clean(form)
-    as_fractions = {m: Fraction(v) for m, v in b._terms.items()}
-    assert a == KForm(a.n, a.k, dict(a._terms)) == (a + b) - b
-    assert (a == b) == ({m: Fraction(v) for m, v in a._terms.items()} == as_fractions)
+    as_fractions = {m: Fraction(v) for m, v in b.mask_items()}
+    assert a == KForm(a.n, a.k, dict(a.mask_items())) == (a + b) - b
+    assert (a == b) == ({m: Fraction(v) for m, v in a.mask_items()} == as_fractions)
     assert b == KForm(b.n, b.k, as_fractions)
-    assert a.scale(c) == KForm(a.n, a.k, {m: v * c for m, v in a._terms.items()})
+    assert a.scale(c) == KForm(a.n, a.k, {m: v * c for m, v in a.mask_items()})
 
 
 def test_scalar_arithmetic_and_content():
