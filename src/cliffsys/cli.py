@@ -48,6 +48,9 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits with 2; we use 1
         raise UsageError(message)
 
+    def print_help(self):  # argparse falls back to stderr and swallows OSError
+        _emit(argparse.Namespace(out=None), self.format_help())
+
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cliffsys", description=__doc__)

@@ -307,8 +307,6 @@ def system_from_json(data: dict) -> CliffordSystem:
         m, n, generators = data["m"], data["n"], data["generators"]
     except (KeyError, TypeError):
         raise ValueError('system JSON needs "m", "n" and "generators"') from None
-    if type(m) is not int or type(n) is not int:
-        raise ValueError("system JSON m and n must be ints")
     if type(generators) is not list:
         raise ValueError("system JSON generators must be a list")
     gens = tuple(matrix_from_json(g) for g in generators)

@@ -289,6 +289,8 @@ def matrix_from_json(data: dict) -> SignedPermMatrix:
         raise ValueError("signed-perm JSON entries must be a list")
     if len(entries) != n:
         raise ValueError(f"signed-perm JSON needs exactly {n} entries, got {len(entries)}")
+    # the constructor refuses bad signs, and the -1 that a repeated column
+    # leaves in another (there are exactly n entries)
     perm = [-1] * n
     signs = [0] * n
     for entry in entries:
@@ -298,10 +300,6 @@ def matrix_from_json(data: dict) -> SignedPermMatrix:
         for index in (row, col):
             if type(index) is not int or not 1 <= index <= n:
                 raise ValueError(f"signed-perm JSON index {index!r} outside 1..{n}")
-        if type(value) is not int or value not in (1, -1):
-            raise ValueError("signed-perm JSON entries must be +-1")
-        if perm[col - 1] != -1:
-            raise ValueError("duplicate column in JSON entries")
         perm[col - 1] = row - 1
         signs[col - 1] = value
     return SignedPermMatrix(n, tuple(perm), tuple(signs))

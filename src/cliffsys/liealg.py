@@ -9,9 +9,12 @@ routine (content reduction, deterministic pivoting).
 The stabilizer systems come from the conjugation X -> P X P^T, which a
 signed permutation P turns into a signed permutation of the upper
 variables: XP = PX iff X - P X P^T = 0, and [X, P_a] = sum_b c_ab P_b iff
-X - P_a X P_a^T = sum_b c_ab P_b P_a^T (as P P^T = Id).  Most rows then
-read x_u = +-x_v or 2 x_u = 0; a signed union-find takes those, and the
-others are rewritten in its classes and eliminated.
+X - P_a X P_a^T = sum_b c_ab P_b P_a^T (as P P^T = Id).  Each row is
+routed by where it comes from: a conjugation row with no span term reads
+x_u = +-x_v or 2 x_u = 0 and goes to a signed union-find; the other
+conjugation rows are rewritten in its classes and eliminated, and the
+rows that make the span side skew, which hold only the c_ab, are
+eliminated as they come.
 """
 
 from __future__ import annotations
@@ -103,19 +106,12 @@ class _SparseEchelon:
         return True
 
 
-def _is_unit(row: dict[int, int]) -> bool:
-    """True for c x_u = 0, and for c x_u + d x_v = 0 with |c| = |d|."""
-    if len(row) == 2:
-        c, d = row.values()
-        return c == d or c == -d
-    return len(row) == 1
-
-
 class _SignedClasses:
     """Signed union-find over variables x_0 .. x_{size-1}.
 
     Each variable is +-1 times the root of its class, and a class may be
-    forced to zero.  `rank` is the rank of the unit rows taken so far."""
+    forced to zero.  `rank` is the rank of the rows x_u = e * x_v taken
+    so far."""
 
     def __init__(self, size: int):
         self.parent = list(range(size))
@@ -138,31 +134,18 @@ class _SignedClasses:
             v = up
         return root, total
 
-    def _force_zero(self, r: int) -> None:
-        if not self.zero[r]:
-            self.zero[r] = True
-            self.rank += 1
-
     def union(self, u: int, v: int, e: int) -> None:
         """Take the row x_u = e * x_v."""
         ru, su = self.find(u)
         rv, sv = self.find(v)
         if ru == rv:
-            if su != e * sv:  # 2 x_ru = 0
-                self._force_zero(ru)
+            if su != e * sv and not self.zero[ru]:  # 2 x_ru = 0
+                self.zero[ru] = True
+                self.rank += 1
         elif not (self.zero[ru] and self.zero[rv]):  # two zero classes add no rank
             self.parent[ru], self.sign[ru] = rv, su * e * sv
             self.zero[rv] = self.zero[rv] or self.zero[ru]
             self.rank += 1
-
-    def take(self, row: dict[int, int]) -> None:
-        """Take a unit row (see `_is_unit`)."""
-        if len(row) == 1:
-            (u,) = row
-            self._force_zero(self.find(u)[0])
-        else:
-            (u, c), (v, d) = row.items()
-            self.union(u, v, -1 if c == d else 1)
 
     def substitute(self, row: dict[int, int]) -> dict[int, int]:
         """`row` rewritten in the roots of its classes, zero classes dropped."""
@@ -297,9 +280,10 @@ def _stabilizer_nullity(matrices: Sequence[SignedPermMatrix], with_span: bool) -
     or = sum_b c_ab P_b P_a^T with `with_span`, over the upper variables of
     X (then the c_ab).
 
-    The rows are streamed twice, never collected: the unit rows go to the
-    signed union-find first, then the others, rewritten in its classes, to
-    the echelon."""
+    The rows are streamed twice, never collected: the conjugation rows
+    with no span term go to the signed union-find first; then the other
+    conjugation rows, rewritten in its classes, and the span-symmetry rows,
+    whose c_ab no class holds, go to the echelon."""
     if not matrices:
         raise ValueError("need at least one matrix")
     n = matrices[0].n
@@ -310,15 +294,15 @@ def _stabilizer_nullity(matrices: Sequence[SignedPermMatrix], with_span: bool) -
     count = len(matrices) if with_span else 0
     classes = _SignedClasses(nx + count * count)
     ech = _SparseEchelon()
-    for unit_pass in (True, False) if with_span else (True,):
+    for union_pass in (True, False) if with_span else (True,):
         for a, p in enumerate(matrices):
             entries = _span_entries(matrices, p, nx + a * count) if with_span else {}
             for pos, g, u, s, t in _conjugation_rows(p, table):
                 terms = entries.get(pos)
                 if terms is None:
-                    if unit_pass:
+                    if union_pass:
                         classes.union(u, t, g * s)
-                elif not unit_pass:
+                elif not union_pass:
                     # g x_u - s x_t - sum_b c_b (P_b P^T)_ij = 0
                     row = {u: g}
                     row[t] = row.get(t, 0) - s
@@ -327,14 +311,9 @@ def _stabilizer_nullity(matrices: Sequence[SignedPermMatrix], with_span: bool) -
                     row = classes.substitute(row)
                     if row:
                         ech.insert(row)
-            for row in _span_symmetry_rows(entries, n):
-                if _is_unit(row):
-                    if unit_pass:
-                        classes.take(row)
-                elif not unit_pass:
-                    row = classes.substitute(row)
-                    if row:
-                        ech.insert(row)
+            if not union_pass:
+                for row in _span_symmetry_rows(entries, n):
+                    ech.insert(row)
     return nx + count * count - classes.rank - ech.rank
 
 

@@ -106,17 +106,37 @@ def test_criterion_10_rank10_suite():
     _check(lambda: acceptance.check_e10_suite(), "criterion 10 rank-10 suite")
 
 
-@pytest.mark.parametrize(
-    "expect_failure, status", [(False, acceptance.FAIL), (True, acceptance.XFAIL)]
-)
-def test_a_check_that_raises_is_reported(expect_failure, status):
+def _raises(exc):
     def check():
-        raise ValueError("empty minor")
+        raise exc
 
+    return check
+
+
+# check, expect_failure, status, detail; a bare `assert` raises AssertionError()
+RUN_OUTCOMES = [
+    pytest.param(_raises(ValueError("empty minor")), False, acceptance.FAIL,
+                 "ValueError: empty minor", id="False-FAIL"),
+    pytest.param(_raises(ValueError("empty minor")), True, acceptance.XFAIL,
+                 "ValueError: empty minor", id="True-XFAIL"),
+    pytest.param(_raises(AssertionError("m=3: wrong order")), False, acceptance.FAIL,
+                 "m=3: wrong order", id="assertion-FAIL"),
+    pytest.param(_raises(AssertionError()), False, acceptance.FAIL, "assertion failed",
+                 id="bare-assertion-FAIL"),
+    pytest.param(_raises(AssertionError("m=3: wrong order")), True, acceptance.XFAIL,
+                 "m=3: wrong order", id="assertion-XFAIL"),
+    pytest.param(lambda: "all ten match", True, acceptance.XPASS,
+                 "unexpectedly passed: all ten match", id="XPASS"),
+]
+
+
+@pytest.mark.parametrize("check, expect_failure, status, detail", RUN_OUTCOMES)
+def test_a_check_that_raises_is_reported(check, expect_failure, status, detail):
     result = acceptance._run("raising check", check, expect_failure=expect_failure)
     assert result.status == status
-    assert result.detail == "ValueError: empty minor"
-    assert result.line() == f"{status:5s} raising check: ValueError: empty minor"
+    assert result.detail == detail
+    assert result.line() == f"{status:5s} raising check: {detail}"
+    assert result.ok == (status == acceptance.XFAIL)
 
 
 def test_run_all_reports_ok_statuses():

@@ -161,9 +161,9 @@ REFUSALS = [
      "not a signed permutation matrix"),
     (lambda: I2.apply_vector([1]), ValueError, "vector length mismatch"),
     (lambda: matrix_from_json({"n": 2, "entries": [[1, 1, 2], [2, 2, 1]]}), ValueError,
-     "signed-perm JSON entries must be +-1"),
+     "signs must be +-1"),
     (lambda: matrix_from_json({"n": 2, "entries": [[1, 1, 1], [2, 1, 1]]}), ValueError,
-     "duplicate column in JSON entries"),
+     "targets do not form a permutation"),
     (lambda: AlgebraTable(2, ("1", "i"), NO_UNIT), ValueError, "e_1 must be a two-sided unit"),
     (lambda: to_representation(NOT_DIAGONAL), ValueError,
      "matrix does not preserve the eigenspace"),

@@ -398,6 +398,62 @@ def test_selftest_with_a_full_stderr_exits_with_its_verdict():
     assert len(lines) == 14 and all(map(SELFTEST_LINE.fullmatch, lines)), done.stdout
 
 
+def test_a_failed_selftest_check_exits_with_a_verification_failure(capsys, monkeypatch):
+    from cliffsys import acceptance
+
+    failed = acceptance.CheckResult("criterion 1 construction", acceptance.FAIL,
+                                    "m=3: wrong order", 0.0)
+    monkeypatch.setattr(acceptance, "run_all", lambda slow: [failed])
+    code, out, err = run_cli(["selftest"], capsys)
+    assert code == EXIT_VERIFY
+    assert out == "FAIL  criterion 1 construction: m=3: wrong order\n"
+    assert err == "criterion 1 construction: 0.00s\n"
+
+
+def test_help_goes_to_stdout(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["--help"])
+    assert done.value.code == EXIT_OK
+    assert capsys.readouterr() == (cli._build_parser().format_help(), "")
+
+
+class _FullStdout(_FullStream):
+    """A full stdout on a descriptor of its own, which `_emit` points at
+    devnull after the failed write."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["gen", "--help"]], ids=["help", "gen-help"])
+@pytest.mark.parametrize("full", [False, True], ids=["stdout-none", "stdout-full"])
+def test_help_to_a_lost_stdout_is_a_usage_error(capsys, monkeypatch, argv, full):
+    """argparse would write the help to stderr, or swallow the OSError, and
+    exit 0."""
+    fd = os.open(os.devnull, os.O_WRONLY)
+    try:
+        with monkeypatch.context() as streams:
+            streams.setattr(sys, "stdout", _FullStdout(fd) if full else None)
+            code = main(argv)
+    finally:
+        os.close(fd)
+    reason = "[Errno 28] No space left on device" if full else "[Errno 9] Bad file descriptor"
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"usage error: cannot write stdout: {reason}\n"
+
+
+@NEEDS_DEV_FULL
+def test_help_to_a_full_stdout_is_a_usage_error():
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "cliffsys.cli", "--help"],
+                              stdout=full, stderr=subprocess.PIPE)
+    assert done.returncode == EXIT_USAGE
+    assert done.stderr == b"usage error: cannot write stdout: [Errno 28] No space left on device\n"
+
+
 def test_each_subcommand_runs_its_handler():
     """The parser is the one registry: each subcommand runs its own
     _cmd_* function, and every _cmd_* function is some subcommand's."""

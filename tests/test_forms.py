@@ -111,6 +111,11 @@ def test_wedge_square_matches_wedge(kernel_backends):
                 n = rng.randint(4, 12)
                 a = random_form(rng, n, 2)
                 assert a.wedge_square() == a.wedge(a) == brute_wedge_forms(a, a)
+            # the zero shortcut: odd degree, or twice the degree past n
+            for n, k in ((3, 1), (7, 1), (6, 3), (9, 3), (3, 2)):
+                a = random_form(rng, n, k)
+                zero = KForm.zero(n, 2 * k)
+                assert a.wedge_square() == a.wedge(a) == brute_wedge_forms(a, a) == zero
             constant = KForm(5, 0, {0: Fraction(-5, 2)})
             square = KForm(5, 0, {0: Fraction(25, 4)})
             assert constant.wedge_square() == constant.wedge(constant) == square

@@ -175,10 +175,18 @@ def test_triple_span_decomposition_of_each_system(m):
     assert DECOMPOSITIONS[m] == (spans[0], spans[1], orthogonal, spans[2])
 
 
-def test_commutant_dims():
-    assert commutant_dim(build(2).generators) == 1
-    assert commutant_dim(build(3).generators) == 3
-    assert commutant_dim(build(8).generators) == 0
+# the stabilizer dimensions of C_1..C_16; past m = 12 they need --runslow
+COMMUTANT_DIMS = (0, 1, 3, 3, 3, 1, 0, 0, 0, 1, 3, 3, 3, 1, 0, 0)
+NORMALIZER_DIMS = (1, 4, 9, 13, 18, 22, 28, 36, 45, 56, 69, 81, 94, 106, 120, 136)
+STABILIZER_DIMS = [
+    pytest.param(m, c, d, marks=[pytest.mark.slow] if m > 12 else [], id=str(m))
+    for m, c, d in zip(range(1, 17), COMMUTANT_DIMS, NORMALIZER_DIMS)
+]
+
+
+@pytest.mark.parametrize("m, commutant, normalizer", STABILIZER_DIMS)
+def test_commutant_dims(m, commutant, normalizer):
+    assert commutant_dim(build(m).generators) == commutant
 
 
 @pytest.mark.parametrize("m, commutant, normalizer", [
@@ -226,12 +234,11 @@ def test_merging_two_zero_classes_adds_no_rank():
     assert classes.substitute({0: 1, 1: 2, 2: 3}) == {}
 
 
-def test_normalizer_dims():
-    assert normalizer_dim(build(2).generators) == 4
-    assert normalizer_dim(build(3).generators) == 9
-    assert normalizer_dim(build(4).generators) == 13
-    assert normalizer_dim(build(5).generators) == 18
-    assert normalizer_dim(build(8).generators) == 36
+@pytest.mark.parametrize("m, commutant, normalizer", STABILIZER_DIMS)
+def test_normalizer_dims(m, commutant, normalizer):
+    # beyond the commutant, the normalizer holds the m(m+1)/2 products P_a P_b, a < b
+    assert normalizer - commutant == m * (m + 1) // 2
+    assert normalizer_dim(build(m).generators) == normalizer
 
 
 @st.composite
